@@ -113,6 +113,8 @@ def _number(sec: dict, name: str, path: str, *, default=None,
     val = sec[name]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{name}", "must be a number")
+    if not abs(val) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+        raise ConfigError(f"{path}.{name}", "must be finite")
     if integer and int(val) != val:
         raise ConfigError(f"{path}.{name}", "must be an integer")
     if positive and not val > 0:

@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "AffineTension",
-    "TabulatedTension",
     "PhysicalParams",
     "ControllerGains",
     "PhysicalFeedback",
@@ -54,33 +53,6 @@ class AffineTension:
         return self.value0 + self.slope * np.asarray(x, dtype=float)
 
     __call__ = value
-
-    def derivative(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.slope)
-
-    def min_on(self, length: float) -> float:
-        return float(min(self.value(0.0), self.value(length)))
-
-
-@dataclass(frozen=True)
-class TabulatedTension:
-    """Tension given as samples (piecewise-linear interpolation)."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def value(self, x):
-        return np.interp(x, self.x, self.values)
-
-    __call__ = value
-
-    def derivative(self, x):
-        slopes = np.gradient(self.values, self.x)
-        return np.interp(x, self.x, slopes)
-
-    def min_on(self, length: float) -> float:
-        mask = (self.x >= 0.0) & (self.x <= length)
-        return float(np.min(self.values[mask]))
 
 
 @dataclass(frozen=True)

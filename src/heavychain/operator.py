@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from heavychain.model import RescaledModel, inner_product_weights, select_gamma, check_admissibility
+from heavychain.model import RescaledModel, inner_product_weights, check_admissibility
 
 __all__ = [
     "SampledFunction",

@@ -14,7 +14,11 @@ i tau theta1.  An affine lift h absorbs the inhomogeneous end data, a
 fundamental pair (phi1, phi2) of the homogeneous oscillator supplies the
 Green kernel J(x, t) = (phi1(x) phi2(t) - phi2(x) phi1(t)) / W with
 constant Wronskian W = tau, and two boundary conditions fix the free
-coefficients c1, c2.  The fields are then recovered through
+coefficients c1, c2.  The hanging chain's tension is affine, so the pair
+is evaluated in closed form: with u = 2 tau sqrt(P) / |P'| the oscillator
+is solved by sqrt(P) Z1(u), Z in {J, Y}, whose slope is sign(P') tau Z0(u)
+(the classical hanging-chain solution; sines and cosines when P' = 0).
+The fields are then recovered through
 
     w = (g + i tau f - y~') / tau^2,      v = f + i tau w,
 
@@ -30,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import factorial
+from scipy.special import factorial, j0, j1, y0, y1
 from scipy.interpolate import CubicSpline
 
 from heavychain.discretization import Grid, generator_matrix
@@ -76,10 +79,6 @@ SMALL_TAU = 0.1
 MIN_GRID = 1600
 
 
-def _tension_min(tension, length: float) -> float:
-    return float(np.min(tension(np.linspace(0.0, length, 513))))
-
-
 def _fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
     """Stencil weights for the m-th derivative from node offsets (unit spacing)."""
     k = np.arange(len(offsets))
@@ -109,15 +108,14 @@ def _fd4(y: np.ndarray, dx: float, m: int = 1) -> np.ndarray:
     return out / dx ** m
 
 
-def _as_values(f, x: np.ndarray):
+def _as_values(f, x: np.ndarray) -> np.ndarray:
     """Evaluate a callable or resample a SampledFunction onto x."""
     if isinstance(f, SampledFunction):
         if len(f.x) == len(x) and np.allclose(f.x, x):
-            return np.asarray(f.y), None
-        spline = CubicSpline(f.x, f.y)
-        return spline(x), spline.derivative()
+            return np.asarray(f.y)
+        return CubicSpline(f.x, f.y)(x)
     if callable(f):
-        return np.asarray(f(x)), None
+        return np.asarray(f(x))
     raise TypeError("data must be a SampledFunction or a callable")
 
 
@@ -152,13 +150,52 @@ class FundamentalPair:
         return SampledFunction(self.x, self.phi2)
 
 
+def _pair_values(tau: float, p0: float, slope: float, x):
+    """(phi1, phi1', phi2, phi2') at x for the affine tension P = p0 + slope*x.
+
+    The Bessel basis sqrt(P) Z1(u), u = 2 tau sqrt(P) / |slope|, is
+    recombined so that phi1 = (0, tau) and phi2 = (1, 0) at x = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    if slope == 0.0:
+        k = tau / np.sqrt(p0)
+        sin, cos = np.sin(k * x), np.cos(k * x)
+        return np.sqrt(p0) * sin, tau * cos, cos, -k * sin
+
+    def basis(p):
+        root = np.sqrt(p)
+        u = 2.0 * tau * root / abs(slope)
+        dtau = np.sign(slope) * tau
+        return root * j1(u), dtau * j0(u), root * y1(u), dtau * y0(u)
+
+    a, ap, b, bp = basis(p0 + slope * x)
+    a0, ap0, b0, bp0 = basis(p0)
+    det = a0 * bp0 - ap0 * b0
+    return (tau * (a0 * b - b0 * a) / det, tau * (a0 * bp - b0 * ap) / det,
+            (bp0 * a - ap0 * b) / det, (bp0 * ap - ap0 * bp) / det)
+
+
+def _affine_coefficients(tension, length: float) -> tuple[float, float]:
+    """(P(0), P') of a tension callable; refuses one that is not affine and positive."""
+    xs = np.linspace(0.0, length, 5)
+    # a constant tension may come back as a scalar
+    pv = np.asarray(tension(xs), dtype=float) * np.ones_like(xs)
+    p0 = float(pv[0])
+    slope = float(pv[-1] - pv[0]) / length
+    if np.max(np.abs(pv - (p0 + slope * xs))) > 1e-12 * np.max(np.abs(pv)):
+        raise ValueError("the closed-form pair needs an affine tension")
+    if min(pv[0], pv[-1]) <= 0.0:
+        raise ValueError("tension must be positive on [0, length]")
+    return p0, slope
+
+
 def fundamental_pair(tau: float, tension, length: float, tol: float = 1e-8,
                      points_per_wavelength: int = 400,
-                     tau_cap: float = TAU_CAP, rtol: float | None = None) -> FundamentalPair:
-    """Integrate the homogeneous oscillator pair on a wavelength-resolving grid.
+                     tau_cap: float = TAU_CAP) -> FundamentalPair:
+    """Closed-form oscillator pair sampled on a wavelength-resolving grid.
 
-    tol bounds the accepted Wronskian drift (relative to tau); the inner
-    ODE tolerance is tied two orders below it unless rtol overrides.
+    tension must be an affine callable, positive on [0, length].  tol
+    bounds the accepted Wronskian drift (relative to tau).
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive (negative frequencies by conjugation)")
@@ -167,30 +204,17 @@ def fundamental_pair(tau: float, tension, length: float, tol: float = 1e-8,
             "tau=%g beyond the resolution cap %g: cost grows linearly in tau "
             "with no new information; raise tau_cap explicitly if needed" % (tau, tau_cap)
         )
-    pmin = _tension_min(tension, length)
+    p0, slope = _affine_coefficients(tension, length)
+    pmin = min(p0, p0 + slope * length)
     wavelength = 2.0 * np.pi * np.sqrt(pmin) / tau
     n = max(MIN_GRID, int(np.ceil(points_per_wavelength * length / wavelength)))
     x = np.linspace(0.0, length, n + 1)
-    if rtol is None:
-        rtol = max(min(tol * 1e-2, 1e-9), 1e-13)
-
-    def deriv(t, y):
-        k = tau * tau / tension(t)
-        return [y[1], -k * y[0], y[3], -k * y[2]]
-
-    sol = solve_ivp(
-        deriv, (0.0, length), [0.0, tau, 1.0, 0.0],
-        t_eval=x, method="DOP853", rtol=rtol, atol=rtol,
-        max_step=wavelength / 20.0,
-    )
-    if not sol.success:  # pragma: no cover - integrator failure
-        raise RuntimeError("oscillator integration failed: %s" % sol.message)
-    phi1, phi1p, phi2, phi2p = sol.y
+    phi1, phi1p, phi2, phi2p = _pair_values(tau, p0, slope, x)
     drift = float(np.max(np.abs(phi1p * phi2 - phi1 * phi2p - tau)))
     if drift > tol * max(1.0, tau):
         raise RuntimeError(
             "Wronskian drift %.3e exceeds tolerance %.3e at tau=%g; "
-            "tighten rtol or lower tau" % (drift, tol * max(1.0, tau), tau)
+            "lower tau" % (drift, tol * max(1.0, tau), tau)
         )
     return FundamentalPair(
         tau=float(tau), x=x, phi1=phi1, phi1p=phi1p,
@@ -247,11 +271,13 @@ def c0_coefficient(tau: float, m: RescaledModel) -> complex:
     return -gamma2 / gamma1
 
 
-def injectivity_check(tau: float, m: RescaledModel, rtol: float = 1e-10) -> float:
-    """Shooting certificate that i*tau is not an eigenvalue.
+def injectivity_check(tau: float, m: RescaledModel) -> float:
+    """Closed-form certificate that i*tau is not an eigenvalue.
 
-    Integrates (P w')' + tau^2 w = 0 from the cart end with the forced
-    initial data (1, c0) and returns the defect of the payload condition
+    Solves (P w')' + tau^2 w = 0 from the cart end with the forced initial
+    data (1, c0): the flux u = P w' obeys the oscillator of the pair with
+    u(0) = P(0) c0 and u'(0) = -tau^2, so u = P(0) c0 phi2 - tau phi1 and
+    w = -u' / tau^2.  Returns the defect of the payload condition
     w'(L) = tau^2 w(L).  A positive margin rules out a nontrivial kernel
     at this frequency; the admissibility hypotheses keep Im(c0) away from
     zero, which is what makes the certificate meaningful.
@@ -267,27 +293,13 @@ def injectivity_check(tau: float, m: RescaledModel, rtol: float = 1e-10) -> floa
         # at zero frequency invertibility is the closed-form inverse's
         # existence, governed by theta3 alone
         return abs(m.theta3)
-    c0 = c0_coefficient(tau, m)
-    tension = m.tension
-    pmin = _tension_min(tension, m.length)
-    wavelength = 2.0 * np.pi * np.sqrt(pmin) / tau
-
-    def deriv(t, y):
-        w, u = y[:2] + 1j * y[2:]
-        dw = u / tension(t)
-        du = -tau * tau * w
-        return [dw.real, du.real, dw.imag, du.imag]
-
-    y0 = [1.0, float(m.tension0) * c0.real, 0.0, float(m.tension0) * c0.imag]
-    sol = solve_ivp(
-        deriv, (0.0, m.length), y0, method="DOP853",
-        rtol=rtol, atol=rtol, max_step=wavelength / 20.0,
-    )
-    if not sol.success:  # pragma: no cover - integrator failure
-        raise RuntimeError("shooting integration failed: %s" % sol.message)
-    w_end = sol.y[0, -1] + 1j * sol.y[2, -1]
-    u_end = sol.y[1, -1] + 1j * sol.y[3, -1]
-    return float(np.abs(u_end / m.tensionL - tau * tau * w_end))
+    phi1, phi1p, phi2, phi2p = _pair_values(tau, m.tension.value0, m.tension.slope,
+                                            m.length)
+    u0 = float(m.tension0) * c0_coefficient(tau, m)
+    u_end = u0 * phi2 - tau * phi1
+    up_end = u0 * phi2p - tau * phi1p
+    # w'(L) - tau^2 w(L) with w' = u / P and tau^2 w = -u'
+    return float(np.abs(u_end / m.tensionL + up_end))
 
 
 @dataclass
@@ -310,7 +322,7 @@ class ResolventSolution:
     method: str  # "pipeline" or "collocation"
 
 
-def _line_residuals(x, wv, vv, fv, gv, fpv, tau, m):
+def _line_residuals(x, wv, vv, fv, gv, tau, m):
     """Defects of the four lines of the resolvent system, sup norms."""
     dx = float(x[1] - x[0])
     pv = m.tension(x)
@@ -325,12 +337,12 @@ def _line_residuals(x, wv, vv, fv, gv, fpv, tau, m):
     return r_a, r_b, r_c, r_d
 
 
-def _package(x, wv, vv, fv, gv, fpv, tau, m, c1, c2, a0, a1, den, method):
+def _package(x, wv, vv, fv, gv, tau, m, c1, c2, a0, a1, den, method):
     w_sf = SampledFunction(x, wv)
     v_sf = SampledFunction(x, vv)
     f_sf = SampledFunction(x, fv)
     g_sf = SampledFunction(x, gv)
-    lines = _line_residuals(x, wv, vv, fv, gv, fpv, tau, m)
+    lines = _line_residuals(x, wv, vv, fv, gv, tau, m)
     data_norm = h2_norm(f_sf) + h1_norm(g_sf)
     sol_norm = (h2_norm(w_sf), h1_norm(v_sf))
     # The gain is measured in the same weighted energy norm the matrix
@@ -365,16 +377,28 @@ def _derivative_values(f, x, fv, explicit):
 def _solve_collocation(f, g, tau, m, n, f_prime, g_prime):
     grid = Grid.make(n, m.length)
     x = grid.x
-    fv, _ = _as_values(f, x)
-    gv, _ = _as_values(g, x)
-    fpv = _derivative_values(f, x, fv, f_prime)
+    fv = _as_values(f, x)
+    gv = _as_values(g, x)
     a = generator_matrix(m, grid)
     npts = grid.n + 1
     rhs = np.concatenate([fv, gv]).astype(complex)
     z = np.linalg.solve(a - 1j * tau * np.eye(2 * npts), rhs)
     wv, vv = z[:npts], z[npts:]
-    return _package(x, wv, vv, fv, gv, fpv, tau, m,
+    return _package(x, wv, vv, fv, gv, tau, m,
                     0.0, 0.0, 0.0, 0.0, 0.0, "collocation")
+
+
+def _boundary_determinant(tau, m, phi1, phi1p, phi2, phi2p):
+    """Boundary determinant N(tau) from the pair's values at x = L.
+
+    Returns (c2/c1, N, scale) where scale is the size of the terms that
+    N sums, against which a vanishing N signals resonance.
+    """
+    pl = float(m.tensionL)
+    ratio = -float(m.tension0) * c0_coefficient(tau, m) / tau
+    den = phi1 + pl * phi1p + ratio * (phi2 + pl * phi2p)
+    scale = abs(phi1) + pl * abs(phi1p) + abs(ratio) * (abs(phi2) + pl * abs(phi2p))
+    return ratio, den, scale
 
 
 def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
@@ -421,8 +445,8 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
     elif abs(pair.tau - tau) > 1e-12 * max(1.0, tau):
         raise ValueError("supplied fundamental pair was built for another tau")
     x = pair.x
-    fv, _ = _as_values(f, x)
-    gv, _ = _as_values(g, x)
+    fv = _as_values(f, x)
+    gv = _as_values(g, x)
     fpv = _derivative_values(f, x, fv, f_prime)
     gpv = _derivative_values(g, x, gv, g_prime)
 
@@ -444,24 +468,19 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
     rhs_h = big_gp - (tau2 / pv) * h
 
     i0, i1 = _greens_values(rhs_h, pair)
-    ratio = gamma2 * p0 / (gamma1 * tau)
-    den = (pair.phi1[-1] + pl * pair.phi1p[-1]
-           + ratio * (pair.phi2[-1] + pl * pair.phi2p[-1]))
-    den_scale = (abs(pair.phi1[-1]) + pl * abs(pair.phi1p[-1])
-                 + abs(ratio) * (abs(pair.phi2[-1]) + pl * abs(pair.phi2p[-1])))
+    ratio, den, den_scale = _boundary_determinant(
+        tau, m, pair.phi1[-1], pair.phi1p[-1], pair.phi2[-1], pair.phi2p[-1])
     if abs(den) <= 1e-10 * max(den_scale, 1.0):
         raise RuntimeError(
             "near-resonance: boundary determinant %.3e at tau=%g" % (abs(den), tau)
         )
     c1 = -(i0[-1] + pl * i1[-1]) / den
     c2 = ratio * c1
-    y = c1 * pair.phi1 + c2 * pair.phi2 + i0
     yp = c1 * pair.phi1p + c2 * pair.phi2p + i1
-    ytil = y + h
     ytilp = yp + a1
     wv = (big_g - ytilp) / tau2
     vv = fv + 1j * tau * wv
-    return _package(x, wv, vv, fv, gv, fpv, tau, m, c1, c2, a0, a1, den, "pipeline")
+    return _package(x, wv, vv, fv, gv, tau, m, c1, c2, a0, a1, den, "pipeline")
 
 
 def _conjugate_data(f):
@@ -472,20 +491,12 @@ def _conjugate_data(f):
     return lambda x: np.conj(f(x))
 
 
-def denominator_values(m: RescaledModel, taus, points_per_wavelength: int = 80,
-                       tol: float = 1e-7) -> np.ndarray:
+def denominator_values(m: RescaledModel, taus) -> np.ndarray:
     """|N(tau)| along a frequency grid; grows at least linearly in tau."""
     out = np.empty(len(taus))
-    theta1, theta2, theta3, theta4 = m.thetas
-    p0, pl = float(m.tension0), float(m.tensionL)
     for k, tau in enumerate(taus):
-        pair = fundamental_pair(tau, m.tension, m.length, tol=tol,
-                                points_per_wavelength=points_per_wavelength)
-        gamma1 = theta4 + 1j * tau * theta2
-        gamma2 = theta3 + tau * tau + 1j * tau * theta1
-        ratio = gamma2 * p0 / (gamma1 * tau)
-        out[k] = abs(pair.phi1[-1] + pl * pair.phi1p[-1]
-                     + ratio * (pair.phi2[-1] + pl * pair.phi2p[-1]))
+        end = _pair_values(tau, m.tension.value0, m.tension.slope, m.length)
+        out[k] = abs(_boundary_determinant(tau, m, *end)[1])
     return out
 
 
@@ -580,7 +591,7 @@ def kernel_decay_study(tau_grid, f, tension, length: float,
         ppw = int(max(160, 1.2 * tau))
         pair = fundamental_pair(tau, tension, length, tol=tol,
                                 points_per_wavelength=ppw)
-        fv, _ = _as_values(f, pair.x)
+        fv = _as_values(f, pair.x)
         if not np.any(np.abs(fv) > 0.0):
             raise ValueError("degenerate study: data vanishes identically")
         i0, i1 = _greens_values(fv, pair)

@@ -77,6 +77,20 @@ def test_unknown_and_conflicting_keys_rejected(tmp_path):
         parse_config({**LIGHT, "grid": {"N": 4}})
 
 
+@pytest.mark.parametrize("key, override", [
+    ("bvp.tau", {"bvp": {"tau": float("nan")}}),
+    ("thetas.theta1", {"gains": None, "thetas": {
+        "theta1": float("nan"), "theta2": 1.0, "theta3": -1.0, "theta4": 1.0}}),
+    ("physical.rho", {"physical": {**LIGHT["physical"], "rho": float("inf")}}),
+    ("bvp.tau", {"bvp": {"tau": 10**400}}),
+], ids=["nan", "nan-theta", "infinity", "beyond-float"])
+def test_non_finite_number_exits_one_citing_key(tmp_path, capsys, key, override):
+    cfg = write_config(tmp_path, **override)
+    assert run("check", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+
+
 def test_invalid_json_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 
 from heavychain.discretization import assemble_generator
@@ -76,6 +77,32 @@ def test_fundamental_pair_rejects_bad_frequencies():
         fundamental_pair(2.0 * TAU_CAP, unit_tension, 1.0)
 
 
+@pytest.mark.parametrize("tau", [1.0, 100.0])
+def test_fundamental_pair_matches_ode_integration(ref_model, tau):
+    # independent route: integrate the oscillator numerically on the
+    # closed-form pair's own grid
+    tension = ref_model.tension
+    pair = fundamental_pair(tau, tension, ref_model.length)
+
+    def deriv(t, y):
+        k = tau * tau / tension(t)
+        return [y[1], -k * y[0], y[3], -k * y[2]]
+
+    sol = solve_ivp(deriv, (0.0, ref_model.length), [0.0, tau, 1.0, 0.0],
+                    t_eval=pair.x, method="DOP853", rtol=1e-12, atol=1e-12)
+    closed = np.array([pair.phi1, pair.phi1p, pair.phi2, pair.phi2p])
+    assert np.max(np.abs(closed - sol.y)) < 1e-8 * tau
+
+
+@pytest.mark.parametrize("tension, reason", [
+    (lambda x: 1.0 + np.asarray(x) ** 2, "affine"),
+    (lambda x: 1.0 - 2.0 * np.asarray(x), "positive"),
+], ids=["non-affine", "non-positive"])
+def test_fundamental_pair_rejects_unsupported_tension(tension, reason):
+    with pytest.raises(ValueError, match=reason):
+        fundamental_pair(5.0, tension, 1.0)
+
+
 def test_greens_apply_closed_form():
     # constant forcing against sin/cos kernels integrates in closed form
     tau = 5.0
@@ -123,10 +150,32 @@ def test_injectivity_margin_reference_value(ref_model):
 
 def test_injectivity_margin_positive_over_sweep(ref_model):
     taus = np.geomspace(0.1, 100.0, 12)
-    margins = [injectivity_check(t, ref_model, rtol=1e-8) for t in taus]
+    margins = [injectivity_check(t, ref_model) for t in taus]
     assert min(margins) > 0.0
     imags = [c0_coefficient(t, ref_model).imag for t in taus]
     assert min(imags) > 0.0
+
+
+@pytest.mark.parametrize("tau", [0.5, 8.0, 100.0])
+def test_injectivity_margin_matches_shooting(ref_model, tau):
+    # independent route: shoot (P w')' + tau^2 w = 0 from the cart end with
+    # the forced data (1, c0) and read the payload-condition defect
+    m = ref_model
+    c0 = c0_coefficient(tau, m)
+
+    def deriv(t, y):
+        w, u = y[:2] + 1j * y[2:]
+        dw = u / m.tension(t)
+        du = -tau * tau * w
+        return [dw.real, du.real, dw.imag, du.imag]
+
+    y0 = [1.0, m.tension0 * c0.real, 0.0, m.tension0 * c0.imag]
+    sol = solve_ivp(deriv, (0.0, m.length), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    w_end = sol.y[0, -1] + 1j * sol.y[2, -1]
+    u_end = sol.y[1, -1] + 1j * sol.y[3, -1]
+    shot = abs(u_end / m.tensionL - tau * tau * w_end)
+    assert injectivity_check(tau, m) == pytest.approx(shot, rel=1e-8)
 
 
 def test_injectivity_rejects_non_admissible(ref_params):
@@ -156,7 +205,7 @@ def test_margin_positive_for_admissible_draws(chi1, chi2, chi3, tau):
         derive_physical_thetas(REF_PARAMS, ControllerGains(chi1, chi2, chi3)),
     )
     assume(check_admissibility(m).admissible)
-    assert injectivity_check(tau, m, rtol=1e-6) > 0.0
+    assert injectivity_check(tau, m) > 0.0
     assert c0_coefficient(tau, m).imag > 0.0
 
 
