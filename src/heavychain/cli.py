@@ -367,7 +367,9 @@ def _run_simulate(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
     # an eighth of the CFL-like step keeps the time-stepping error from
     # polluting both the energy identity and the fitted decay rate
     dt = cfg.dt or sys_h.grid.dx / (8.0 * float(np.sqrt(sys_h.model.tension0)))
-    steps = max(1, int(round(cfg.t_final / dt)))
+    steps = int(round(cfg.t_final / dt))
+    if steps < 2:  # the ledger's dV/dt needs three samples
+        raise ConfigError("time.T", f"must span at least 2 time steps of dt = {dt:.6g}")
     tr = simulate(z0, sys_h, cfg.t_final, dt=dt,
                   store_every=max(1, steps // 2000))
     et = energies(tr, cfg.physical, cfg.gains)

@@ -1,16 +1,16 @@
 """Finite-difference semi-discretisation of the closed loop.
 
 State layout: (w_0..w_N, v_0..v_N) on a uniform grid; the boundary
-velocities are carried by v_0 and v_N themselves.  The generator matrix
-uses the half-node divergence stencil
+velocities are carried by v_0 and v_N themselves.  The generator is a
+sparse CSR matrix and uses the half-node divergence stencil
 
     ((P w')')_i  ~  (P_{i+1/2} (w_{i+1}-w_i) - P_{i-1/2} (w_i-w_{i-1})) / dx^2
 
 in the interior and replaces the two end rows by the boundary dynamics
 (payload: dv_N/dt = -w'(L); cart: dv_0/dt = feedback traces), both with
-one-sided second-order stencils.  Two Gram matrices realise the natural
-and the energy inner products as quadratic forms; they reproduce the
-quadrature values from :mod:`heavychain.operator` to rounding accuracy.
+one-sided second-order stencils.  Two dense Gram matrices realise the
+natural and the energy inner products as quadratic forms; they reproduce
+the quadrature values from :mod:`heavychain.operator` to rounding accuracy.
 
 The dissipativity check probes the Rayleigh residual
 
@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import cholesky
 
-from heavychain.model import RescaledModel, check_admissibility
+from heavychain.model import RescaledModel, check_admissibility, inner_product_weights
 from heavychain.operator import (
     SampledFunction,
     StateZ,
@@ -46,8 +48,6 @@ __all__ = [
     "assemble_gram_natural",
     "assemble_gram_weighted",
     "generator_matrix",
-    "split_state",
-    "join_state",
     "state_from_vec",
     "state_to_vec",
     "sample_states",
@@ -85,47 +85,56 @@ class Grid:
         return 2 * (self.n + 1)
 
 
-def generator_matrix(m: RescaledModel, grid: Grid) -> np.ndarray:
-    """Dense semi-discrete generator."""
+def _row(mat: sparse.csr_array, i: int):
+    """(columns, values) of the stored entries in row i of a CSR matrix."""
+    lo, hi = mat.indptr[i], mat.indptr[i + 1]
+    return mat.indices[lo:hi], mat.data[lo:hi]
+
+
+def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
+    """Sparse semi-discrete generator (4N + 7 stored entries)."""
     n, dx = grid.n, grid.dx
     npts = n + 1
     x = grid.x
     P_half = m.tension(0.5 * (x[:-1] + x[1:]))  # tension at half nodes
+    lo, hi = P_half[:-1], P_half[1:]
+    k = np.arange(1, n)
+    d1 = diff_matrix(n, dx)
+    c0, d0 = _row(d1, 0)
+    cn, dn = _row(d1, n)
+    # (rows, columns, values) of each piece; velocities start at column npts
+    pieces = [
+        # dw/dt = v
+        (np.arange(npts), npts + np.arange(npts), np.ones(npts)),
+        # dv_i/dt = ((P w')')_i in the interior
+        (np.repeat(npts + k, 3), (k[:, None] + [-1, 0, 1]).ravel(),
+         np.column_stack([lo, -(lo + hi), hi]).ravel() / dx**2),
+        # payload end: dv_N/dt = -w'(L)
+        (np.full(len(cn), npts + n), cn, -dn),
+        # cart end: dv_0/dt = theta1 v(0) + theta2 v'(0) + theta3 w(0) + theta4 w'(0)
+        (np.full(2 * len(c0) + 2, npts), np.concatenate([[npts, 0], npts + c0, c0]),
+         np.concatenate([[m.theta1, m.theta3], m.theta2 * d0, m.theta4 * d0])),
+    ]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
+    return sparse.csr_array((vals, (rows, cols)), shape=(2 * npts, 2 * npts))
 
-    A = np.zeros((2 * npts, 2 * npts))
-    A[:npts, npts:] = np.eye(npts)  # dw/dt = v
 
-    for i in range(1, n):
-        row = npts + i
-        A[row, i - 1] = P_half[i - 1] / dx**2
-        A[row, i] = -(P_half[i - 1] + P_half[i]) / dx**2
-        A[row, i + 1] = P_half[i] / dx**2
-
-    # payload end: dv_N/dt = -w'(L)
-    A[npts + n, n - 2:n + 1] += -np.array([0.5, -2.0, 1.5]) / dx
-    # cart end: dv_0/dt = theta1 v(0) + theta2 v'(0) + theta3 w(0) + theta4 w'(0)
-    one_sided = np.array([-1.5, 2.0, -0.5]) / dx
-    A[npts, npts] += m.theta1
-    A[npts, npts:npts + 3] += m.theta2 * one_sided
-    A[npts, 0] += m.theta3
-    A[npts, 0:3] += m.theta4 * one_sided
-    return A
+def _weighted_form(d: sparse.csr_array, weights: np.ndarray) -> np.ndarray:
+    """Dense D^T diag(weights) D from a sparse D."""
+    return d.T @ (weights[:, None] * d.toarray())
 
 
 def assemble_gram_natural(grid: Grid) -> np.ndarray:
     """Quadratic form of the plain Sobolev product (w in H^2, v in H^1)."""
     n, dx = grid.n, grid.dx
     npts = n + 1
-    Q = np.diag(trapezoid_weights(n, dx))
-    D1 = diff_matrix(n, dx)
-    D2 = diff2_matrix(n, dx)
-    Mw = Q + D1.T @ Q @ D1 + D2.T @ Q @ D2
-    Mv = Q + D1.T @ Q @ D1
+    q = trapezoid_weights(n, dx)
+    Mv = np.diag(q) + _weighted_form(diff_matrix(n, dx), q)
+    Mw = Mv + _weighted_form(diff2_matrix(n, dx), q)
     Mv[0, 0] += 1.0  # psi = v_0
     Mv[n, n] += 1.0  # xi = v_N
     M = np.zeros((2 * npts, 2 * npts))
-    M[:npts, :npts] = Mw
-    M[npts:, npts:] = Mv
+    M[:npts, :npts], M[npts:, npts:] = Mw, Mv
     return M
 
 
@@ -134,29 +143,29 @@ def assemble_gram_weighted(grid: Grid, m: RescaledModel, gamma: float,
     """Quadratic form of the energy inner product."""
     n, dx = grid.n, grid.dx
     npts = n + 1
-    Q = np.diag(trapezoid_weights(n, dx))
+    q = trapezoid_weights(n, dx)
     D1 = diff_matrix(n, dx)
-    P = np.diag(m.tension(grid.x))
-    K = D1 @ P @ D1  # composed (P w')' stencil, matches operator quadratures
+    p = m.tension(grid.x)
+    K = D1 @ D1.multiply(p[:, None])  # composed (P w')' stencil, matches operator quadratures
     PL, P0 = m.tensionL, m.tension0
+    grad = _weighted_form(D1, p * q)
 
-    Mw = alpha1 * (gamma * K.T @ Q @ K + D1.T @ P @ Q @ D1)
-    rowL = D1[n, :]
-    Mw += alpha1 * gamma * PL * np.outer(rowL, rowL)
+    Mw = alpha1 * (gamma * _weighted_form(K, q) + grad)
+    cols, vals = _row(D1, n)
+    Mw[np.ix_(cols, cols)] += alpha1 * gamma * PL * np.outer(vals, vals)
     Mw[0, 0] += alpha2
 
-    Mv = alpha1 * (gamma * D1.T @ P @ Q @ D1 + Q)
+    Mv = alpha1 * (gamma * grad + np.diag(q))
     Mv[n, n] += alpha1 * PL
     Mv[0, 0] += alpha2 * gamma
-
     M = np.zeros((2 * npts, 2 * npts))
-    M[:npts, :npts] = Mw
-    M[npts:, npts:] = Mv
+    M[:npts, :npts], M[npts:, npts:] = Mw, Mv
 
     # rank-one coupling of psi with the boundary functional of w
     j = np.zeros(2 * npts)
     j[npts] = 1.0
-    j[:npts] += -2.0 * alpha1 * P0 * D1[0, :]
+    cols, vals = _row(D1, 0)
+    j[cols] += -2.0 * alpha1 * P0 * vals
     j[0] += 2.0 * alpha2
     M += 0.5 * np.outer(j, j)
     return M
@@ -168,7 +177,7 @@ class GeneratorSystem:
 
     grid: Grid
     model: RescaledModel
-    A: np.ndarray
+    A: sparse.csr_array
     M_nat: np.ndarray
     M_H: np.ndarray
     gamma: float
@@ -180,8 +189,6 @@ class GeneratorSystem:
     def chol_H(self) -> np.ndarray:
         """Upper-triangular C with M_H = C^T C (so |z|_H = |C z|_2)."""
         if self._chol is None:
-            from scipy.linalg import cholesky
-
             self._chol = cholesky(self.M_H, lower=False)
         return self._chol
 
@@ -205,8 +212,6 @@ def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> 
         gamma = rep.gamma
         alpha1, alpha2 = rep.alpha1, rep.alpha2
     else:
-        from heavychain.model import inner_product_weights
-
         alpha1, alpha2 = inner_product_weights(m)
     grid = Grid.make(n, m.length)
     return GeneratorSystem(
@@ -221,24 +226,15 @@ def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> 
     )
 
 
-def split_state(vec: np.ndarray):
-    npts = len(vec) // 2
-    return vec[:npts], vec[npts:]
-
-
-def join_state(w_vals: np.ndarray, v_vals: np.ndarray) -> np.ndarray:
-    return np.concatenate([w_vals, v_vals])
-
-
 def state_from_vec(grid: Grid, vec: np.ndarray) -> StateZ:
-    w_vals, v_vals = split_state(vec)
+    npts = grid.n + 1
     return StateZ.from_functions(
-        SampledFunction(grid.x, w_vals), SampledFunction(grid.x, v_vals)
+        SampledFunction(grid.x, vec[:npts]), SampledFunction(grid.x, vec[npts:])
     )
 
 
 def state_to_vec(z: StateZ) -> np.ndarray:
-    return join_state(z.w.y, z.v.y)
+    return np.concatenate([z.w.y, z.v.y])
 
 
 # --- smooth random states -------------------------------------------------
@@ -313,12 +309,11 @@ def _poly_eval(coef: np.ndarray, u: np.ndarray, deriv: int = 0):
     return out
 
 
-def sample_states(sys: GeneratorSystem, count: int, seed: int = 0,
-                  neutral_fraction: float = 0.25) -> np.ndarray:
+def sample_states(sys: GeneratorSystem, count: int, seed: int = 0) -> np.ndarray:
     """Smooth random states compatible with the generator's domain.
 
-    Returns an array of shape (count, 2*(n+1)).  A neutral_fraction of the
-    draws are interior bumps with vanishing boundary traces; the rest are
+    Returns an array of shape (count, 2*(n+1)).  A quarter of the draws
+    are interior bumps with vanishing boundary traces; the rest are
     free mode combinations corrected by two end-localised quintics so that
     (P w')'(L) = -w'(L) and (P w')'(0) equals the feedback functional.
     """
@@ -338,7 +333,7 @@ def sample_states(sys: GeneratorSystem, count: int, seed: int = 0,
     pL_vals = _poly_eval(pL, u)
     p0_vals = _poly_eval(p0, u)
 
-    n_neutral = int(round(neutral_fraction * count))
+    n_neutral = int(round(0.25 * count))
     out = np.empty((count, grid.size), dtype=complex)
 
     for idx in range(count):
@@ -383,27 +378,34 @@ class DissipativityReport:
         return self.admissible and self.satisfied
 
 
-def dissipativity_check(sys: GeneratorSystem, samples: int = 1000, seed: int = 0,
-                        kappa: float = KAPPA_DISSIPATIVITY) -> DissipativityReport:
+def _quadratic_forms(states: np.ndarray, gram: np.ndarray, op=None) -> np.ndarray:
+    """Re(z^H gram (op z)) for every row z of states, by real BLAS products."""
+    image = states if op is None else (op @ states.T).T
+    out = np.einsum("ij,ij->i", states.real, image.real @ gram.T)
+    if np.iscomplexobj(image):
+        out += np.einsum("ij,ij->i", states.imag, image.imag @ gram.T)
+    return out
+
+
+def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
+                        seed: int = 0) -> DissipativityReport:
     """Sampled check that the generator is dissipative in the energy form.
 
-    Passes when the largest Rayleigh residual stays below kappa * dx; the
+    Passes when the largest Rayleigh residual stays below
+    KAPPA_DISSIPATIVITY * dx; the
     residual of every admissible configuration tends to zero from above
     under grid refinement, while an inadmissible coefficient set produces
     order-one positive residuals for generic states.
     """
     states = sample_states(sys, samples, seed=seed)
-    MA = sys.M_H @ sys.A
-    num = np.einsum("ij,jk,ik->i", np.conj(states), MA, states).real
-    den = np.einsum("ij,jk,ik->i", np.conj(states), sys.M_H, states).real
-    resid = num / den
+    resid = _quadratic_forms(states, sys.M_H, sys.A) / _quadratic_forms(states, sys.M_H)
     max_r = float(resid.max())
     admissible = check_admissibility(sys.model).admissible
-    bound = kappa * sys.grid.dx
+    bound = KAPPA_DISSIPATIVITY * sys.grid.dx
     return DissipativityReport(
         max_residual=max_r,
         bound=bound,
-        kappa=kappa,
+        kappa=KAPPA_DISSIPATIVITY,
         dx=sys.grid.dx,
         n_samples=samples,
         seed=seed,
@@ -415,7 +417,5 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000, seed: int = 0
 def norm_ratio_interval(sys: GeneratorSystem, samples: int = 1000, seed: int = 0):
     """Range of |z|_H / |z|_natural over the smooth sample family."""
     states = sample_states(sys, samples, seed=seed)
-    num = np.einsum("ij,jk,ik->i", np.conj(states), sys.M_H, states).real
-    den = np.einsum("ij,jk,ik->i", np.conj(states), sys.M_nat, states).real
-    ratios = np.sqrt(num / den)
+    ratios = np.sqrt(_quadratic_forms(states, sys.M_H) / _quadratic_forms(states, sys.M_nat))
     return float(ratios.min()), float(ratios.max())

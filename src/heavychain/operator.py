@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from heavychain.model import RescaledModel, inner_product_weights, check_admissibility
 
@@ -65,25 +66,28 @@ def fd_second_derivative(y: np.ndarray, dx: float) -> np.ndarray:
     return d2
 
 
-def diff_matrix(n: int, dx: float) -> np.ndarray:
-    """Dense matrix realisation of :func:`fd_derivative` on n + 1 points."""
-    d = np.zeros((n + 1, n + 1))
-    for i in range(1, n):
-        d[i, i - 1] = -0.5 / dx
-        d[i, i + 1] = 0.5 / dx
-    d[0, :3] = np.array([-1.5, 2.0, -0.5]) / dx
-    d[n, n - 2:] = np.array([0.5, -2.0, 1.5]) / dx
-    return d
+def _stencil_matrix(n: int, offsets, weights, first, last, h: float) -> sparse.csr_array:
+    """CSR operator on n + 1 points, scaled by 1/h: the central stencil's
+    diagonals in rows 1..n-1, the one-sided stencils `first` and `last`
+    in rows 0 and n."""
+    k = np.arange(1, n)
+    cols = np.concatenate([np.arange(len(first)), (k[:, None] + offsets).ravel(),
+                           np.arange(n + 1 - len(last), n + 1)])
+    vals = np.concatenate([first, np.tile(weights, n - 1), last]) / h
+    counts = np.concatenate([[0, len(first)], np.full(n - 1, len(offsets)), [len(last)]])
+    return sparse.csr_array((vals, cols, np.cumsum(counts)), shape=(n + 1, n + 1))
 
 
-def diff2_matrix(n: int, dx: float) -> np.ndarray:
-    """Dense matrix realisation of :func:`fd_second_derivative`."""
-    d = np.zeros((n + 1, n + 1))
-    for i in range(1, n):
-        d[i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / dx**2
-    d[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / dx**2
-    d[n, n - 3:] = np.array([-1.0, 4.0, -5.0, 2.0]) / dx**2
-    return d
+def diff_matrix(n: int, dx: float) -> sparse.csr_array:
+    """Sparse matrix realisation of :func:`fd_derivative` on n + 1 points."""
+    return _stencil_matrix(n, [-1, 1], [-0.5, 0.5], [-1.5, 2.0, -0.5],
+                           [0.5, -2.0, 1.5], dx)
+
+
+def diff2_matrix(n: int, dx: float) -> sparse.csr_array:
+    """Sparse matrix realisation of :func:`fd_second_derivative`."""
+    return _stencil_matrix(n, [-1, 0, 1], [1.0, -2.0, 1.0], [2.0, -5.0, 4.0, -1.0],
+                           [-1.0, 4.0, -5.0, 2.0], dx**2)
 
 
 def trapezoid_weights(n: int, dx: float) -> np.ndarray:

@@ -123,6 +123,18 @@ def test_simulate_requires_gains(tmp_path, capsys):
     assert "gains" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time_sec, code", [
+    ({"T": 0.0001}, 1),
+    ({"T": 1.0, "dt": 1.0}, 1),
+    ({"T": 1.0, "dt": 2.0}, 1),
+    ({"T": 1.0, "dt": 0.5}, 0),  # two steps are enough for the energy ledger
+], ids=["default-dt", "dt-equals-T", "dt-beyond-T", "two-steps"])
+def test_simulate_needs_two_time_steps(tmp_path, capsys, time_sec, code):
+    cfg = write_config(tmp_path, time=time_sec)
+    assert run("simulate", cfg, tmp_path / "out") == code
+    assert ("time.T" in capsys.readouterr().err) == (code == 1)
+
+
 def test_spectrum_artifacts(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

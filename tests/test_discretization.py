@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
@@ -78,7 +79,35 @@ def test_generator_interior_row_entries(ref_model):
     assert A[npts + i, i - 1] == pytest.approx(p_lo / dx**2)
     assert A[npts + i, i] == pytest.approx(-(p_lo + p_hi) / dx**2)
     assert A[npts + i, i + 1] == pytest.approx(p_hi / dx**2)
-    assert np.count_nonzero(A[npts + i]) == 3
+    assert np.count_nonzero(A[npts + i].toarray()) == 3
+
+
+def loop_generator(m, grid):
+    # row-by-row dense assembly, the reference for the vectorised one
+    n, dx, npts = grid.n, grid.dx, grid.n + 1
+    P_half = m.tension(0.5 * (grid.x[:-1] + grid.x[1:]))
+    A = np.zeros((2 * npts, 2 * npts))
+    A[:npts, npts:] = np.eye(npts)
+    for i in range(1, n):
+        A[npts + i, i - 1] = P_half[i - 1] / dx**2
+        A[npts + i, i] = -(P_half[i - 1] + P_half[i]) / dx**2
+        A[npts + i, i + 1] = P_half[i] / dx**2
+    A[npts + n, n - 2:n + 1] += -np.array([0.5, -2.0, 1.5]) / dx
+    one_sided = np.array([-1.5, 2.0, -0.5]) / dx
+    A[npts, npts] += m.theta1
+    A[npts, npts:npts + 3] += m.theta2 * one_sided
+    A[npts, 0] += m.theta3
+    A[npts, 0:3] += m.theta4 * one_sided
+    return A
+
+
+def test_generator_is_sparse_with_stencil_entries(ref_model):
+    # interior three-point rows, identity block, two end rows: 4N + 7 entries
+    sys = assemble_generator(ref_model, 100)
+    assert sparse.issparse(sys.A)
+    assert sys.A.nnz == 4 * 100 + 7
+    # same arithmetic as the row loop, so equal to the last bit
+    assert np.array_equal(sys.A.toarray(), loop_generator(ref_model, sys.grid))
 
 
 def test_gram_matrices_match_quadrature(ref_model):

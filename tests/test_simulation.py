@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
@@ -56,7 +57,7 @@ def test_contraction_along_reference_run(ref_model):
 
 def test_eigenmode_amplitude_tracking(ref_model):
     sys = assemble_generator(ref_model, 100)
-    lam, vecs = np.linalg.eig(sys.A)
+    lam, vecs = np.linalg.eig(sys.A.toarray())
     sel = np.where((lam.imag > 0.5) & (lam.imag < 3.0))[0]
     k = sel[np.argmax(lam.real[sel])]
     period = 2.0 * np.pi / lam[k].imag
@@ -104,7 +105,7 @@ def test_energy_identity_refinement(ref_model, ref_params, ref_gains):
 
 def test_decay_fit_pure_mode(ref_model):
     sys = assemble_generator(ref_model, 100)
-    lam, vecs = np.linalg.eig(sys.A)
+    lam, vecs = np.linalg.eig(sys.A.toarray())
     sel = np.where((lam.imag > 0.5) & (lam.imag < 3.0))[0]
     k = sel[np.argmax(lam.real[sel])]
     horizon = 1.05 * np.log(10.0) / abs(lam[k].real)
@@ -164,3 +165,11 @@ def test_cn_conserves_interior_wave_energy(ref_model):
         z_next = lu_solve(lu, step @ z)
         assert abs(wave_energy(z_next) - wave_energy(z)) < 1e-10 * e0
         z = z_next
+
+
+def test_singular_step_matrix_raises(ref_model):
+    # A = (2/dt) I makes I - dt/2 A vanish
+    sys = assemble_generator(ref_model, 10)
+    sys.A = 2.0 * sparse.eye_array(sys.grid.size, format="csr")
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        simulate(np.ones(sys.grid.size), sys, 2.0, dt=1.0)
