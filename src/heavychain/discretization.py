@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cholesky
+from scipy.sparse.linalg import SuperLU, splu
 
 from heavychain.model import RescaledModel, check_admissibility, inner_product_weights
 from heavychain.operator import (
@@ -183,13 +184,19 @@ class GeneratorSystem:
     gamma: float
     alpha1: float
     alpha2: float
-    _chol: np.ndarray | None = field(default=None, repr=False)
+    _chol: tuple[sparse.csc_array, SuperLU] | None = field(default=None, repr=False)
 
     @property
-    def chol_H(self) -> np.ndarray:
-        """Upper-triangular C with M_H = C^T C (so |z|_H = |C z|_2)."""
+    def chol_H(self) -> tuple[sparse.csc_array, SuperLU]:
+        """Upper-triangular C with M_H = C^T C (so |z|_H = |C z|_2), held
+        sparse, and its SuperLU factor for triangular solves.
+
+        C is a band plus the one column the psi coupling fills.  Natural
+        order with diagonal pivots leaves the SuperLU factor without fill.
+        """
         if self._chol is None:
-            self._chol = cholesky(self.M_H, lower=False)
+            c = sparse.csc_array(cholesky(self.M_H, lower=False))
+            self._chol = c, splu(c, permc_spec="NATURAL", diag_pivot_thresh=0)
         return self._chol
 
     def weighted_norm(self, vec: np.ndarray) -> float:
@@ -279,36 +286,6 @@ def _bump_profiles(ell: float, x: np.ndarray):
     ] + [envelope]
 
 
-def _hermite_quintic(ell: float, at_left: bool) -> np.ndarray:
-    """Coefficients (in u = x/ell) of the quintic with zero value/slope at
-    both ends and unit second derivative at one end."""
-    # p(u) = sum c_k u^k; conditions at u = 0 and u = 1
-    rows = []
-    rhs = []
-    for du, where in ((0, 0.0), (1, 0.0), (2, 0.0), (0, 1.0), (1, 1.0), (2, 1.0)):
-        rows.append(
-            [
-                (np.prod(np.arange(k, k - du, -1)) if k >= du else 0.0) * where ** max(k - du, 0)
-                for k in range(6)
-            ]
-        )
-    rhs = np.zeros(6)
-    # second derivative in x is p''(u)/ell^2
-    rhs[2 if at_left else 5] = ell**2
-    return np.linalg.solve(np.array(rows, dtype=float), rhs)
-
-
-def _poly_eval(coef: np.ndarray, u: np.ndarray, deriv: int = 0):
-    k = np.arange(6)
-    fac = np.ones(6)
-    for d in range(deriv):
-        fac *= np.clip(k - d, 0, None)
-    out = np.zeros_like(u)
-    for kk in range(deriv, 6):
-        out += coef[kk] * fac[kk] * u ** (kk - deriv)
-    return out
-
-
 def sample_states(sys: GeneratorSystem, count: int, seed: int = 0) -> np.ndarray:
     """Smooth random states compatible with the generator's domain.
 
@@ -327,39 +304,40 @@ def sample_states(sys: GeneratorSystem, count: int, seed: int = 0) -> np.ndarray
     modes = _mode_table(ell)
     n_modes = len(modes)
     bumps = _bump_profiles(ell, x)
-    pL = _hermite_quintic(ell, at_left=False)
-    p0 = _hermite_quintic(ell, at_left=True)
     u = x / ell
-    pL_vals = _poly_eval(pL, u)
-    p0_vals = _poly_eval(p0, u)
+    # quintics with zero value and slope at both ends and unit second
+    # x-derivative at x = 0 (p0) or at x = L (pL)
+    p0_vals = 0.5 * ell**2 * u**2 * (1.0 - u) ** 3
+    pL_vals = 0.5 * ell**2 * u**3 * (1.0 - u) ** 2
 
     n_neutral = int(round(0.25 * count))
-    out = np.empty((count, grid.size), dtype=complex)
+    # one state's draws: real and imaginary w coefficients, then those of v;
+    # all bump states come first, then all mode states
+    nb = len(bumps)
+    bump_c = rng.standard_normal((n_neutral, 4, nb))
+    mode_c = rng.standard_normal((count - n_neutral, 4, n_modes))
+    bw, bv = (bump_c[:, k] + 1j * bump_c[:, k + 1] for k in (0, 2))
+    cw, cv = (mode_c[:, k] + 1j * mode_c[:, k + 1] for k in (0, 2))
+    trace0 = np.array([mode[1] for mode in modes])
+    traceL = np.array([mode[2] for mode in modes])
+    # analytic end traces of the uncorrected combinations
+    w0, dw0, ddw0 = (cw @ trace0).T
+    wL, dwL, ddwL = (cw @ traceL).T
+    v0, dv0 = (cv @ trace0[:, :2]).T
+    P0, PL = float(P(0.0)), float(P(ell))
+    div0 = slope * dw0 + P0 * ddw0
+    divL = slope * dwL + PL * ddwL
+    force = m.theta1 * v0 + m.theta2 * dv0 + m.theta3 * w0 + m.theta4 * dw0
 
-    for idx in range(count):
-        if idx < n_neutral:
-            cw = rng.standard_normal(len(bumps)) + 1j * rng.standard_normal(len(bumps))
-            cv = rng.standard_normal(len(bumps)) + 1j * rng.standard_normal(len(bumps))
-            w_vals = sum(c * b for c, b in zip(cw, bumps))
-            v_vals = sum(c * b for c, b in zip(cv, bumps))
-        else:
-            cw = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-            cv = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-            w_vals = sum(c * mode[0](x) for c, mode in zip(cw, modes))
-            v_vals = sum(c * mode[0](x) for c, mode in zip(cv, modes))
-            # analytic end traces of the uncorrected combination
-            w0, dw0, ddw0 = (sum(c * mode[1][j] for c, mode in zip(cw, modes)) for j in range(3))
-            wL, dwL, ddwL = (sum(c * mode[2][j] for c, mode in zip(cw, modes)) for j in range(3))
-            v0, dv0 = (sum(c * mode[1][j] for c, mode in zip(cv, modes)) for j in range(2))
-            div0 = slope * dw0 + float(P(0.0)) * ddw0
-            divL = slope * dwL + float(P(ell)) * ddwL
-            force = m.theta1 * v0 + m.theta2 * dv0 + m.theta3 * w0 + m.theta4 * dw0
-            c0 = (force - div0) / float(P(0.0))
-            cL = (-dwL - divL) / float(P(ell))
-            w_vals = w_vals + c0 * p0_vals + cL * pL_vals
-        out[idx, : grid.n + 1] = w_vals
-        out[idx, grid.n + 1 :] = v_vals
-    return out
+    # basis rows: bumps, modes, the two quintics; coefficients (state, w|v, row)
+    basis = np.vstack([bumps, [mode[0](x) for mode in modes], p0_vals, pL_vals])
+    coef = np.zeros((count, 2, len(basis)), dtype=complex)
+    coef[:n_neutral, 0, :nb], coef[:n_neutral, 1, :nb] = bw, bv
+    mc = coef[n_neutral:]
+    mc[:, 0, nb:nb + n_modes], mc[:, 1, nb:nb + n_modes] = cw, cv
+    mc[:, 0, -2] = (force - div0) / P0
+    mc[:, 0, -1] = (-dwL - divL) / PL
+    return (coef @ basis).reshape(count, grid.size)
 
 
 @dataclass(frozen=True)

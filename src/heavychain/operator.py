@@ -109,11 +109,6 @@ class SampledFunction:
         if self.x.shape != self.y.shape:
             raise ValueError("grid / value shape mismatch")
 
-    @classmethod
-    def from_callable(cls, fn, x) -> "SampledFunction":
-        x = np.asarray(x, dtype=float)
-        return cls(x, np.asarray(fn(x)))
-
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])

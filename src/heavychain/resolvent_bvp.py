@@ -145,12 +145,6 @@ class FundamentalPair:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def phi1_function(self) -> SampledFunction:
-        return SampledFunction(self.x, self.phi1)
-
-    def phi2_function(self) -> SampledFunction:
-        return SampledFunction(self.x, self.phi2)
-
 
 def _pair_values(tau: float, p0: float, slope: float, x):
     """(phi1, phi1', phi2, phi2') at x for the affine tension P = p0 + slope*x.

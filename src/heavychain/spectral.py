@@ -1,10 +1,15 @@
 """Eigenvalue reports and resolvent-norm sweeps for the discrete generator.
 
-All norms here are taken in the energy inner product: with the Cholesky
-factor M_H = C^T C the similarity C A C^{-1} turns the weighted operator
-norm of the resolvent into an ordinary smallest-singular-value problem,
+All norms here are taken in the energy inner product: with the sparse
+Cholesky factor M_H = C^T C the weighted operator norm of the resolvent is
+an ordinary spectral norm,
 
-    |(i tau - A)^{-1}|_H = 1 / sigma_min(C (i tau I - A) C^{-1}).
+    |(i tau - A)^{-1}|_H = sqrt(lambda_max(B^H B)),  B = C (i tau I - A)^{-1} C^{-1},
+
+and lambda_max comes from ARPACK (Arnoldi, which on the Hermitian B^H B is
+Lanczos) applied through one sparse LU of i tau I - A and triangular
+solves with C, never a dense matrix: the inverse-Lanczos route of
+Trefethen, "Computation of pseudospectra", Acta Numerica 1999.
 
 A finite sweep cannot certify a supremum over the whole axis, so the
 verdict helper only ever reports "consistent-with-exponential-stability"
@@ -17,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_triangular, svdvals
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, eigsh, splu, spsolve
 
 from heavychain.discretization import GeneratorSystem
 
@@ -81,20 +85,33 @@ class ResolventSample:
     source: str  # "discrete" or "continuous"
 
 
-def _similarity(sys: GeneratorSystem) -> np.ndarray:
-    c = sys.chol_H
-    # C A C^{-1} via one triangular solve on the right, (C A)^T = A^T C^T
-    return solve_triangular(c.T, sys.A.T @ c.T, lower=True).T
+def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample:
+    """Weighted resolvent norm at i*tau by Lanczos on the factored resolvent.
 
+    An exactly singular shift (SuperLU finds a zero pivot) has norm inf.
+    """
+    n = sys.grid.size
+    c, c_lu = sys.chol_H
+    try:
+        lu = splu((1j * tau * sparse.eye_array(n) - sys.A).tocsc())
+    except RuntimeError as exc:
+        if "exactly singular" not in str(exc):
+            raise
+        return ResolventSample(tau=float(tau), norm=float("inf"), source="discrete")
 
-def resolvent_norm_discrete(sys: GeneratorSystem, tau: float,
-                            similarity: np.ndarray | None = None) -> ResolventSample:
-    """Weighted resolvent norm at i*tau via the Cholesky similarity."""
-    a_sim = _similarity(sys) if similarity is None else similarity
-    shifted = 1j * tau * np.eye(a_sim.shape[0]) - a_sim
-    smin = svdvals(shifted)[-1]
-    norm = float(1.0 / smin) if smin > 0.0 else float("inf")
-    return ResolventSample(tau=float(tau), norm=norm, source="discrete")
+    def c_solve(b, trans):
+        # a real SuperLU factor takes no complex right-hand side
+        x = c_lu.solve(np.column_stack([b.real, b.imag]), trans=trans)
+        return x[:, 0] + 1j * x[:, 1]
+
+    def normal_op(x):  # B^H B x
+        y = c @ lu.solve(c_solve(np.ravel(x), "N"))
+        return c_solve(lu.solve(c.T @ y, trans="H"), "T")
+
+    op = LinearOperator((n, n), matvec=normal_op, dtype=complex)
+    # fixed start vector: the same floats on every run
+    lam = eigsh(op, k=1, which="LA", v0=np.ones(n), return_eigenvectors=False)
+    return ResolventSample(tau=float(tau), norm=float(np.sqrt(lam[0])), source="discrete")
 
 
 def resolvent_sweep(sys: GeneratorSystem, tau_min: float = 0.1,
@@ -102,9 +119,8 @@ def resolvent_sweep(sys: GeneratorSystem, tau_min: float = 0.1,
     """Log-spaced sweep of the weighted resolvent norm along i*tau."""
     if not (0 < tau_min < tau_max):
         raise ValueError("need 0 < tau_min < tau_max")
-    a_sim = _similarity(sys)
     taus = np.geomspace(tau_min, tau_max, points)
-    return [resolvent_norm_discrete(sys, t, similarity=a_sim) for t in taus]
+    return [resolvent_norm_discrete(sys, t) for t in taus]
 
 
 def resolvent_apply_discrete(sys: GeneratorSystem, tau: float,

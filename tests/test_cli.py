@@ -185,6 +185,18 @@ def test_sweep_pools_both_sources(tmp_path):
     assert np.all(np.diff(plot[:, 0]) >= 0.0)
 
 
+def test_sweep_linear_spacing(tmp_path):
+    sweep = {"tau_min": 0.5, "tau_max": 20.0, "points": 7, "log": False}
+    cfg = write_config(tmp_path, sweep=sweep)
+    out = tmp_path / "out"
+    assert run("sweep", cfg, out) == 0
+    rep = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert rep["sweep"]["samples_discrete"] == 7
+    lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    taus = [float(line.split(",")[0]) for line in lines if line.endswith(",discrete")]
+    assert taus == pytest.approx(np.linspace(0.5, 20.0, 7).tolist())
+
+
 def test_bvp_summary_and_solution(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

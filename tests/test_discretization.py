@@ -7,6 +7,8 @@ from scipy import sparse
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
     Grid,
+    _bump_profiles,
+    _mode_table,
     assemble_generator,
     dissipativity_check,
     generator_matrix,
@@ -149,6 +151,60 @@ def test_sample_states_grid_independent(ref_model):
         wf, vf = sf[k][:201], sf[k][201:]
         assert np.max(np.abs(wf[::2] - wc)) < 1e-12
         assert np.max(np.abs(vf[::2] - vc)) < 1e-12
+
+
+def solved_quintic(ell, u, at_left):
+    # zero value and slope at both ends, unit second x-derivative at one
+    basis = [np.polynomial.Polynomial.basis(k) for k in range(6)]
+    rows = [[b.deriv(d)(end) for b in basis] for end in (0.0, 1.0) for d in range(3)]
+    rhs = np.zeros(6)
+    rhs[2 if at_left else 5] = ell**2
+    return np.polynomial.Polynomial(np.linalg.solve(rows, rhs))(u)
+
+
+def loop_sample_states(sys, count, seed):
+    """Reference: one state at a time, each a sum over the tables."""
+    m, grid = sys.model, sys.grid
+    ell, x, P = grid.length, grid.x, m.tension
+    rng = np.random.default_rng(seed)
+    modes = _mode_table(ell)
+    bumps = _bump_profiles(ell, x)
+    u = x / ell
+    pL_vals = solved_quintic(ell, u, at_left=False)
+    p0_vals = solved_quintic(ell, u, at_left=True)
+    n_neutral = int(round(0.25 * count))
+    out = np.empty((count, grid.size), dtype=complex)
+    for idx in range(count):
+        table = bumps if idx < n_neutral else modes
+        cw = rng.standard_normal(len(table)) + 1j * rng.standard_normal(len(table))
+        cv = rng.standard_normal(len(table)) + 1j * rng.standard_normal(len(table))
+        if idx < n_neutral:
+            w_vals = sum(c * b for c, b in zip(cw, bumps))
+            v_vals = sum(c * b for c, b in zip(cv, bumps))
+        else:
+            w_vals = sum(c * mode[0](x) for c, mode in zip(cw, modes))
+            v_vals = sum(c * mode[0](x) for c, mode in zip(cv, modes))
+            w0, dw0, ddw0 = (sum(c * mode[1][j] for c, mode in zip(cw, modes)) for j in range(3))
+            wL, dwL, ddwL = (sum(c * mode[2][j] for c, mode in zip(cw, modes)) for j in range(3))
+            v0, dv0 = (sum(c * mode[1][j] for c, mode in zip(cv, modes)) for j in range(2))
+            div0 = P.slope * dw0 + float(P(0.0)) * ddw0
+            divL = P.slope * dwL + float(P(ell)) * ddwL
+            force = m.theta1 * v0 + m.theta2 * dv0 + m.theta3 * w0 + m.theta4 * dw0
+            c0 = (force - div0) / float(P(0.0))
+            cL = (-dwL - divL) / float(P(ell))
+            w_vals = w_vals + c0 * p0_vals + cL * pL_vals
+        out[idx] = np.concatenate([w_vals, v_vals])
+    return out
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_sample_states_match_loop_reference(ref_model, n):
+    sys = assemble_generator(ref_model, n)
+    for seed, count in ((0, 9), (3, 20), (11, 1)):
+        ref = loop_sample_states(sys, count, seed)
+        got = sample_states(sys, count, seed=seed)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_sample_states_satisfy_domain_conditions(ref_model):

@@ -1,7 +1,11 @@
 """Spectrum reports, weighted resolvent norms, sweep verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import cholesky, svdvals
 
 from heavychain.discretization import assemble_generator
 from heavychain.spectral import (
@@ -70,11 +74,28 @@ def test_resolvent_norm_values(ref_sys):
 
 
 def test_resolvent_norm_tau0_is_inverse_norm(ref_sys):
-    from heavychain.spectral import _similarity
-
-    a_sim = _similarity(ref_sys)
+    c = cholesky(ref_sys.M_H, lower=False)
+    a_sim = c @ ref_sys.A.toarray() @ np.linalg.inv(c)
     direct = np.linalg.norm(np.linalg.inv(a_sim), 2)
     assert resolvent_norm_discrete(ref_sys, 0.0).norm == pytest.approx(direct, rel=1e-8)
+
+
+def test_resolvent_norm_matches_dense_svd(ref_model):
+    # dense reference: 1 / sigma_min of the similarity C (i tau - A) C^{-1}
+    sys = assemble_generator(ref_model, 400)
+    c = cholesky(sys.M_H, lower=False)
+    c_inv = np.linalg.inv(c)
+    a = sys.A.toarray()
+    for tau in (0.0, 1.0, 10.0, 100.0):
+        smin = svdvals(c @ (1j * tau * np.eye(len(a)) - a) @ c_inv)[-1]
+        assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(1.0 / smin, rel=1e-8)
+
+
+def test_resolvent_norm_singular_shift_is_infinite(ref_sys):
+    keep = np.ones(ref_sys.grid.size)
+    keep[0] = 0.0  # A with an exactly zero first column
+    sys = dataclasses.replace(ref_sys, A=(ref_sys.A @ sparse.diags_array(keep)).tocsr())
+    assert resolvent_norm_discrete(sys, 0.0).norm == float("inf")
 
 
 def test_resolvent_norm_even_in_tau(ref_sys):
