@@ -98,7 +98,7 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
 
 @dataclass
 class SampledFunction:
-    """Samples of a function on a uniform grid with FD calculus."""
+    """Samples of a function on a uniform grid."""
 
     x: np.ndarray
     y: np.ndarray
@@ -120,15 +120,6 @@ class SampledFunction:
     @property
     def atL(self):
         return self.y[-1]
-
-    def derivative(self) -> "SampledFunction":
-        return SampledFunction(self.x, fd_derivative(self.y, self.dx))
-
-    def second_derivative(self) -> "SampledFunction":
-        return SampledFunction(self.x, fd_second_derivative(self.y, self.dx))
-
-    def integral(self) -> complex:
-        return np.trapezoid(self.y, dx=self.dx)
 
     def cumulative(self) -> "SampledFunction":
         out = np.concatenate(

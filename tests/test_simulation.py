@@ -173,3 +173,69 @@ def test_singular_step_matrix_raises(ref_model):
     sys.A = 2.0 * sparse.eye_array(sys.grid.size, format="csr")
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         simulate(np.ones(sys.grid.size), sys, 2.0, dt=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"t_final": -1.0}, "t_final"),
+        ({"t_final": 0.0}, "t_final"),
+        ({"t_final": np.nan}, "t_final"),
+        ({"t_final": np.inf}, "t_final"),
+        ({"dt": 0.0}, "dt"),
+        ({"dt": -0.1}, "dt"),
+        ({"dt": np.nan}, "dt"),
+        ({"dt": np.inf}, "dt"),
+        ({"store_every": 0}, "store_every"),
+        ({"store_every": -2}, "store_every"),
+        ({"store_every": 1.5}, "store_every"),
+        ({}, None),
+    ],
+    ids=[
+        "t_final-negative", "t_final-zero", "t_final-nan", "t_final-inf",
+        "dt-zero", "dt-negative", "dt-nan", "dt-inf",
+        "store_every-zero", "store_every-negative", "store_every-float",
+        "shortest-valid",
+    ],
+)
+def test_simulate_rejects_bad_arguments(ref_model, kwargs, name):
+    sys = assemble_generator(ref_model, 10)
+    args = {"t_final": 0.1, "dt": 0.1, "store_every": 1, **kwargs}
+    z0 = np.ones(sys.grid.size)
+    if name is None:
+        tr = simulate(z0, sys, **args)
+        assert np.array_equal(tr.times, [0.0, 0.1])
+        assert tr.states.shape == (2, sys.grid.size)
+    else:
+        with pytest.raises(ValueError, match=name):
+            simulate(z0, sys, **args)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_simulate_matches_dense_cn_reference(ref_model, kind):
+    # the textbook step (I - hA)^{-1} (I + hA) z by a dense solve, stored
+    # every 7th step and at the end of the 20-step run.  At this dt the
+    # dense LAPACK solve is backward stable to ~1e-16; at dt = 0.01 its
+    # own backward error reaches 2e-15, and the comparison would measure
+    # the reference rather than the stepper.
+    sys = assemble_generator(ref_model, 40)
+    dt, steps, every = 0.005, 20, 7
+    z0 = np.real(sample_states(sys, 2, seed=11)[-1])
+    if kind == "complex":
+        z0 = z0 + 1j * np.real(sample_states(sys, 2, seed=12)[-1])
+    tr = simulate(z0, sys, steps * dt, dt=dt, store_every=every)
+
+    a = sys.A.toarray()
+    eye = np.eye(sys.grid.size)
+    lhs, rhs = eye - 0.5 * dt * a, eye + 0.5 * dt * a
+    z, ref = z0, [z0]
+    for k in range(1, steps + 1):
+        z = np.linalg.solve(lhs, rhs @ z)
+        if k % every == 0 or k == steps:
+            ref.append(z)
+    ref = np.array(ref)
+
+    assert np.array_equal(tr.times, np.array([0, 7, 14, 20]) * dt)
+    assert tr.states.dtype == ref.dtype
+    err = np.linalg.norm(tr.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert np.max(err) < 1e-12
