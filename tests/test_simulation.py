@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
@@ -11,6 +12,7 @@ from heavychain.discretization import (
 )
 from heavychain.simulation import (
     C_LYAPUNOV,
+    _jump_pays,
     decay_fit,
     energies,
     simulate,
@@ -211,15 +213,33 @@ def test_simulate_rejects_bad_arguments(ref_model, kwargs, name):
             simulate(z0, sys, **args)
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_simulate_matches_dense_cn_reference(ref_model, kind):
+def factor_nnz(sys, dt):
+    eye = sparse.eye_array(sys.grid.size)
+    lu = splu((eye - 0.5 * dt * sys.A).tocsc())
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize(
+    "kind, n, every, marks, jumps",
+    [
+        ("real", 40, 7, [0, 7, 14, 20], False),
+        ("complex", 40, 7, [0, 7, 14, 20], False),
+        # 40 full strides by R^20, then a stepped partial stride of 3
+        ("real", 10, 20, [*range(0, 801, 20), 803], True),
+        ("complex", 10, 20, [*range(0, 801, 20), 803], True),
+    ],
+    ids=["real", "complex", "real-jump", "complex-jump"],
+)
+def test_simulate_matches_dense_cn_reference(ref_model, kind, n, every, marks, jumps):
     # the textbook step (I - hA)^{-1} (I + hA) z by a dense solve, stored
-    # every 7th step and at the end of the 20-step run.  At this dt the
+    # every `every`-th step and at the end of the run.  At this dt the
     # dense LAPACK solve is backward stable to ~1e-16; at dt = 0.01 its
     # own backward error reaches 2e-15, and the comparison would measure
     # the reference rather than the stepper.
-    sys = assemble_generator(ref_model, 40)
-    dt, steps, every = 0.005, 20, 7
+    sys = assemble_generator(ref_model, n)
+    dt, steps = 0.005, marks[-1]
+    assert _jump_pays(sys.grid.size, factor_nnz(sys, dt), every,
+                      steps // every) == jumps
     z0 = np.real(sample_states(sys, 2, seed=11)[-1])
     if kind == "complex":
         z0 = z0 + 1j * np.real(sample_states(sys, 2, seed=12)[-1])
@@ -235,7 +255,23 @@ def test_simulate_matches_dense_cn_reference(ref_model, kind):
             ref.append(z)
     ref = np.array(ref)
 
-    assert np.array_equal(tr.times, np.array([0, 7, 14, 20]) * dt)
+    assert np.array_equal(tr.times, np.array(marks) * dt)
+    assert tr.dt == dt
     assert tr.states.dtype == ref.dtype
     err = np.linalg.norm(tr.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
     assert np.max(err) < 1e-12
+
+
+def test_jump_route_rule(ref_model):
+    # the CLI default run: N = 100, dt = dx / (8 c), 2006 strides of 72 steps
+    assert _jump_pays(202, 1015, 72, 2006)
+    for n in (100, 800):
+        sys = assemble_generator(ref_model, n)
+        dt = sys.grid.dx / (8.0 * np.sqrt(ref_model.tension0))
+        size, nnz = sys.grid.size, factor_nnz(sys, dt)
+        # storing every step never jumps, since n^2 >= nnz
+        assert not _jump_pays(size, nnz, 1, 10**9)
+        # one stride of 100 steps (the per-stage CN timing)
+        assert not _jump_pays(size, nnz, 100, 1)
+    # many short strides on the large grid: the dense product loses
+    assert not _jump_pays(size, nnz, 2, 2000)
