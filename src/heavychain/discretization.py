@@ -8,9 +8,12 @@ sparse CSR matrix and uses the half-node divergence stencil
 
 in the interior and replaces the two end rows by the boundary dynamics
 (payload: dv_N/dt = -w'(L); cart: dv_0/dt = feedback traces), both with
-one-sided second-order stencils.  Two dense Gram matrices realise the
-natural and the energy inner products as quadratic forms; they reproduce
-the quadrature values from :mod:`heavychain.operator` to rounding accuracy.
+one-sided second-order stencils.  The natural and the energy inner
+products are each defined once, as a list of weighted difference stencils
+(trapezoid rule over D1, D2 and D1 P D1, plus the boundary terms).  The
+dense Gram matrices are assembled from these lists, and the matrix-free
+norms on the long grids of :mod:`heavychain.resolvent_bvp` apply the same
+stencils.
 
 The dissipativity check probes the Rayleigh residual
 
@@ -32,13 +35,7 @@ from scipy.linalg import cholesky
 from scipy.sparse.linalg import SuperLU, splu
 
 from heavychain.model import RescaledModel, check_admissibility, inner_product_weights
-from heavychain.operator import (
-    SampledFunction,
-    StateZ,
-    diff2_matrix,
-    diff_matrix,
-    trapezoid_weights,
-)
+from heavychain.operator import diff2_matrix, diff_matrix, trapezoid_weights
 
 __all__ = [
     "Grid",
@@ -49,8 +46,8 @@ __all__ = [
     "assemble_gram_natural",
     "assemble_gram_weighted",
     "generator_matrix",
-    "state_from_vec",
-    "state_to_vec",
+    "sobolev_norms",
+    "weighted_norm",
     "sample_states",
     "dissipativity_check",
     "norm_ratio_interval",
@@ -120,56 +117,130 @@ def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
     return sparse.csr_array((vals, (rows, cols)), shape=(2 * npts, 2 * npts))
 
 
-def _weighted_form(d: sparse.csr_array, weights: np.ndarray) -> np.ndarray:
-    """Dense D^T diag(weights) D from a sparse D."""
-    return d.T @ (weights[:, None] * d.toarray())
+# --- the two discrete energies ------------------------------------------
+#
+# Each energy is one list of terms (block, s, T): block 0 reads w, block 1
+# reads v, T is a product of sparse stencils on the n + 1 nodes, applied
+# right to left (the empty product is the identity), and s weighs each row
+# of T, so a state's energy is sum s |T y_block|^2.  The energy form adds
+# the rank-one coupling 1/2 |j . z|^2 of psi = v_0 with the boundary
+# functional of w, the row j given by its stored (columns, values) in the
+# state vector.  The dense Gram matrices and the matrix-free norms both
+# read these lists and nothing else.
+
+def _sobolev_terms(grid: Grid) -> list:
+    """|w|^2_{H^2} + |v|^2_{H^1}, trapezoid rule over the stencils."""
+    q = trapezoid_weights(grid.n, grid.dx)
+    d1 = diff_matrix(grid.n, grid.dx)
+    return [(0, q, ()), (0, q, (d1,)), (0, q, (diff2_matrix(grid.n, grid.dx),)),
+            (1, q, ()), (1, q, (d1,))]
+
+
+def _natural_terms(grid: Grid) -> list:
+    """The plain Sobolev product plus the boundary velocities psi = v_0, xi = v_N."""
+    ends = np.zeros(grid.n + 1)
+    ends[[0, grid.n]] = 1.0
+    return _sobolev_terms(grid) + [(1, ends, ())]
+
+
+def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float, alpha1: float,
+                    alpha2: float) -> tuple[list, tuple]:
+    """Terms and coupling row of the energy inner product.
+
+    w: the damped divergence (P w')' = D1 (P D1 w), the gradient with the
+    payload-end slope, the cart-end value; v: the damped gradient, the
+    velocity with the payload and cart velocities; coupling: psi -
+    2 alpha1 P(0) w'(0) + 2 alpha2 w(0).
+    """
+    n, dx = grid.n, grid.dx
+    npts = n + 1
+    q = trapezoid_weights(n, dx)
+    d1 = diff_matrix(n, dx)
+    p = m.tension(grid.x)
+    pd1 = sparse.csr_array((d1.data * np.repeat(p, np.diff(d1.indptr)), d1.indices,
+                            d1.indptr), shape=d1.shape)  # rows of D1 scaled by P
+    e0, en = np.zeros(npts), np.zeros(npts)
+    e0[0] = en[n] = 1.0
+    terms = [(0, alpha1 * gamma * q, (d1, pd1)),
+             (0, alpha1 * (p * q + gamma * m.tensionL * en), (d1,)),
+             (0, alpha2 * e0, ()),
+             (1, alpha1 * gamma * p * q, (d1,)),
+             (1, alpha1 * (q + m.tensionL * en) + alpha2 * gamma * e0, ())]
+    cols, vals = _row(d1, 0)
+    coupling = (np.concatenate([[npts, 0], cols]),
+                np.concatenate([[1.0, 2.0 * alpha2], -2.0 * alpha1 * m.tension0 * vals]))
+    return terms, coupling
+
+
+def _gram(terms: list, npts: int, coupling=None) -> np.ndarray:
+    """Dense sum of T^T diag(s) T over the terms, plus 1/2 j j^T."""
+    M = np.zeros((2 * npts, 2 * npts))
+    diag = np.arange(npts)
+    forms = {}  # a term w and v share (same weights, same stencils) is formed once
+    for block, s, factors in terms:
+        blk = M[block * npts:(block + 1) * npts, block * npts:(block + 1) * npts]
+        if not factors:
+            blk[diag, diag] += s
+            continue
+        key = (id(s), *map(id, factors))
+        if key not in forms:
+            T = factors[0]
+            for f in factors[1:]:
+                T = T @ f
+            forms[key] = T.T @ (s[:, None] * T.toarray())
+        blk += forms[key]
+    if coupling is not None:
+        j = np.zeros(2 * npts)
+        np.add.at(j, *coupling)
+        M += 0.5 * np.outer(j, j)
+    return M
+
+
+def _block_energies(terms: list, states: np.ndarray, npts: int) -> list:
+    """[w part, v part] of sum s |T y|^2 for one state or for each row of states.
+
+    Applies the factors one by one: on long grids an assembled product
+    such as D1 (P D1) loses digits like eps / dx^2, the factors do not.
+    """
+    y = np.asarray(states).T
+    blocks = (y[:npts], y[npts:])
+    parts = [0.0, 0.0]
+    for block, s, factors in terms:
+        ty = blocks[block]
+        for f in reversed(factors):
+            ty = f @ ty
+        parts[block] = parts[block] + s @ np.abs(ty) ** 2
+    return parts
 
 
 def assemble_gram_natural(grid: Grid) -> np.ndarray:
     """Quadratic form of the plain Sobolev product (w in H^2, v in H^1)."""
-    n, dx = grid.n, grid.dx
-    npts = n + 1
-    q = trapezoid_weights(n, dx)
-    Mv = np.diag(q) + _weighted_form(diff_matrix(n, dx), q)
-    Mw = Mv + _weighted_form(diff2_matrix(n, dx), q)
-    Mv[0, 0] += 1.0  # psi = v_0
-    Mv[n, n] += 1.0  # xi = v_N
-    M = np.zeros((2 * npts, 2 * npts))
-    M[:npts, :npts], M[npts:, npts:] = Mw, Mv
-    return M
+    return _gram(_natural_terms(grid), grid.n + 1)
 
 
 def assemble_gram_weighted(grid: Grid, m: RescaledModel, gamma: float,
                            alpha1: float, alpha2: float) -> np.ndarray:
     """Quadratic form of the energy inner product."""
-    n, dx = grid.n, grid.dx
-    npts = n + 1
-    q = trapezoid_weights(n, dx)
-    D1 = diff_matrix(n, dx)
-    p = m.tension(grid.x)
-    K = D1 @ D1.multiply(p[:, None])  # composed (P w')' stencil, matches operator quadratures
-    PL, P0 = m.tensionL, m.tension0
-    grad = _weighted_form(D1, p * q)
+    terms, coupling = _weighted_terms(grid, m, gamma, alpha1, alpha2)
+    return _gram(terms, grid.n + 1, coupling)
 
-    Mw = alpha1 * (gamma * _weighted_form(K, q) + grad)
-    cols, vals = _row(D1, n)
-    Mw[np.ix_(cols, cols)] += alpha1 * gamma * PL * np.outer(vals, vals)
-    Mw[0, 0] += alpha2
 
-    Mv = alpha1 * (gamma * grad + np.diag(q))
-    Mv[n, n] += alpha1 * PL
-    Mv[0, 0] += alpha2 * gamma
-    M = np.zeros((2 * npts, 2 * npts))
-    M[:npts, :npts], M[npts:, npts:] = Mw, Mv
+def sobolev_norms(grid: Grid, states: np.ndarray) -> np.ndarray:
+    """(|w|_{H^2}, |v|_{H^1}) of a state, or of each row of states, matrix-free."""
+    parts = _block_energies(_sobolev_terms(grid), states, grid.n + 1)
+    return np.sqrt(np.stack(parts, axis=-1))
 
-    # rank-one coupling of psi with the boundary functional of w
-    j = np.zeros(2 * npts)
-    j[npts] = 1.0
-    cols, vals = _row(D1, 0)
-    j[cols] += -2.0 * alpha1 * P0 * vals
-    j[0] += 2.0 * alpha2
-    M += 0.5 * np.outer(j, j)
-    return M
+
+def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float,
+                  alpha1: float, alpha2: float):
+    """Energy norm of a state, or of each row of states, matrix-free.
+
+    Equals sqrt(y^H M_H y) on grids where M_H can be formed; on long grids
+    the assembled form loses digits like eps / dx^4, the stencils do not.
+    """
+    terms, (cols, vals) = _weighted_terms(grid, m, gamma, alpha1, alpha2)
+    jz = vals @ np.asarray(states).T[cols]
+    return np.sqrt(sum(_block_energies(terms, states, grid.n + 1)) + 0.5 * np.abs(jz) ** 2)
 
 
 @dataclass
@@ -231,17 +302,6 @@ def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> 
         alpha1=alpha1,
         alpha2=alpha2,
     )
-
-
-def state_from_vec(grid: Grid, vec: np.ndarray) -> StateZ:
-    npts = grid.n + 1
-    return StateZ.from_functions(
-        SampledFunction(grid.x, vec[:npts]), SampledFunction(grid.x, vec[npts:])
-    )
-
-
-def state_to_vec(z: StateZ) -> np.ndarray:
-    return np.concatenate([z.w.y, z.v.y])
 
 
 # --- smooth random states -------------------------------------------------

@@ -39,15 +39,9 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import spsolve
 from scipy.special import factorial, j0, j1, y0, y1
 
-from heavychain.discretization import Grid, generator_matrix
-from heavychain.model import RescaledModel, check_admissibility
-from heavychain.operator import (
-    SampledFunction,
-    StateZ,
-    h1_norm,
-    h2_norm,
-    weighted_norm,
-)
+from heavychain.discretization import Grid, generator_matrix, sobolev_norms, weighted_norm
+from heavychain.model import AdmissibilityReport, RescaledModel, check_admissibility
+from heavychain.operator import SampledFunction
 from heavychain.spectral import ResolventSample
 
 __all__ = [
@@ -332,28 +326,27 @@ def _line_residuals(x, wv, vv, fv, gv, tau, m):
     return r_a, r_b, r_c, r_d
 
 
-def _package(x, wv, vv, fv, gv, tau, m, c1, c2, a0, a1, den, method):
-    w_sf = SampledFunction(x, wv)
-    v_sf = SampledFunction(x, vv)
-    f_sf = SampledFunction(x, fv)
-    g_sf = SampledFunction(x, gv)
+def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
+             c1, c2, a0, a1, den, method):
     lines = _line_residuals(x, wv, vv, fv, gv, tau, m)
-    data_norm = h2_norm(f_sf) + h1_norm(g_sf)
-    sol_norm = (h2_norm(w_sf), h1_norm(v_sf))
+    grid = Grid(n=len(x) - 1, length=float(x[-1]), x=x, dx=float(x[1] - x[0]))
+    states = np.stack([np.concatenate([wv, vv]), np.concatenate([fv, gv])])
+    sol_norm, data_norms = (tuple(map(float, pair)) for pair in sobolev_norms(grid, states))
+    data_norm = sum(data_norms)
     # The gain is measured in the same weighted energy norm the matrix
     # side uses for its operator norms, so the two sweeps are directly
     # comparable; the Sobolev norms above only scale the residual.
-    data_energy = weighted_norm(StateZ.from_functions(f_sf, g_sf), m)
+    sol_energy, data_energy = weighted_norm(grid, states, m, rep.gamma, rep.alpha1, rep.alpha2)
     if data_norm > 0.0:
         residual = max(lines) / data_norm
-        gain = weighted_norm(StateZ.from_functions(w_sf, v_sf), m) / data_energy
+        gain = sol_energy / data_energy
     else:
         residual = max(lines)
         gain = 0.0
     return ResolventSolution(
-        tau=float(tau), w=w_sf, v=v_sf, c1=complex(c1), c2=complex(c2),
-        a0=complex(a0), a1=complex(a1), denominator=complex(den),
-        norms=sol_norm, data_norms=(h2_norm(f_sf), h1_norm(g_sf)),
+        tau=float(tau), w=SampledFunction(x, wv), v=SampledFunction(x, vv),
+        c1=complex(c1), c2=complex(c2), a0=complex(a0), a1=complex(a1),
+        denominator=complex(den), norms=sol_norm, data_norms=data_norms,
         residual=float(residual), residual_lines=lines, gain=float(gain),
         method=method,
     )
@@ -369,7 +362,7 @@ def _derivative_values(f, x, fv, explicit):
     return _fd4(fv, float(x[1] - x[0]))
 
 
-def _solve_collocation(f, g, tau, m, n):
+def _solve_collocation(f, g, tau, m, rep, n):
     grid = Grid.make(n, m.length)
     x = grid.x
     fv = _as_values(f, x)
@@ -377,7 +370,7 @@ def _solve_collocation(f, g, tau, m, n):
     shifted = generator_matrix(m, grid) - 1j * tau * sparse.eye_array(grid.size)
     z = spsolve(shifted.tocsc(), np.concatenate([fv, gv]).astype(complex))
     wv, vv = z[:grid.n + 1], z[grid.n + 1:]
-    return _package(x, wv, vv, fv, gv, tau, m,
+    return _package(x, wv, vv, fv, gv, tau, m, rep,
                     0.0, 0.0, 0.0, 0.0, 0.0, "collocation")
 
 
@@ -425,7 +418,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
             gain=conj.gain, method=conj.method,
         )
     if tau < SMALL_TAU:
-        return _solve_collocation(f, g, tau, m, 2000)
+        return _solve_collocation(f, g, tau, m, rep, 2000)
 
     if pair is None:
         pair = fundamental_pair(tau, m.tension, m.length)
@@ -467,7 +460,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
     ytilp = yp + a1
     wv = (big_g - ytilp) / tau2
     vv = fv + 1j * tau * wv
-    return _package(x, wv, vv, fv, gv, tau, m, c1, c2, a0, a1, den, "pipeline")
+    return _package(x, wv, vv, fv, gv, tau, m, rep, c1, c2, a0, a1, den, "pipeline")
 
 
 def _conjugate_data(f):

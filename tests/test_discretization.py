@@ -14,16 +14,58 @@ from heavychain.discretization import (
     generator_matrix,
     norm_ratio_interval,
     sample_states,
-    state_from_vec,
-    state_to_vec,
+    sobolev_norms,
+    weighted_norm,
 )
-from heavychain.model import RescaledModel
-from heavychain.operator import (
-    fd_derivative,
-    fd_second_derivative,
-    natural_inner,
-    weighted_inner,
-)
+from heavychain.model import RescaledModel, check_admissibility
+
+
+# --- quadrature reference: np.gradient stencils and the trapezoid rule ---
+
+def fd_derivative(y, dx):
+    """Second-order first derivative (central interior, one-sided ends)."""
+    return np.gradient(y, dx, edge_order=2)
+
+
+def fd_second_derivative(y, dx):
+    """Second-order second derivative (central interior, one-sided ends)."""
+    d2 = np.empty_like(y)
+    d2[1:-1] = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / dx**2
+    d2[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / dx**2
+    d2[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / dx**2
+    return d2
+
+
+def natural_quadrature(grid, vec):
+    """|w|^2_{H2} + |v|^2_{H1} + |xi|^2 + |psi|^2 by quadrature."""
+    dx, npts = grid.dx, grid.n + 1
+    w, v = vec[:npts], vec[npts:]
+    dens = (np.abs(w) ** 2 + np.abs(fd_derivative(w, dx)) ** 2
+            + np.abs(fd_second_derivative(w, dx)) ** 2
+            + np.abs(v) ** 2 + np.abs(fd_derivative(v, dx)) ** 2)
+    return np.trapezoid(dens, dx=dx) + abs(v[-1]) ** 2 + abs(v[0]) ** 2
+
+
+def weighted_quadrature(grid, vec, m):
+    """The energy form by quadrature: damped H^2 part of w (divergence form,
+    payload-end slope, cart-end value), damped H^1 part of v, the payload
+    and cart velocities, and the rank-one coupling of psi with J(w)."""
+    rep = check_admissibility(m)
+    gamma, alpha1, alpha2 = rep.gamma, rep.alpha1, rep.alpha2
+    dx, npts = grid.dx, grid.n + 1
+    w, v = vec[:npts], vec[npts:]
+    P = m.tension(grid.x)
+    dw = fd_derivative(w, dx)
+    div = fd_derivative(P * dw, dx)  # (P w')'
+    dv = fd_derivative(v, dx)
+    out = alpha1 * np.trapezoid(gamma * np.abs(div) ** 2 + P * np.abs(dw) ** 2, dx=dx)
+    out += alpha1 * gamma * m.tensionL * abs(dw[-1]) ** 2
+    out += alpha2 * abs(w[0]) ** 2
+    out += alpha1 * np.trapezoid(gamma * P * np.abs(dv) ** 2 + np.abs(v) ** 2, dx=dx)
+    out += alpha1 * m.tensionL * abs(v[-1]) ** 2
+    out += alpha2 * gamma * abs(v[0]) ** 2
+    j = v[0] - 2.0 * alpha1 * m.tension0 * dw[0] + 2.0 * alpha2 * w[0]
+    return out + 0.5 * abs(j) ** 2
 
 
 def bad_model(ref_model):
@@ -116,9 +158,8 @@ def test_gram_matrices_match_quadrature(ref_model):
     sys = assemble_generator(ref_model, 80)
     states = sample_states(sys, 6, seed=3)
     for vec in states:
-        z = state_from_vec(sys.grid, vec)
-        quad_nat = natural_inner(z, z)
-        quad_h = weighted_inner(z, z, ref_model)
+        quad_nat = natural_quadrature(sys.grid, vec)
+        quad_h = weighted_quadrature(sys.grid, vec, ref_model)
         form_nat = np.vdot(vec, sys.M_nat @ vec)
         form_h = np.vdot(vec, sys.M_H @ vec)
         assert form_nat == pytest.approx(quad_nat, rel=1e-11)
@@ -131,12 +172,42 @@ def test_gram_matrices_positive_definite(ref_model):
     assert np.linalg.eigvalsh(sys.M_H).min() > 0.0
 
 
-def test_state_vec_round_trip(ref_model):
-    sys = assemble_generator(ref_model, 20)
-    vec = sample_states(sys, 1, seed=7)[0]
-    z = state_from_vec(sys.grid, vec)
-    assert np.allclose(state_to_vec(z), vec)
-    assert z.xi == z.v.y[-1] and z.psi == z.v.y[0]
+def test_matrix_free_norms_match_grams(ref_model):
+    # The Gram matrices and the matrix-free norms read one term list.  The
+    # assembled forms carry up to ~3e-12 of rounding at N = 80 (entries of
+    # size 1/dx^4 cancel in y^H M y); the matrix-free norms agree with a
+    # long-double evaluation of the stencils to ~1e-16.
+    sys = assemble_generator(ref_model, 80)
+    npts = sys.grid.n + 1
+    states = sample_states(sys, 12, seed=4)
+    energy = weighted_norm(sys.grid, states, ref_model, sys.gamma, sys.alpha1, sys.alpha2)
+    sobolev = sobolev_norms(sys.grid, states)
+    for vec, e, (h2, h1) in zip(states, energy, sobolev):
+        assert e == pytest.approx(sys.weighted_norm(vec), rel=5e-12)
+        assert e == pytest.approx(
+            weighted_norm(sys.grid, vec, ref_model, sys.gamma, sys.alpha1, sys.alpha2), rel=1e-14)
+        w, v = vec[:npts], vec[npts:]
+        assert h2 == pytest.approx(np.sqrt(np.vdot(w, sys.M_nat[:npts, :npts] @ w).real),
+                                   rel=5e-12)
+        # the v block also carries the boundary velocities psi = v_0, xi = v_N
+        h1_ends = np.sqrt(h1**2 + abs(v[0]) ** 2 + abs(v[-1]) ** 2)
+        assert h1_ends == pytest.approx(np.sqrt(np.vdot(v, sys.M_nat[npts:, npts:] @ v).real),
+                                        rel=1e-12)
+
+
+def test_h2_norm_second_order_on_long_grids():
+    # |sin(k x)|^2_{H2} on [0, ell] in closed form, on pair-grid sizes where
+    # an assembled Gram form would lose most of its digits
+    ell, k = 9.81, 6.0
+    exact = np.sqrt(0.5 * ell * (1.0 + k**2 + k**4)
+                    - (1.0 - k**2 + k**4) * np.sin(2.0 * k * ell) / (4.0 * k))
+    errs = []
+    for n in (100_000, 200_000):
+        grid = Grid.make(n, ell)
+        vec = np.concatenate([np.sin(k * grid.x), np.zeros(n + 1)])
+        errs.append(abs(sobolev_norms(grid, vec)[0] - exact) / exact)
+    assert np.log2(errs[0] / errs[1]) > 1.8
+    assert errs[1] < 0.2 * (k * grid.dx) ** 2
 
 
 def test_sample_states_grid_independent(ref_model):
@@ -211,15 +282,16 @@ def test_sample_states_satisfy_domain_conditions(ref_model):
     m = ref_model
     sys = assemble_generator(m, 800)
     vec = sample_states(sys, 4, seed=1)[-1]  # a corrected mode draw
-    z = state_from_vec(sys.grid, vec)
+    npts = sys.grid.n + 1
+    w, v = vec[:npts], vec[npts:]
     dx = sys.grid.dx
-    dw = fd_derivative(z.w.y, dx)
-    div = m.tension.slope * dw + m.tension(sys.grid.x) * fd_second_derivative(z.w.y, dx)
+    dw = fd_derivative(w, dx)
+    div = m.tension.slope * dw + m.tension(sys.grid.x) * fd_second_derivative(w, dx)
     scale = max(np.max(np.abs(div)), 1.0)
     force = (
-        m.theta1 * z.v.y[0]
-        + m.theta2 * fd_derivative(z.v.y, dx)[0]
-        + m.theta3 * z.w.y[0]
+        m.theta1 * v[0]
+        + m.theta2 * fd_derivative(v, dx)[0]
+        + m.theta3 * w[0]
         + m.theta4 * dw[0]
     )
     assert abs(div[0] - force) < 5e-3 * scale

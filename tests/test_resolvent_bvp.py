@@ -294,7 +294,7 @@ def test_methods_agree_at_crossover(ref_model):
     gp = lambda x: -0.1 * (np.pi / length) * np.sin(np.pi * x / length)
     tau = SMALL_TAU
     piped = solve_resolvent_bvp(f, g, tau, ref_model, f_prime=fp, g_prime=gp)
-    colloc = _solve_collocation(f, g, tau, ref_model, 2000)
+    colloc = _solve_collocation(f, g, tau, ref_model, check_admissibility(ref_model), 2000)
     assert piped.method == "pipeline"
     wi = np.interp(colloc.w.x, piped.w.x, piped.w.y.real) + 1j * np.interp(
         colloc.w.x, piped.w.x, piped.w.y.imag
