@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cholesky
-from scipy.sparse.linalg import SuperLU, splu
 
 from heavychain.model import RescaledModel, check_admissibility, inner_product_weights
 from heavychain.operator import diff2_matrix, diff_matrix, trapezoid_weights
@@ -255,19 +254,14 @@ class GeneratorSystem:
     gamma: float
     alpha1: float
     alpha2: float
-    _chol: tuple[sparse.csc_array, SuperLU] | None = field(default=None, repr=False)
+    _chol: sparse.csc_array | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def chol_H(self) -> tuple[sparse.csc_array, SuperLU]:
+    def chol_H(self) -> sparse.csc_array:
         """Upper-triangular C with M_H = C^T C (so |z|_H = |C z|_2), held
-        sparse, and its SuperLU factor for triangular solves.
-
-        C is a band plus the one column the psi coupling fills.  Natural
-        order with diagonal pivots leaves the SuperLU factor without fill.
-        """
+        sparse: a band plus the one column the psi coupling fills."""
         if self._chol is None:
-            c = sparse.csc_array(cholesky(self.M_H, lower=False))
-            self._chol = c, splu(c, permc_spec="NATURAL", diag_pivot_thresh=0)
+            self._chol = sparse.csc_array(cholesky(self.M_H, lower=False))
         return self._chol
 
     def weighted_norm(self, vec: np.ndarray) -> float:

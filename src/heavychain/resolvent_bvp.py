@@ -32,6 +32,7 @@ collocation on a fine grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import sparse
@@ -84,6 +85,15 @@ def _fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
     return np.linalg.solve(moments, rhs)
 
 
+@cache
+def _fd4_weights(m: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """`_fd4`'s central weights, and its weights for end rows 0, 1 and -1, -2."""
+    edge = np.arange(6.0)
+    return (_fd_weights(np.arange(-2.0, 3.0), m),
+            [_fd_weights(edge - i, m) for i in (0, 1)],
+            [_fd_weights(i - edge, m) for i in (0, 1)])
+
+
 def _fd4(y: np.ndarray, dx: float, m: int = 1) -> np.ndarray:
     """Fourth-order m-th derivative (m = 1 or 2) on a uniform grid.
 
@@ -92,15 +102,11 @@ def _fd4(y: np.ndarray, dx: float, m: int = 1) -> np.ndarray:
     """
     y = np.asarray(y)
     out = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
-    base = np.arange(-2.0, 3.0)
-    wc = _fd_weights(base, m)
-    out[2:-2] = sum(w * y[2 + int(o):len(y) - 2 + int(o)] for w, o in zip(wc, base))
-    edge = np.arange(6.0)
+    wc, w_edge, w_mirr = _fd4_weights(m)
+    out[2:-2] = sum(w * y[2 + o:len(y) - 2 + o] for w, o in zip(wc, range(-2, 3)))
     for i in (0, 1):
-        w_edge = _fd_weights(edge - i, m)
-        out[i] = w_edge @ y[:6]
-        w_mirr = _fd_weights(i - edge, m)
-        out[-1 - i] = w_mirr @ y[:-7:-1]
+        out[i] = w_edge[i] @ y[:6]
+        out[-1 - i] = w_mirr[i] @ y[:-7:-1]
     return out / dx ** m
 
 

@@ -17,6 +17,8 @@ from heavychain.model import (
 from heavychain.resolvent_bvp import (
     SMALL_TAU,
     TAU_CAP,
+    _fd4,
+    _fd4_weights,
     _solve_collocation,
     c0_coefficient,
     continuous_resolvent_sweep,
@@ -349,3 +351,15 @@ def test_kernel_decay_study_rejects_degenerate_input(ref_model):
             np.linspace(10.0, 20.0, 5), unit_tension, ref_model.tension,
             ref_model.length,
         )
+
+
+def test_fd4_central_weights_and_quartic_exactness():
+    np.testing.assert_allclose(12 * _fd4_weights(1)[0], [1, -8, 0, 8, -1], atol=1e-13)
+    np.testing.assert_allclose(12 * _fd4_weights(2)[0], [-1, 16, -30, 16, -1], atol=1e-13)
+    x = np.linspace(0.3, 1.7, 15)
+    p = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.7, -1.3])
+    for m in (1, 2):
+        exact = p.deriv(m)(x)
+        np.testing.assert_allclose(_fd4(p(x), x[1] - x[0], m), exact, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(_fd4((1 + 2j) * p(x), x[1] - x[0], m), (1 + 2j) * exact,
+                                   rtol=0, atol=1e-10)

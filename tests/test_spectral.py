@@ -91,6 +91,28 @@ def test_resolvent_norm_matches_dense_svd(ref_model):
         assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(1.0 / smin, rel=1e-8)
 
 
+def dense_resolvent_norm(gram, a, tau):
+    """1 / sigma_min of C (i tau - A) C^{-1} with gram = C^T C, all dense."""
+    c = cholesky(gram, lower=False)
+    return 1.0 / svdvals(c @ (1j * tau * np.eye(len(a)) - a) @ np.linalg.inv(c))[-1]
+
+
+def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
+    # the default CLI sweep ends at tau = 1000
+    a = ref_sys.A.toarray()
+    for tau in (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0):
+        ref = dense_resolvent_norm(ref_sys.M_H, a, tau)
+        assert resolvent_norm_discrete(ref_sys, tau).norm == pytest.approx(ref, rel=1e-9)
+
+
+def test_resolvent_norm_follows_replaced_gram(ref_model):
+    sys = assemble_generator(ref_model, 50)
+    resolvent_norm_discrete(sys, 1.0)  # factors M_H
+    nat = dataclasses.replace(sys, M_H=sys.M_nat)
+    ref = dense_resolvent_norm(sys.M_nat, sys.A.toarray(), 1.0)
+    assert resolvent_norm_discrete(nat, 1.0).norm == pytest.approx(ref, rel=1e-9)
+
+
 def test_resolvent_norm_singular_shift_is_infinite(ref_sys):
     keep = np.ones(ref_sys.grid.size)
     keep[0] = 0.0  # A with an exactly zero first column
