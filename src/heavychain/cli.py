@@ -48,7 +48,6 @@ from heavychain.simulation import (
 from heavychain.spectral import (
     huang_verdict,
     resolvent_norm_discrete,
-    resolvent_sweep,
     spectrum,
 )
 
@@ -420,21 +419,14 @@ def _run_sweep(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
     m = cfg.model()
     sys_h = assemble_generator(m, cfg.grid_n)
     spec = spectrum(sys_h)
-    if cfg.log_spacing:
-        discrete = resolvent_sweep(sys_h, cfg.tau_min, cfg.tau_max,
-                                   cfg.sweep_points)
-    else:
-        taus = np.linspace(cfg.tau_min, cfg.tau_max, cfg.sweep_points)
-        discrete = [resolvent_norm_discrete(sys_h, t) for t in taus]
+    space = np.geomspace if cfg.log_spacing else np.linspace
+    discrete = [resolvent_norm_discrete(sys_h, t)
+                for t in space(cfg.tau_min, cfg.tau_max, cfg.sweep_points)]
     rng = np.random.default_rng(cfg.seed)
     data = [random_smooth_data(rng, m.length) for _ in range(2)]
     lo = max(cfg.tau_min, SMALL_TAU)
-    n_cont = min(25, cfg.sweep_points)
-    if cfg.log_spacing:
-        cont_taus = np.geomspace(lo, cfg.tau_max, n_cont)
-    else:
-        cont_taus = np.linspace(lo, cfg.tau_max, n_cont)
-    continuous = continuous_resolvent_sweep(m, cont_taus, data)
+    continuous = continuous_resolvent_sweep(
+        m, space(lo, cfg.tau_max, min(25, cfg.sweep_points)), data)
     pooled = list(discrete) + list(continuous)
     verdict = huang_verdict(pooled, spec)
     report.sweep = {

@@ -10,10 +10,11 @@ in the interior and replaces the two end rows by the boundary dynamics
 (payload: dv_N/dt = -w'(L); cart: dv_0/dt = feedback traces), both with
 one-sided second-order stencils.  The natural and the energy inner
 products are each defined once, as a list of weighted difference stencils
-(trapezoid rule over D1, D2 and D1 P D1, plus the boundary terms).  The
-dense Gram matrices are assembled from these lists, and the matrix-free
-norms on the long grids of :mod:`heavychain.resolvent_bvp` apply the same
-stencils.
+(trapezoid rule over D1, D2 and D1 P D1, plus the boundary terms), and
+every norm, inner product and quadratic form applies these stencils
+matrix-free, from the small grids of the dissipativity probe to the long
+grids of :mod:`heavychain.resolvent_bvp`.  The one assembled matrix is the
+energy Gram that the Cholesky factor of the resolvent norms is built from.
 
 The dissipativity check probes the Rayleigh residual
 
@@ -42,7 +43,6 @@ __all__ = [
     "DissipativityReport",
     "KAPPA_DISSIPATIVITY",
     "assemble_generator",
-    "assemble_gram_natural",
     "assemble_gram_weighted",
     "generator_matrix",
     "sobolev_norms",
@@ -124,8 +124,8 @@ def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
 # of T, so a state's energy is sum s |T y_block|^2.  The energy form adds
 # the rank-one coupling 1/2 |j . z|^2 of psi = v_0 with the boundary
 # functional of w, the row j given by its stored (columns, values) in the
-# state vector.  The dense Gram matrices and the matrix-free norms both
-# read these lists and nothing else.
+# state vector.  Every form is evaluated matrix-free from these lists (see
+# _form); the energy Gram behind chol_H is the one matrix assembled from them.
 
 def _sobolev_terms(grid: Grid) -> list:
     """|w|^2_{H^2} + |v|^2_{H^1}, trapezoid rule over the stencils."""
@@ -171,50 +171,46 @@ def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float, alpha1: float,
     return terms, coupling
 
 
-def _gram(terms: list, npts: int, coupling=None) -> np.ndarray:
+def _gram(terms: list, npts: int, coupling: tuple) -> np.ndarray:
     """Dense sum of T^T diag(s) T over the terms, plus 1/2 j j^T."""
     M = np.zeros((2 * npts, 2 * npts))
     diag = np.arange(npts)
-    forms = {}  # a term w and v share (same weights, same stencils) is formed once
     for block, s, factors in terms:
         blk = M[block * npts:(block + 1) * npts, block * npts:(block + 1) * npts]
         if not factors:
             blk[diag, diag] += s
             continue
-        key = (id(s), *map(id, factors))
-        if key not in forms:
-            T = factors[0]
-            for f in factors[1:]:
-                T = T @ f
-            forms[key] = T.T @ (s[:, None] * T.toarray())
-        blk += forms[key]
-    if coupling is not None:
-        j = np.zeros(2 * npts)
-        np.add.at(j, *coupling)
-        M += 0.5 * np.outer(j, j)
+        T = factors[0]
+        for f in factors[1:]:
+            T = T @ f
+        blk += T.T @ (s[:, None] * T.toarray())
+    j = np.zeros(2 * npts)
+    np.add.at(j, *coupling)
+    M += 0.5 * np.outer(j, j)
     return M
 
 
-def _block_energies(terms: list, states: np.ndarray, npts: int) -> list:
-    """[w part, v part] of sum s |T y|^2 for one state or for each row of states.
+def _form(terms: list, x: np.ndarray, y: np.ndarray | None = None, coupling=None):
+    """Re(y^H M x) = Re sum s conj(T y) (T x) + 1/2 Re conj(j y) (j x), for
+    one state or for each row of x and y; y defaults to x.
 
     Applies the factors one by one: on long grids an assembled product
     such as D1 (P D1) loses digits like eps / dx^2, the factors do not.
     """
-    y = np.asarray(states).T
-    blocks = (y[:npts], y[npts:])
-    parts = [0.0, 0.0]
+    x = np.asarray(x).T
+    xy = (x,) if y is None else (x, np.asarray(y).T)
+    npts = len(x) // 2
+    out = 0.0
     for block, s, factors in terms:
-        ty = blocks[block]
+        txy = [z[block * npts:(block + 1) * npts] for z in xy]
         for f in reversed(factors):
-            ty = f @ ty
-        parts[block] = parts[block] + s @ np.abs(ty) ** 2
-    return parts
-
-
-def assemble_gram_natural(grid: Grid) -> np.ndarray:
-    """Quadratic form of the plain Sobolev product (w in H^2, v in H^1)."""
-    return _gram(_natural_terms(grid), grid.n + 1)
+            txy = [f @ z for z in txy]
+        out = out + s @ (np.conj(txy[-1]) * txy[0]).real
+    if coupling is not None:
+        cols, vals = coupling
+        jxy = [vals @ z[cols] for z in xy]
+        out = out + 0.5 * (np.conj(jxy[-1]) * jxy[0]).real
+    return out
 
 
 def assemble_gram_weighted(grid: Grid, m: RescaledModel, gamma: float,
@@ -226,7 +222,8 @@ def assemble_gram_weighted(grid: Grid, m: RescaledModel, gamma: float,
 
 def sobolev_norms(grid: Grid, states: np.ndarray) -> np.ndarray:
     """(|w|_{H^2}, |v|_{H^1}) of a state, or of each row of states, matrix-free."""
-    parts = _block_energies(_sobolev_terms(grid), states, grid.n + 1)
+    terms = _sobolev_terms(grid)
+    parts = [_form([t for t in terms if t[0] == block], states) for block in (0, 1)]
     return np.sqrt(np.stack(parts, axis=-1))
 
 
@@ -237,20 +234,21 @@ def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float
     Equals sqrt(y^H M_H y) on grids where M_H can be formed; on long grids
     the assembled form loses digits like eps / dx^4, the stencils do not.
     """
-    terms, (cols, vals) = _weighted_terms(grid, m, gamma, alpha1, alpha2)
-    jz = vals @ np.asarray(states).T[cols]
-    return np.sqrt(sum(_block_energies(terms, states, grid.n + 1)) + 0.5 * np.abs(jz) ** 2)
+    terms, coupling = _weighted_terms(grid, m, gamma, alpha1, alpha2)
+    return np.sqrt(_form(terms, states, coupling=coupling))
 
 
 @dataclass
 class GeneratorSystem:
-    """Generator matrix plus the two Gram matrices on one grid."""
+    """Sparse generator on one grid plus the weights of its energy form.
+
+    The energy form M_H is read matrix-free from its stencil terms; only
+    chol_H assembles it, once, to factor it.
+    """
 
     grid: Grid
     model: RescaledModel
     A: sparse.csr_array
-    M_nat: np.ndarray
-    M_H: np.ndarray
     gamma: float
     alpha1: float
     alpha2: float
@@ -259,18 +257,26 @@ class GeneratorSystem:
     @property
     def chol_H(self) -> sparse.csc_array:
         """Upper-triangular C with M_H = C^T C (so |z|_H = |C z|_2), held
-        sparse: a band plus the one column the psi coupling fills."""
+        sparse: a band plus the one column the psi coupling fills.  The
+        dense M_H is assembled on first use, factored and dropped."""
         if self._chol is None:
-            self._chol = sparse.csc_array(cholesky(self.M_H, lower=False))
+            gram = assemble_gram_weighted(self.grid, self.model, self.gamma,
+                                          self.alpha1, self.alpha2)
+            self._chol = sparse.csc_array(cholesky(gram, lower=False))
         return self._chol
 
+    def _energy(self, x: np.ndarray, y: np.ndarray | None = None):
+        """Re(y^H M_H x), matrix-free, for one state or for each row; y defaults to x."""
+        terms, coupling = _weighted_terms(self.grid, self.model, self.gamma,
+                                          self.alpha1, self.alpha2)
+        return _form(terms, x, y, coupling)
+
     def weighted_norm(self, vec: np.ndarray) -> float:
-        val = np.real(np.vdot(vec, self.M_H @ vec))
-        return float(np.sqrt(max(val, 0.0)))
+        return float(np.sqrt(max(self._energy(vec), 0.0)))
 
 
 def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> GeneratorSystem:
-    """Build the generator and both Gram matrices on n intervals.
+    """Build the sparse generator and the energy weights on n intervals.
 
     gamma defaults to the certified value from the admissibility report;
     pass it explicitly to probe non-admissible coefficient sets.
@@ -290,8 +296,6 @@ def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> 
         grid=grid,
         model=m,
         A=generator_matrix(m, grid),
-        M_nat=assemble_gram_natural(grid),
-        M_H=assemble_gram_weighted(grid, m, gamma, alpha1, alpha2),
         gamma=gamma,
         alpha1=alpha1,
         alpha2=alpha2,
@@ -410,15 +414,6 @@ class DissipativityReport:
         return self.admissible and self.satisfied
 
 
-def _quadratic_forms(states: np.ndarray, gram: np.ndarray, op=None) -> np.ndarray:
-    """Re(z^H gram (op z)) for every row z of states, by real BLAS products."""
-    image = states if op is None else (op @ states.T).T
-    out = np.einsum("ij,ij->i", states.real, image.real @ gram.T)
-    if np.iscomplexobj(image):
-        out += np.einsum("ij,ij->i", states.imag, image.imag @ gram.T)
-    return out
-
-
 def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
                         seed: int = 0) -> DissipativityReport:
     """Sampled check that the generator is dissipative in the energy form.
@@ -430,7 +425,7 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
     order-one positive residuals for generic states.
     """
     states = sample_states(sys, samples, seed=seed)
-    resid = _quadratic_forms(states, sys.M_H, sys.A) / _quadratic_forms(states, sys.M_H)
+    resid = sys._energy((sys.A @ states.T).T, states) / sys._energy(states)
     max_r = float(resid.max())
     admissible = check_admissibility(sys.model).admissible
     bound = KAPPA_DISSIPATIVITY * sys.grid.dx
@@ -449,5 +444,5 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
 def norm_ratio_interval(sys: GeneratorSystem, samples: int = 1000, seed: int = 0):
     """Range of |z|_H / |z|_natural over the smooth sample family."""
     states = sample_states(sys, samples, seed=seed)
-    ratios = np.sqrt(_quadratic_forms(states, sys.M_H) / _quadratic_forms(states, sys.M_nat))
+    ratios = np.sqrt(sys._energy(states) / _form(_natural_terms(sys.grid), states))
     return float(ratios.min()), float(ratios.max())

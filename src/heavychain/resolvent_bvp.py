@@ -31,19 +31,17 @@ collocation on a fine grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-from scipy import sparse
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import spsolve
 from scipy.special import factorial, j0, j1, y0, y1
 
-from heavychain.discretization import Grid, generator_matrix, sobolev_norms, weighted_norm
+from heavychain.discretization import Grid, assemble_generator, sobolev_norms, weighted_norm
 from heavychain.model import AdmissibilityReport, RescaledModel, check_admissibility
 from heavychain.operator import SampledFunction
-from heavychain.spectral import ResolventSample
+from heavychain.spectral import ResolventSample, resolvent_apply_discrete
 
 __all__ = [
     "TAU_CAP",
@@ -369,13 +367,12 @@ def _derivative_values(f, x, fv, explicit):
 
 
 def _solve_collocation(f, g, tau, m, rep, n):
-    grid = Grid.make(n, m.length)
-    x = grid.x
+    sys = assemble_generator(m, n)
+    x = sys.grid.x
     fv = _as_values(f, x)
     gv = _as_values(g, x)
-    shifted = generator_matrix(m, grid) - 1j * tau * sparse.eye_array(grid.size)
-    z = spsolve(shifted.tocsc(), np.concatenate([fv, gv]).astype(complex))
-    wv, vv = z[:grid.n + 1], z[grid.n + 1:]
+    z = -resolvent_apply_discrete(sys, tau, np.concatenate([fv, gv]))
+    wv, vv = z[:sys.grid.n + 1], z[sys.grid.n + 1:]
     return _package(x, wv, vv, fv, gv, tau, m, rep,
                     0.0, 0.0, 0.0, 0.0, 0.0, "collocation")
 
@@ -412,16 +409,13 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
             _conjugate_data(f), _conjugate_data(g), -tau, m, pair=pair,
             f_prime=_conjugate_data(f_prime), g_prime=_conjugate_data(g_prime),
         )
-        return ResolventSolution(
-            tau=float(tau),
+        return replace(
+            conj, tau=float(tau),
             w=SampledFunction(conj.w.x, np.conj(conj.w.y)),
             v=SampledFunction(conj.v.x, np.conj(conj.v.y)),
             c1=np.conj(conj.c1), c2=np.conj(conj.c2),
             a0=np.conj(conj.a0), a1=np.conj(conj.a1),
             denominator=np.conj(conj.denominator),
-            norms=conj.norms, data_norms=conj.data_norms,
-            residual=conj.residual, residual_lines=conj.residual_lines,
-            gain=conj.gain, method=conj.method,
         )
     if tau < SMALL_TAU:
         return _solve_collocation(f, g, tau, m, rep, 2000)

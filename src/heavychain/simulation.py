@@ -33,7 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from heavychain.discretization import GeneratorSystem, _quadratic_forms
+from heavychain.discretization import GeneratorSystem
 from heavychain.model import ControllerGains, PhysicalParams
 from heavychain.operator import diff_matrix, trapezoid_weights
 
@@ -69,8 +69,7 @@ class Trajectory:
     dt: float
 
     def norm_history(self) -> np.ndarray:
-        vals = _quadratic_forms(self.states, self.system.M_H)
-        return np.sqrt(np.maximum(vals, 0.0))
+        return np.sqrt(np.maximum(self.system._energy(self.states), 0.0))
 
 
 def _jump_pays(n: int, nnz: int, stride: int, strides: int) -> bool:

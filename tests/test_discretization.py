@@ -8,8 +8,11 @@ from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
     Grid,
     _bump_profiles,
+    _form,
     _mode_table,
+    _natural_terms,
     assemble_generator,
+    assemble_gram_weighted,
     dissipativity_check,
     generator_matrix,
     norm_ratio_interval,
@@ -18,6 +21,7 @@ from heavychain.discretization import (
     weighted_norm,
 )
 from heavychain.model import RescaledModel, check_admissibility
+from heavychain.simulation import Trajectory
 
 
 # --- quadrature reference: np.gradient stencils and the trapezoid rule ---
@@ -154,45 +158,75 @@ def test_generator_is_sparse_with_stencil_entries(ref_model):
     assert np.array_equal(sys.A.toarray(), loop_generator(ref_model, sys.grid))
 
 
+def energy_gram(sys):
+    """The assembled energy Gram M_H, the matrix chol_H factors."""
+    return assemble_gram_weighted(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
+
+
 def test_gram_matrices_match_quadrature(ref_model):
     sys = assemble_generator(ref_model, 80)
+    gram = energy_gram(sys)
     states = sample_states(sys, 6, seed=3)
     for vec in states:
         quad_nat = natural_quadrature(sys.grid, vec)
         quad_h = weighted_quadrature(sys.grid, vec, ref_model)
-        form_nat = np.vdot(vec, sys.M_nat @ vec)
-        form_h = np.vdot(vec, sys.M_H @ vec)
+        form_nat = _form(_natural_terms(sys.grid), vec)
+        form_h = np.vdot(vec, gram @ vec)
         assert form_nat == pytest.approx(quad_nat, rel=1e-11)
         assert form_h == pytest.approx(quad_h, rel=1e-11)
+        assert sys.weighted_norm(vec) ** 2 == pytest.approx(quad_h, rel=1e-11)
 
 
 def test_gram_matrices_positive_definite(ref_model):
     sys = assemble_generator(ref_model, 60)
-    assert np.linalg.eigvalsh(sys.M_nat).min() > 0.0
-    assert np.linalg.eigvalsh(sys.M_H).min() > 0.0
+    assert np.linalg.eigvalsh(energy_gram(sys)).min() > 0.0
 
 
 def test_matrix_free_norms_match_grams(ref_model):
-    # The Gram matrices and the matrix-free norms read one term list.  The
-    # assembled forms carry up to ~3e-12 of rounding at N = 80 (entries of
+    # The Gram matrix and the matrix-free norms read one term list.  The
+    # assembled form carries up to ~3e-12 of rounding at N = 80 (entries of
     # size 1/dx^4 cancel in y^H M y); the matrix-free norms agree with a
     # long-double evaluation of the stencils to ~1e-16.
     sys = assemble_generator(ref_model, 80)
+    gram = energy_gram(sys)
     npts = sys.grid.n + 1
     states = sample_states(sys, 12, seed=4)
     energy = weighted_norm(sys.grid, states, ref_model, sys.gamma, sys.alpha1, sys.alpha2)
     sobolev = sobolev_norms(sys.grid, states)
     for vec, e, (h2, h1) in zip(states, energy, sobolev):
-        assert e == pytest.approx(sys.weighted_norm(vec), rel=5e-12)
+        assert e == pytest.approx(np.sqrt(np.vdot(vec, gram @ vec).real), rel=5e-12)
+        assert e == pytest.approx(sys.weighted_norm(vec), rel=1e-14)
         assert e == pytest.approx(
             weighted_norm(sys.grid, vec, ref_model, sys.gamma, sys.alpha1, sys.alpha2), rel=1e-14)
         w, v = vec[:npts], vec[npts:]
-        assert h2 == pytest.approx(np.sqrt(np.vdot(w, sys.M_nat[:npts, :npts] @ w).real),
+        zero = np.zeros(npts)
+        assert h2 == pytest.approx(np.sqrt(natural_quadrature(sys.grid, np.concatenate([w, zero]))),
                                    rel=5e-12)
         # the v block also carries the boundary velocities psi = v_0, xi = v_N
         h1_ends = np.sqrt(h1**2 + abs(v[0]) ** 2 + abs(v[-1]) ** 2)
-        assert h1_ends == pytest.approx(np.sqrt(np.vdot(v, sys.M_nat[npts:, npts:] @ v).real),
-                                        rel=1e-12)
+        assert h1_ends == pytest.approx(
+            np.sqrt(natural_quadrature(sys.grid, np.concatenate([zero, v]))), rel=1e-12)
+
+
+def test_norm_history_matches_quadrature_on_fine_grid(ref_model):
+    # an assembled Gram loses digits like eps / dx^4 here (2.6e-9 at N = 800)
+    sys = assemble_generator(ref_model, 800)
+    states = sample_states(sys, 40, seed=5)
+    traj = Trajectory(system=sys, times=np.arange(40.0), states=states, dt=1.0)
+    quad = np.array([weighted_quadrature(sys.grid, vec, ref_model) for vec in states])
+    np.testing.assert_allclose(traj.norm_history(), np.sqrt(quad), rtol=1e-12, atol=0.0)
+
+
+def test_dissipativity_numerator_matches_gram(ref_model):
+    # Re z^H M_H A z, the numerator of the Rayleigh residual, matrix-free
+    # against the assembled Gram, on a scale set by the two norms
+    sys = assemble_generator(ref_model, 80)
+    gram = energy_gram(sys)
+    for z in sample_states(sys, 12, seed=6):
+        az = sys.A @ z
+        ref = np.vdot(z, gram @ az).real
+        scale = sys.weighted_norm(z) * sys.weighted_norm(az)
+        assert abs(sys._energy(az, z) - ref) <= 1e-11 * scale
 
 
 def test_h2_norm_second_order_on_long_grids():

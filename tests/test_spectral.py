@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import cholesky, svdvals
 
-from heavychain.discretization import assemble_generator
+from heavychain.discretization import assemble_generator, assemble_gram_weighted
 from heavychain.spectral import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
@@ -24,6 +24,11 @@ from heavychain.spectral import (
 REF_ABSCISSA_N100 = -0.0189475
 REF_NORM_TAU1_N100 = 4.112956
 REF_NORM_TAU0_N100 = 24.98499
+
+
+def energy_gram(sys):
+    """The assembled energy Gram M_H, the matrix chol_H factors."""
+    return assemble_gram_weighted(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +79,7 @@ def test_resolvent_norm_values(ref_sys):
 
 
 def test_resolvent_norm_tau0_is_inverse_norm(ref_sys):
-    c = cholesky(ref_sys.M_H, lower=False)
+    c = cholesky(energy_gram(ref_sys), lower=False)
     a_sim = c @ ref_sys.A.toarray() @ np.linalg.inv(c)
     direct = np.linalg.norm(np.linalg.inv(a_sim), 2)
     assert resolvent_norm_discrete(ref_sys, 0.0).norm == pytest.approx(direct, rel=1e-8)
@@ -83,7 +88,7 @@ def test_resolvent_norm_tau0_is_inverse_norm(ref_sys):
 def test_resolvent_norm_matches_dense_svd(ref_model):
     # dense reference: 1 / sigma_min of the similarity C (i tau - A) C^{-1}
     sys = assemble_generator(ref_model, 400)
-    c = cholesky(sys.M_H, lower=False)
+    c = cholesky(energy_gram(sys), lower=False)
     c_inv = np.linalg.inv(c)
     a = sys.A.toarray()
     for tau in (0.0, 1.0, 10.0, 100.0):
@@ -100,17 +105,19 @@ def dense_resolvent_norm(gram, a, tau):
 def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
     # the default CLI sweep ends at tau = 1000
     a = ref_sys.A.toarray()
+    gram = energy_gram(ref_sys)
     for tau in (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0):
-        ref = dense_resolvent_norm(ref_sys.M_H, a, tau)
+        ref = dense_resolvent_norm(gram, a, tau)
         assert resolvent_norm_discrete(ref_sys, tau).norm == pytest.approx(ref, rel=1e-9)
 
 
 def test_resolvent_norm_follows_replaced_gram(ref_model):
     sys = assemble_generator(ref_model, 50)
-    resolvent_norm_discrete(sys, 1.0)  # factors M_H
-    nat = dataclasses.replace(sys, M_H=sys.M_nat)
-    ref = dense_resolvent_norm(sys.M_nat, sys.A.toarray(), 1.0)
-    assert resolvent_norm_discrete(nat, 1.0).norm == pytest.approx(ref, rel=1e-9)
+    before = resolvent_norm_discrete(sys, 1.0).norm  # factors M_H
+    heavier = dataclasses.replace(sys, gamma=2.0 * sys.gamma)
+    ref = dense_resolvent_norm(energy_gram(heavier), sys.A.toarray(), 1.0)
+    assert abs(ref - before) > 1e-3 * ref
+    assert resolvent_norm_discrete(heavier, 1.0).norm == pytest.approx(ref, rel=1e-9)
 
 
 def test_resolvent_norm_singular_shift_is_infinite(ref_sys):
