@@ -190,27 +190,52 @@ def _gram(terms: list, npts: int, coupling: tuple) -> np.ndarray:
     return M
 
 
-def _form(terms: list, x: np.ndarray, y: np.ndarray | None = None, coupling=None):
-    """Re(y^H M x) = Re sum s conj(T y) (T x) + 1/2 Re conj(j y) (j x), for
-    one state or for each row of x and y; y defaults to x.
+def _stencils(terms: list, z: np.ndarray):
+    """(s, T z_block) for each term, z holding one state or states as columns.
 
     Applies the factors one by one: on long grids an assembled product
     such as D1 (P D1) loses digits like eps / dx^2, the factors do not.
     """
-    x = np.asarray(x).T
-    xy = (x,) if y is None else (x, np.asarray(y).T)
-    npts = len(x) // 2
-    out = 0.0
+    npts = len(z) // 2
     for block, s, factors in terms:
-        txy = [z[block * npts:(block + 1) * npts] for z in xy]
+        tz = z[block * npts:(block + 1) * npts]
         for f in reversed(factors):
-            txy = [f @ z for z in txy]
-        out = out + s @ (np.conj(txy[-1]) * txy[0]).real
+            tz = f @ tz
+        yield s, tz
+
+
+def _form(terms: list, x: np.ndarray, coupling=None):
+    """x^H M x = sum s |T x|^2 + 1/2 |j x|^2, for one state or for each row of x."""
+    x = np.asarray(x).T
+    out = 0.0
+    for s, tx in _stencils(terms, x):
+        out = out + s @ (np.conj(tx) * tx).real
     if coupling is not None:
         cols, vals = coupling
-        jxy = [vals @ z[cols] for z in xy]
-        out = out + 0.5 * (np.conj(jxy[-1]) * jxy[0]).real
+        jx = vals @ x[cols]
+        out = out + 0.5 * (np.conj(jx) * jx).real
     return out
+
+
+def _forms(terms: list, x: np.ndarray, y: np.ndarray, coupling=None):
+    """(Re(y^H M x), y^H M y) for one state or for each row of x and y,
+    with each factor applied once, to the stacked columns [x | y]."""
+    shape = np.shape(x)[:-1]
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    k = len(x)
+    z = np.concatenate([x, y]).T
+    cross = energy = 0.0
+    for s, tz in _stencils(terms, z):
+        tx, ty = tz[:, :k], tz[:, k:]
+        cross = cross + s @ (np.conj(ty) * tx).real
+        energy = energy + s @ (np.conj(ty) * ty).real
+    if coupling is not None:
+        cols, vals = coupling
+        jz = z[cols]
+        jx, jy = vals @ jz[:, :k], vals @ jz[:, k:]
+        cross = cross + 0.5 * (np.conj(jy) * jx).real
+        energy = energy + 0.5 * (np.conj(jy) * jy).real
+    return cross.reshape(shape), energy.reshape(shape)
 
 
 def assemble_gram_weighted(grid: Grid, m: RescaledModel, gamma: float,
@@ -235,7 +260,7 @@ def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float
     the assembled form loses digits like eps / dx^4, the stencils do not.
     """
     terms, coupling = _weighted_terms(grid, m, gamma, alpha1, alpha2)
-    return np.sqrt(_form(terms, states, coupling=coupling))
+    return np.sqrt(_form(terms, states, coupling))
 
 
 @dataclass
@@ -269,7 +294,9 @@ class GeneratorSystem:
         """Re(y^H M_H x), matrix-free, for one state or for each row; y defaults to x."""
         terms, coupling = _weighted_terms(self.grid, self.model, self.gamma,
                                           self.alpha1, self.alpha2)
-        return _form(terms, x, y, coupling)
+        if y is None:
+            return _form(terms, x, coupling)
+        return _forms(terms, x, y, coupling)[0]
 
     def weighted_norm(self, vec: np.ndarray) -> float:
         return float(np.sqrt(max(self._energy(vec), 0.0)))
@@ -425,7 +452,9 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
     order-one positive residuals for generic states.
     """
     states = sample_states(sys, samples, seed=seed)
-    resid = sys._energy((sys.A @ states.T).T, states) / sys._energy(states)
+    terms, coupling = _weighted_terms(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
+    numerator, denominator = _forms(terms, (sys.A @ states.T).T, states, coupling)
+    resid = numerator / denominator
     max_r = float(resid.max())
     admissible = check_admissibility(sys.model).admissible
     bound = KAPPA_DISSIPATIVITY * sys.grid.dx

@@ -7,7 +7,15 @@ import pytest
 from scipy import sparse
 from scipy.linalg import cholesky, svdvals
 
+from heavychain import spectral
 from heavychain.discretization import assemble_generator, assemble_gram_weighted
+from heavychain.model import (
+    ControllerGains,
+    check_admissibility,
+    chi3_threshold,
+    derive_physical_thetas,
+    rescale,
+)
 from heavychain.spectral import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
@@ -97,9 +105,12 @@ def test_resolvent_norm_matches_dense_svd(ref_model):
 
 
 def dense_resolvent_norm(gram, a, tau):
-    """1 / sigma_min of C (i tau - A) C^{-1} with gram = C^T C, all dense."""
+    """1 / sigma_min of C (i tau - A) C^{-1} with gram = C^T C, all dense;
+    one norm per entry when tau is an array."""
     c = cholesky(gram, lower=False)
-    return 1.0 / svdvals(c @ (1j * tau * np.eye(len(a)) - a) @ np.linalg.inv(c))[-1]
+    c_inv, eye = np.linalg.inv(c), np.eye(len(a))
+    norms = [1.0 / svdvals(c @ (1j * t * eye - a) @ c_inv)[-1] for t in np.ravel(tau)]
+    return np.reshape(norms, np.shape(tau))
 
 
 def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
@@ -109,6 +120,60 @@ def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
     for tau in (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0):
         ref = dense_resolvent_norm(gram, a, tau)
         assert resolvent_norm_discrete(ref_sys, tau).norm == pytest.approx(ref, rel=1e-9)
+
+
+def admissible_gain_models(params, count, seed):
+    """count seeded admissible models: chi1, chi2 in [0.5, 2], chi3 above threshold."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        chi1, chi2 = rng.uniform(0.5, 2.0, 2)
+        gains = ControllerGains(chi1, chi2, rng.uniform(1.1, 3.0) * chi3_threshold(params))
+        m = rescale(params, derive_physical_thetas(params, gains))
+        if check_admissibility(m).admissible:
+            models.append(m)
+    return models
+
+
+def test_resolvent_norm_matches_dense_across_gains(ref_params):
+    # the 8-vector Krylov space against the dense reference on other models;
+    # singular values cluster at the high-tau end of the range
+    taus = np.geomspace(0.1, 1e3, 30)
+    for m in admissible_gain_models(ref_params, 8, seed=11):
+        sys = assemble_generator(m, 50)
+        refs = dense_resolvent_norm(energy_gram(sys), sys.A.toarray(), taus)
+        for tau, ref in zip(taus, refs):
+            assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(ref, rel=1e-9)
+
+
+def test_resolvent_norm_on_tiny_grids(ref_model):
+    # N = 4 is the smallest grid (state size 10), N = 8 the CLI minimum:
+    # the Krylov space never outgrows the state
+    taus = np.array([0.0, 0.1, 1.0, 10.0, 100.0, 1000.0])
+    for n in (4, 8):
+        sys = assemble_generator(ref_model, n)
+        refs = dense_resolvent_norm(energy_gram(sys), sys.A.toarray(), taus)
+        for tau, ref in zip(taus, refs):
+            assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(ref, rel=1e-9)
+
+
+def test_resolvent_norm_application_count(ref_sys, monkeypatch):
+    # ARPACK's default 20-vector Krylov space costs 21 applications of B^H B
+    # per shift; the one-eigenvalue space averages about 12
+    applications = []
+    operator = spectral.LinearOperator
+
+    def counted(shape, matvec, dtype):
+        def apply(x):
+            applications[-1] += 1
+            return matvec(x)
+        applications.append(0)
+        return operator(shape, matvec=apply, dtype=dtype)
+
+    monkeypatch.setattr(spectral, "LinearOperator", counted)
+    resolvent_sweep(ref_sys, 0.1, 1e3, points=60)
+    assert len(applications) == 60
+    assert np.mean(applications) <= 15.0
 
 
 def test_resolvent_norm_follows_replaced_gram(ref_model):
