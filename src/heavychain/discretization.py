@@ -13,8 +13,9 @@ products are each defined once, as a list of weighted difference stencils
 (trapezoid rule over D1, D2 and D1 P D1, plus the boundary terms), and
 every norm, inner product and quadratic form applies these stencils
 matrix-free, from the small grids of the dissipativity probe to the long
-grids of :mod:`heavychain.resolvent_bvp`.  The one assembled matrix is the
-energy Gram that the Cholesky factor of the resolvent norms is built from.
+grids of :mod:`heavychain.resolvent_bvp`.  No Gram matrix is assembled:
+the energy factor of the resolvent norms is a banded QR of the same
+stencil rows (GeneratorSystem.chol_H).
 
 The dissipativity check probes the Rayleigh residual
 
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky
 
 from heavychain.model import RescaledModel, check_admissibility, inner_product_weights
 from heavychain.operator import diff2_matrix, diff_matrix, trapezoid_weights
@@ -43,7 +43,6 @@ __all__ = [
     "DissipativityReport",
     "KAPPA_DISSIPATIVITY",
     "assemble_generator",
-    "assemble_gram_weighted",
     "generator_matrix",
     "sobolev_norms",
     "weighted_norm",
@@ -125,7 +124,8 @@ def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
 # the rank-one coupling 1/2 |j . z|^2 of psi = v_0 with the boundary
 # functional of w, the row j given by its stored (columns, values) in the
 # state vector.  Every form is evaluated matrix-free from these lists (see
-# _form); the energy Gram behind chol_H is the one matrix assembled from them.
+# _form), and chol_H factors the energy by a banded QR of their rows, so no
+# Gram matrix is assembled from them.
 
 def _sobolev_terms(grid: Grid) -> list:
     """|w|^2_{H^2} + |v|^2_{H^1}, trapezoid rule over the stencils."""
@@ -169,25 +169,6 @@ def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float, alpha1: float,
     coupling = (np.concatenate([[npts, 0], cols]),
                 np.concatenate([[1.0, 2.0 * alpha2], -2.0 * alpha1 * m.tension0 * vals]))
     return terms, coupling
-
-
-def _gram(terms: list, npts: int, coupling: tuple) -> np.ndarray:
-    """Dense sum of T^T diag(s) T over the terms, plus 1/2 j j^T."""
-    M = np.zeros((2 * npts, 2 * npts))
-    diag = np.arange(npts)
-    for block, s, factors in terms:
-        blk = M[block * npts:(block + 1) * npts, block * npts:(block + 1) * npts]
-        if not factors:
-            blk[diag, diag] += s
-            continue
-        T = factors[0]
-        for f in factors[1:]:
-            T = T @ f
-        blk += T.T @ (s[:, None] * T.toarray())
-    j = np.zeros(2 * npts)
-    np.add.at(j, *coupling)
-    M += 0.5 * np.outer(j, j)
-    return M
 
 
 def _stencils(terms: list, z: np.ndarray):
@@ -238,11 +219,84 @@ def _forms(terms: list, x: np.ndarray, y: np.ndarray, coupling=None):
     return cross.reshape(shape), energy.reshape(shape)
 
 
-def assemble_gram_weighted(grid: Grid, m: RescaledModel, gamma: float,
-                           alpha1: float, alpha2: float) -> np.ndarray:
-    """Quadratic form of the energy inner product."""
-    terms, coupling = _weighted_terms(grid, m, gamma, alpha1, alpha2)
-    return _gram(terms, grid.n + 1, coupling)
+def _interleaved(k: np.ndarray, npts: int) -> np.ndarray:
+    """Position of state index k in the node-interleaved order (w_0, v_0,
+    w_1, v_1, ...), in which the energy factor and the generator are banded."""
+    return 2 * k - (2 * npts - 1) * (k >= npts)
+
+
+# Width of the sliding panel of _energy_factor: each dense QR sees about
+# twice as many rows as columns, plus the band it carries forward.
+_PANEL = 64
+
+
+def _energy_rows(terms: list, coupling: tuple, npts: int) -> sparse.csr_array:
+    """G with G^T G = M_H: the rows sqrt(s) T of the terms and the coupling
+    row j / sqrt(2), columns in node-interleaved order (w_0, v_0, w_1, v_1,
+    ...), rows sorted by their first column and zero rows dropped.  A
+    negative weight raises LinAlgError, as a Cholesky factor of M_H would."""
+    rows, cols, vals = [], [], []
+    count = 0
+    for block, s, factors in terms:
+        if np.any(s < 0.0):
+            raise np.linalg.LinAlgError("energy form is not positive definite")
+        t = sparse.eye_array(npts, format="csr")
+        for f in factors:
+            t = t @ f
+        t = sparse.coo_array(sparse.diags_array(np.sqrt(s)) @ t)
+        rows.append(count + t.row)
+        cols.append(_interleaved(block * npts + t.col, npts))
+        vals.append(t.data)
+        count += npts
+    j_cols, j_vals = coupling
+    rows.append(np.full(len(j_cols), count))
+    cols.append(_interleaved(j_cols, npts))
+    vals.append(j_vals / np.sqrt(2.0))
+    g = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(count + 1, 2 * npts))
+    g.eliminate_zeros()
+    g = g[np.diff(g.indptr) > 0]
+    g.sort_indices()
+    return g[np.argsort(g.indices[g.indptr[:-1]], kind="stable")]
+
+
+def _energy_factor(terms: list, coupling: tuple, npts: int) -> np.ndarray:
+    """Upper-banded R with R^T R = M_H in node-interleaved order, by QR of
+    the stencil rows G: no Gram is formed, so R carries cond(G) rounding,
+    not cond(G)^2.  Returned in LAPACK upper band layout, shape
+    (kb + 1, n) with R[i, j] at [kb + i - j, j]; kb is the widest row span
+    of G (8 for the D1 (P D1) rows).
+
+    Dense QR on sliding panels of _PANEL columns: a panel stacks the rows
+    carried from the last one with the rows of G that start in it, its
+    first rows are final rows of R, the rest are carried on.  O(n) time
+    and memory; the diagonal is made positive.
+    """
+    g = _energy_rows(terms, coupling, npts)
+    ptr, col, val = g.indptr, g.indices, g.data
+    first = col[ptr[:-1]]
+    kb = int((col[ptr[1:] - 1] - first).max())
+    n = 2 * npts
+    band = np.zeros((kb + 1, n))
+    carry = np.zeros((0, 0))
+    r0 = 0
+    for c0 in range(0, n, _PANEL):
+        c1 = min(c0 + _PANEL, n)
+        width = min(c1 + kb, n) - c0
+        r1 = int(np.searchsorted(first, c1))
+        panel = np.zeros((len(carry) + r1 - r0, width))
+        panel[:len(carry), :carry.shape[1]] = carry
+        local = np.repeat(np.arange(len(carry), len(panel)), np.diff(ptr[r0:r1 + 1]))
+        panel[local, col[ptr[r0]:ptr[r1]] - c0] = val[ptr[r0]:ptr[r1]]
+        r = np.linalg.qr(panel, mode="r")
+        p = c1 - c0
+        r[:p] *= np.where(np.diag(r)[:p] < 0.0, -1.0, 1.0)[:, None]
+        for d in range(kb + 1):
+            diag = np.diagonal(r[:p], d)
+            band[kb - d, c0 + d:c0 + d + len(diag)] = diag
+        carry = r[p:, p:]
+        r0 = r1
+    return band
 
 
 def sobolev_norms(grid: Grid, states: np.ndarray) -> np.ndarray:
@@ -267,8 +321,8 @@ def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float
 class GeneratorSystem:
     """Sparse generator on one grid plus the weights of its energy form.
 
-    The energy form M_H is read matrix-free from its stencil terms; only
-    chol_H assembles it, once, to factor it.
+    The energy form M_H is read matrix-free from its stencil terms and is
+    never assembled; chol_H factors it from the same terms.
     """
 
     grid: Grid
@@ -277,18 +331,20 @@ class GeneratorSystem:
     gamma: float
     alpha1: float
     alpha2: float
-    _chol: sparse.csc_array | None = field(default=None, init=False, repr=False, compare=False)
+    _chol: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def chol_H(self) -> sparse.csc_array:
-        """Upper-triangular C with M_H = C^T C (so |z|_H = |C z|_2), held
-        sparse: a band plus the one column the psi coupling fills.  The
-        dense M_H is assembled on first use, factored and dropped."""
-        if self._chol is None:
-            gram = assemble_gram_weighted(self.grid, self.model, self.gamma,
-                                          self.alpha1, self.alpha2)
-            self._chol = sparse.csc_array(cholesky(gram, lower=False))
-        return self._chol
+    def chol_H(self) -> np.ndarray:
+        """Upper-banded R with R^T R = Pi M_H Pi^T, Pi the node-interleaved
+        order (w_0, v_0, w_1, v_1, ...), so |z|_H = |R Pi z|_2; in LAPACK
+        upper band layout (kb + 1, n), see _energy_factor.  Built in O(n) on
+        first use and rebuilt when grid, model, gamma, alpha1 or alpha2 has
+        been reassigned since."""
+        fields = (self.grid, self.model, self.gamma, self.alpha1, self.alpha2)
+        if self._chol is None or any(a is not b for a, b in zip(fields, self._chol[0])):
+            terms, coupling = _weighted_terms(*fields)
+            self._chol = (fields, _energy_factor(terms, coupling, self.grid.n + 1))
+        return self._chol[1]
 
     def _energy(self, x: np.ndarray, y: np.ndarray | None = None):
         """Re(y^H M_H x), matrix-free, for one state or for each row; y defaults to x."""

@@ -1,20 +1,22 @@
 """Eigenvalue reports and resolvent-norm sweeps for the discrete generator.
 
-All norms here are taken in the energy inner product: with the sparse
-Cholesky factor M_H = C^T C the weighted operator norm of the resolvent is
-an ordinary spectral norm,
+All norms here are taken in the energy inner product.  In the
+node-interleaved order (w_0, v_0, w_1, v_1, ...), given by the permutation
+Pi, the energy factor R with R^T R = Pi M_H Pi^T is upper banded (see
+GeneratorSystem.chol_H) and so is S = i tau - Pi A Pi^T, and the weighted
+operator norm of the resolvent is an ordinary spectral norm,
 
-    |(i tau - A)^{-1}|_H = sqrt(lambda_max(B^H B)),  B = C (C (i tau I - A))^{-1},
+    |(i tau - A)^{-1}|_H = sqrt(lambda_max(B^H B)),  B = R S^{-1} R^{-1}.
 
-since C (i tau I - A)^{-1} C^{-1} = C (C (i tau I - A))^{-1}.  lambda_max
-comes from ARPACK (Arnoldi, which on the Hermitian B^H B is Lanczos)
-applied through one sparse LU of C (i tau I - A) and products with C and
-C^T, never a dense matrix: the inverse-Lanczos route of Trefethen,
-"Computation of pseudospectra", Acta Numerica 1999.  The Krylov space is
-sized for that one well-separated eigenvalue: 8 vectors, not ARPACK's
-default 20, which it builds in full before its first convergence test.
-A shift then costs about 12 applications of B^H B instead of 21 (12.4 on
-the default sweep at N = 100, 11.2 at N = 400).
+lambda_max comes from ARPACK (Arnoldi, which on the Hermitian B^H B is
+Lanczos) applied through one banded LU of S per shift (LAPACK zgbtrf)
+and banded triangular products and solves with R (ztbmv, ztbsv), O(n) per
+application and never a dense or sparse matrix: the inverse-Lanczos route
+of Trefethen, "Computation of pseudospectra", Acta Numerica 1999.  The
+Krylov space is sized for that one well-separated eigenvalue: 8 vectors,
+not ARPACK's default 20, which it builds in full before its first
+convergence test.  A shift then costs about 12 applications of B^H B
+instead of 21 (12.3 on the default sweep at N = 100, 11.2 at N = 400).
 
 A finite sweep cannot certify a supremum over the whole axis, so the
 verdict helper only ever reports "consistent-with-exponential-stability"
@@ -27,9 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, splu, spsolve
+from scipy.linalg.blas import ztbmv, ztbsv
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
 
-from heavychain.discretization import GeneratorSystem
+from heavychain.discretization import GeneratorSystem, _interleaved
 
 __all__ = [
     "VERDICT_CONSISTENT",
@@ -90,29 +94,50 @@ class ResolventSample:
     source: str  # "discrete" or "continuous"
 
 
+def _shifted_band(a: sparse.csr_array, tau: float):
+    """S = i tau - Pi A Pi^T in LAPACK general band layout for zgbtrf, with
+    Pi the node-interleaved order (w_0, v_0, w_1, v_1, ...): (ab, kl, ku)
+    with S[i, j] at ab[kl + ku + i - j, j] below kl spare rows for the
+    pivoting fill.  Written from the stored entries of A, O(nnz)."""
+    n = a.shape[0]
+    perm = _interleaved(np.arange(n), n // 2)
+    i = perm[np.repeat(np.arange(n), np.diff(a.indptr))]
+    j = perm[a.indices]
+    kl, ku = int(max(0, (i - j).max())), int(max(0, (j - i).max()))
+    rows = 2 * kl + ku + 1
+    ab = np.bincount((kl + ku + i - j) * n + j, weights=-a.data, minlength=rows * n)
+    ab = ab.reshape(rows, n).astype(complex, order="F")  # LAPACK reads columns
+    ab[kl + ku] += 1j * tau
+    return ab, kl, ku
+
+
 def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample:
     """Weighted resolvent norm at i*tau by Lanczos on the factored resolvent.
 
-    The shifted matrix i tau C - C A is factored once.  The Krylov space is
-    sized for the one eigenvalue wanted (ncv = 8): on the default 200-point
-    sweep at N = 100 a shift takes 12.4 applications of B^H B on average
-    (at most 17) where ARPACK's default ncv = 20 takes 21, at the same
-    machine-precision tolerance.  An exactly singular shift (SuperLU finds
-    a zero pivot) has norm inf.
+    In the node-interleaved order both the energy factor R (chol_H) and
+    S = i tau - Pi A Pi^T are banded, so B = R S^{-1} R^{-1} is applied
+    through one banded LU of S (zgbtrf) and banded triangular products and
+    solves with R, O(n) per application.  The Krylov space is sized for
+    the one eigenvalue wanted (ncv = 8): on the default 200-point sweep at
+    N = 100 a shift takes about 12.3 applications of B^H B where ARPACK's
+    default ncv = 20 takes 21, at the same machine-precision tolerance.  An
+    exactly singular shift (a zero pivot in the LU) has norm inf.
     """
-    n = sys.grid.size
-    c = sys.chol_H
-    try:
-        lu = splu((1j * tau * c - c @ sys.A).tocsc())
-    except RuntimeError as exc:
-        if "exactly singular" not in str(exc):
-            raise
+    r = np.asfortranarray(sys.chol_H, dtype=complex)
+    kb = len(r) - 1
+    ab, kl, ku = _shifted_band(sys.A, tau)
+    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
         return ResolventSample(tau=float(tau), norm=float("inf"), source="discrete")
-    ct = c.T
 
-    def normal_op(x):  # B^H B x
-        return lu.solve(ct @ (c @ lu.solve(np.ravel(x))), trans="H")
+    def normal_op(x):  # B^H B x = R^{-T} S^{-H} R^T R S^{-1} R^{-1} x
+        y = ztbsv(kb, r, np.ravel(x))
+        y = zgbtrs(lu, kl, ku, y, piv)[0]
+        y = ztbmv(kb, r, ztbmv(kb, r, y), trans=1)
+        y = zgbtrs(lu, kl, ku, y, piv, trans=2)[0]
+        return ztbsv(kb, r, y, trans=1)
 
+    n = sys.grid.size
     op = LinearOperator((n, n), matvec=normal_op, dtype=complex)
     # fixed start vector: the same floats on every run; an 8-vector Krylov
     # space (n >= 10 on every grid) instead of ARPACK's default 20

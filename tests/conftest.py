@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heavychain.discretization import _weighted_terms
 from heavychain.model import (
     ControllerGains,
     PhysicalParams,
@@ -32,3 +33,33 @@ def ref_model():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260814)
+
+
+def _gram(terms: list, npts: int, coupling: tuple) -> np.ndarray:
+    """Dense sum of T^T diag(s) T over the terms, plus 1/2 j j^T."""
+    M = np.zeros((2 * npts, 2 * npts))
+    diag = np.arange(npts)
+    for block, s, factors in terms:
+        blk = M[block * npts:(block + 1) * npts, block * npts:(block + 1) * npts]
+        if not factors:
+            blk[diag, diag] += s
+            continue
+        T = factors[0]
+        for f in factors[1:]:
+            T = T @ f
+        blk += T.T @ (s[:, None] * T.toarray())
+    j = np.zeros(2 * npts)
+    np.add.at(j, *coupling)
+    M += 0.5 * np.outer(j, j)
+    return M
+
+
+@pytest.fixture(scope="session")
+def energy_gram():
+    """energy_gram(grid, model, gamma, alpha1, alpha2): the dense energy
+    Gram M_H assembled from the stencil terms, the quadrature tests'
+    reference for the matrix-free forms."""
+    def assemble(grid, m, gamma, alpha1, alpha2):
+        terms, coupling = _weighted_terms(grid, m, gamma, alpha1, alpha2)
+        return _gram(terms, grid.n + 1, coupling)
+    return assemble

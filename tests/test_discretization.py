@@ -12,7 +12,6 @@ from heavychain.discretization import (
     _mode_table,
     _natural_terms,
     assemble_generator,
-    assemble_gram_weighted,
     dissipativity_check,
     generator_matrix,
     norm_ratio_interval,
@@ -158,14 +157,14 @@ def test_generator_is_sparse_with_stencil_entries(ref_model):
     assert np.array_equal(sys.A.toarray(), loop_generator(ref_model, sys.grid))
 
 
-def energy_gram(sys):
-    """The assembled energy Gram M_H, the matrix chol_H factors."""
-    return assemble_gram_weighted(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
+def system_gram(energy_gram, sys):
+    """The assembled energy Gram M_H of a generator system."""
+    return energy_gram(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
 
 
-def test_gram_matrices_match_quadrature(ref_model):
+def test_gram_matrices_match_quadrature(ref_model, energy_gram):
     sys = assemble_generator(ref_model, 80)
-    gram = energy_gram(sys)
+    gram = system_gram(energy_gram, sys)
     states = sample_states(sys, 6, seed=3)
     for vec in states:
         quad_nat = natural_quadrature(sys.grid, vec)
@@ -177,18 +176,18 @@ def test_gram_matrices_match_quadrature(ref_model):
         assert sys.weighted_norm(vec) ** 2 == pytest.approx(quad_h, rel=1e-11)
 
 
-def test_gram_matrices_positive_definite(ref_model):
+def test_gram_matrices_positive_definite(ref_model, energy_gram):
     sys = assemble_generator(ref_model, 60)
-    assert np.linalg.eigvalsh(energy_gram(sys)).min() > 0.0
+    assert np.linalg.eigvalsh(system_gram(energy_gram, sys)).min() > 0.0
 
 
-def test_matrix_free_norms_match_grams(ref_model):
+def test_matrix_free_norms_match_grams(ref_model, energy_gram):
     # The Gram matrix and the matrix-free norms read one term list.  The
     # assembled form carries up to ~3e-12 of rounding at N = 80 (entries of
     # size 1/dx^4 cancel in y^H M y); the matrix-free norms agree with a
     # long-double evaluation of the stencils to ~1e-16.
     sys = assemble_generator(ref_model, 80)
-    gram = energy_gram(sys)
+    gram = system_gram(energy_gram, sys)
     npts = sys.grid.n + 1
     states = sample_states(sys, 12, seed=4)
     energy = weighted_norm(sys.grid, states, ref_model, sys.gamma, sys.alpha1, sys.alpha2)
@@ -217,11 +216,11 @@ def test_norm_history_matches_quadrature_on_fine_grid(ref_model):
     np.testing.assert_allclose(traj.norm_history(), np.sqrt(quad), rtol=1e-12, atol=0.0)
 
 
-def test_dissipativity_numerator_matches_gram(ref_model):
+def test_dissipativity_numerator_matches_gram(ref_model, energy_gram):
     # Re z^H M_H A z, the numerator of the Rayleigh residual, matrix-free
     # against the assembled Gram, on a scale set by the two norms
     sys = assemble_generator(ref_model, 80)
-    gram = energy_gram(sys)
+    gram = system_gram(energy_gram, sys)
     for z in sample_states(sys, 12, seed=6):
         az = sys.A @ z
         ref = np.vdot(z, gram @ az).real

@@ -6,7 +6,6 @@ from heavychain.discretization import (
     _form,
     _natural_terms,
     _weighted_terms,
-    assemble_gram_weighted,
     sobolev_norms,
     weighted_norm,
 )
@@ -130,12 +129,12 @@ def test_weighted_inner_term_isolation(ref_model):
     assert got == pytest.approx(expected, rel=1e-7)
 
 
-def test_weighted_inner_conjugate_symmetry(ref_model):
+def test_weighted_inner_conjugate_symmetry(ref_model, energy_gram):
     """The matrix-free norm polarises to the Gram's Hermitian form."""
     grid, z1 = smooth_state(ref_model, 80, seed=5)
     _, z2 = smooth_state(ref_model, 80, seed=6)
     rep = check_admissibility(ref_model)
-    M = assemble_gram_weighted(grid, ref_model, rep.gamma, rep.alpha1, rep.alpha2)
+    M = energy_gram(grid, ref_model, rep.gamma, rep.alpha1, rep.alpha2)
     ip12 = weighted_inner(grid, z1, z2, ref_model)
     ip21 = weighted_inner(grid, z2, z1, ref_model)
     assert ip12 == pytest.approx(np.conj(ip21), rel=1e-12)

@@ -1,14 +1,15 @@
 """Spectrum reports, weighted resolvent norms, sweep verdicts."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import cholesky, svdvals
+from scipy.linalg import svdvals
 
 from heavychain import spectral
-from heavychain.discretization import assemble_generator, assemble_gram_weighted
+from heavychain.discretization import _weighted_terms, assemble_generator, sample_states
 from heavychain.model import (
     ControllerGains,
     check_admissibility,
@@ -34,9 +35,34 @@ REF_NORM_TAU1_N100 = 4.112956
 REF_NORM_TAU0_N100 = 24.98499
 
 
-def energy_gram(sys):
-    """The assembled energy Gram M_H, the matrix chol_H factors."""
-    return assemble_gram_weighted(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
+def energy_factor(sys):
+    """Dense R0 with R0^T R0 = M_H in the (w, v) order, positive diagonal:
+    QR of the dense stencil stack, the rows sqrt(s) T of the energy terms
+    and the coupling row j / sqrt(2).  No Gram is formed, so R0 carries
+    cond(G) rounding, not cond(G)^2."""
+    terms, (cols, vals) = _weighted_terms(sys.grid, sys.model, sys.gamma, sys.alpha1,
+                                          sys.alpha2)
+    npts = sys.grid.n + 1
+    stack = []
+    for block, s, factors in terms:
+        t = np.eye(npts)
+        for f in reversed(factors):
+            t = f @ t
+        rows = np.zeros((npts, 2 * npts))
+        rows[:, block * npts:(block + 1) * npts] = np.sqrt(s)[:, None] * t
+        stack.append(rows)
+    j = np.zeros((1, 2 * npts))
+    np.add.at(j[0], cols, vals / np.sqrt(2.0))
+    r0 = np.linalg.qr(np.vstack(stack + [j]), mode="r")
+    return np.sign(np.diag(r0))[:, None] * r0
+
+
+def dense_resolvent_norm(r0, a, tau):
+    """1 / sigma_min of R0 (i tau - A) R0^{-1}, all dense; one norm per
+    entry when tau is an array."""
+    r_inv, eye = np.linalg.inv(r0), np.eye(len(a))
+    norms = [1.0 / svdvals(r0 @ (1j * t * eye - a) @ r_inv)[-1] for t in np.ravel(tau)]
+    return np.reshape(norms, np.shape(tau))
 
 
 @pytest.fixture(scope="module")
@@ -87,38 +113,27 @@ def test_resolvent_norm_values(ref_sys):
 
 
 def test_resolvent_norm_tau0_is_inverse_norm(ref_sys):
-    c = cholesky(energy_gram(ref_sys), lower=False)
-    a_sim = c @ ref_sys.A.toarray() @ np.linalg.inv(c)
+    r0 = energy_factor(ref_sys)
+    a_sim = r0 @ ref_sys.A.toarray() @ np.linalg.inv(r0)
     direct = np.linalg.norm(np.linalg.inv(a_sim), 2)
     assert resolvent_norm_discrete(ref_sys, 0.0).norm == pytest.approx(direct, rel=1e-8)
 
 
 def test_resolvent_norm_matches_dense_svd(ref_model):
-    # dense reference: 1 / sigma_min of the similarity C (i tau - A) C^{-1}
+    # dense reference: 1 / sigma_min of the similarity R0 (i tau - A) R0^{-1}
     sys = assemble_generator(ref_model, 400)
-    c = cholesky(energy_gram(sys), lower=False)
-    c_inv = np.linalg.inv(c)
-    a = sys.A.toarray()
-    for tau in (0.0, 1.0, 10.0, 100.0):
-        smin = svdvals(c @ (1j * tau * np.eye(len(a)) - a) @ c_inv)[-1]
-        assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(1.0 / smin, rel=1e-8)
-
-
-def dense_resolvent_norm(gram, a, tau):
-    """1 / sigma_min of C (i tau - A) C^{-1} with gram = C^T C, all dense;
-    one norm per entry when tau is an array."""
-    c = cholesky(gram, lower=False)
-    c_inv, eye = np.linalg.inv(c), np.eye(len(a))
-    norms = [1.0 / svdvals(c @ (1j * t * eye - a) @ c_inv)[-1] for t in np.ravel(tau)]
-    return np.reshape(norms, np.shape(tau))
+    taus = np.array([0.0, 1.0, 10.0, 100.0])
+    refs = dense_resolvent_norm(energy_factor(sys), sys.A.toarray(), taus)
+    for tau, ref in zip(taus, refs):
+        assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(ref, rel=1e-8)
 
 
 def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
     # the default CLI sweep ends at tau = 1000
     a = ref_sys.A.toarray()
-    gram = energy_gram(ref_sys)
+    r0 = energy_factor(ref_sys)
     for tau in (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0):
-        ref = dense_resolvent_norm(gram, a, tau)
+        ref = dense_resolvent_norm(r0, a, tau)
         assert resolvent_norm_discrete(ref_sys, tau).norm == pytest.approx(ref, rel=1e-9)
 
 
@@ -141,7 +156,7 @@ def test_resolvent_norm_matches_dense_across_gains(ref_params):
     taus = np.geomspace(0.1, 1e3, 30)
     for m in admissible_gain_models(ref_params, 8, seed=11):
         sys = assemble_generator(m, 50)
-        refs = dense_resolvent_norm(energy_gram(sys), sys.A.toarray(), taus)
+        refs = dense_resolvent_norm(energy_factor(sys), sys.A.toarray(), taus)
         for tau, ref in zip(taus, refs):
             assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(ref, rel=1e-9)
 
@@ -152,7 +167,7 @@ def test_resolvent_norm_on_tiny_grids(ref_model):
     taus = np.array([0.0, 0.1, 1.0, 10.0, 100.0, 1000.0])
     for n in (4, 8):
         sys = assemble_generator(ref_model, n)
-        refs = dense_resolvent_norm(energy_gram(sys), sys.A.toarray(), taus)
+        refs = dense_resolvent_norm(energy_factor(sys), sys.A.toarray(), taus)
         for tau, ref in zip(taus, refs):
             assert resolvent_norm_discrete(sys, tau).norm == pytest.approx(ref, rel=1e-9)
 
@@ -180,9 +195,58 @@ def test_resolvent_norm_follows_replaced_gram(ref_model):
     sys = assemble_generator(ref_model, 50)
     before = resolvent_norm_discrete(sys, 1.0).norm  # factors M_H
     heavier = dataclasses.replace(sys, gamma=2.0 * sys.gamma)
-    ref = dense_resolvent_norm(energy_gram(heavier), sys.A.toarray(), 1.0)
+    ref = dense_resolvent_norm(energy_factor(heavier), sys.A.toarray(), 1.0)
     assert abs(ref - before) > 1e-3 * ref
     assert resolvent_norm_discrete(heavier, 1.0).norm == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("field", ["gamma", "alpha1", "alpha2", "model"])
+def test_resolvent_norm_follows_reassigned_field(ref_model, field):
+    # reassigning a field in place must rebuild the cached energy factor
+    sys = assemble_generator(ref_model, 50)
+    before = resolvent_norm_discrete(sys, 1.0).norm  # factors M_H
+    if field == "model":  # a stretched tension slope
+        sys.model = dataclasses.replace(sys.model, s_x=2.0 * sys.model.s_x)
+    else:
+        setattr(sys, field, 2.0 * getattr(sys, field))
+    ref = dense_resolvent_norm(energy_factor(sys), sys.A.toarray(), 1.0)
+    assert abs(ref - before) > 1e-3 * ref
+    assert resolvent_norm_discrete(sys, 1.0).norm == pytest.approx(ref, rel=1e-9)
+
+
+def test_energy_factor_is_banded_and_o_n(ref_model):
+    # R^T R = Pi M_H Pi^T in LAPACK upper band layout, built without an
+    # n x n array (one would take 82 MiB here)
+    sys = assemble_generator(ref_model, 1600)
+    tracemalloc.start()
+    try:
+        r = sys.chol_H
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, kb = sys.grid.size, 8  # the D1 (P D1) rows span 5 nodes, 9 interleaved columns
+    assert r.shape == (kb + 1, n)
+    assert np.all(r[kb] > 0.0)
+    assert peak < 5 * 2**20
+    upper = sparse.dia_array((r, kb - np.arange(kb + 1)), shape=(n, n))
+    states = sample_states(sys, 8, seed=0)
+    npts = sys.grid.n + 1
+    interleaved = np.stack([states[:, :npts], states[:, npts:]], axis=-1).reshape(len(states), n)
+    energy = np.sum(np.abs(upper @ interleaved.T) ** 2, axis=0)
+    # smooth states cancel entries of size P / dx^2 in the D1 (P D1) rows:
+    # every float64 route loses digits like eps / dx^2 here (applying the
+    # stencil rows themselves reads 2e-13 off a long-double evaluation)
+    np.testing.assert_allclose(energy, sys._energy(states), rtol=1e-11, atol=0.0)
+
+
+def test_resolvent_norm_refines_monotonically(ref_model):
+    # the tau = 0 norm falls under refinement, by less at each step; a
+    # Cholesky factor of the assembled Gram, with its squared conditioning,
+    # stepped 1.9e-4 from N = 800 to 1600 (7.5e-6 relative off this route)
+    norms = [resolvent_norm_discrete(assemble_generator(ref_model, n), 0.0).norm
+             for n in (400, 800, 1600)]
+    assert norms[0] > norms[1] > norms[2]
+    assert norms[1] - norms[2] < norms[0] - norms[1]
 
 
 def test_resolvent_norm_singular_shift_is_infinite(ref_sys):
@@ -190,6 +254,12 @@ def test_resolvent_norm_singular_shift_is_infinite(ref_sys):
     keep[0] = 0.0  # A with an exactly zero first column
     sys = dataclasses.replace(ref_sys, A=(ref_sys.A @ sparse.diags_array(keep)).tocsr())
     assert resolvent_norm_discrete(sys, 0.0).norm == float("inf")
+
+
+def test_indefinite_energy_is_refused(ref_sys):
+    sys = dataclasses.replace(ref_sys, alpha2=-1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        resolvent_norm_discrete(sys, 1.0)
 
 
 def test_resolvent_norm_even_in_tau(ref_sys):
