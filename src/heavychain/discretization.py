@@ -29,7 +29,8 @@ the sampled maximum isolates the discretisation error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -142,15 +143,16 @@ def _natural_terms(grid: Grid) -> list:
     return _sobolev_terms(grid) + [(1, ends, ())]
 
 
-def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float, alpha1: float,
-                    alpha2: float) -> tuple[list, tuple]:
+def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float) -> tuple[list, tuple]:
     """Terms and coupling row of the energy inner product.
 
     w: the damped divergence (P w')' = D1 (P D1 w), the gradient with the
     payload-end slope, the cart-end value; v: the damped gradient, the
     velocity with the payload and cart velocities; coupling: psi -
-    2 alpha1 P(0) w'(0) + 2 alpha2 w(0).
+    2 alpha1 P(0) w'(0) + 2 alpha2 w(0).  The feedback fixes alpha1 and
+    alpha2 (inner_product_weights); gamma is the one free weight.
     """
+    alpha1, alpha2 = inner_product_weights(m)
     n, dx = grid.n, grid.dx
     npts = n + 1
     q = trapezoid_weights(n, dx)
@@ -306,83 +308,70 @@ def sobolev_norms(grid: Grid, states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.stack(parts, axis=-1))
 
 
-def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float,
-                  alpha1: float, alpha2: float):
+def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float):
     """Energy norm of a state, or of each row of states, matrix-free.
 
     Equals sqrt(y^H M_H y) on grids where M_H can be formed; on long grids
     the assembled form loses digits like eps / dx^4, the stencils do not.
     """
-    terms, coupling = _weighted_terms(grid, m, gamma, alpha1, alpha2)
+    terms, coupling = _weighted_terms(grid, m, gamma)
     return np.sqrt(_form(terms, states, coupling))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSystem:
-    """Sparse generator on one grid plus the weights of its energy form.
+    """Sparse generator on one grid and the free weight gamma of its energy.
 
-    The energy form M_H is read matrix-free from its stencil terms and is
-    never assembled; chol_H factors it from the same terms.
+    The energy form M_H follows from (grid, model, gamma): the model fixes
+    its other weights.  It is read matrix-free from its stencil terms and
+    never assembled; chol_H factors it from the same terms.  Both are built
+    on first use and kept; the system is frozen, so dataclasses.replace is
+    the only way to change a field, and the new system builds its own.
     """
 
     grid: Grid
     model: RescaledModel
     A: sparse.csr_array
     gamma: float
-    alpha1: float
-    alpha2: float
-    _chol: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
+    def energy(self) -> tuple[list, tuple]:
+        """(terms, coupling) of the energy form M_H, see _weighted_terms."""
+        return _weighted_terms(self.grid, self.model, self.gamma)
+
+    @cached_property
     def chol_H(self) -> np.ndarray:
         """Upper-banded R with R^T R = Pi M_H Pi^T, Pi the node-interleaved
         order (w_0, v_0, w_1, v_1, ...), so |z|_H = |R Pi z|_2; in LAPACK
         upper band layout (kb + 1, n), see _energy_factor.  Built in O(n) on
-        first use and rebuilt when grid, model, gamma, alpha1 or alpha2 has
-        been reassigned since."""
-        fields = (self.grid, self.model, self.gamma, self.alpha1, self.alpha2)
-        if self._chol is None or any(a is not b for a, b in zip(fields, self._chol[0])):
-            terms, coupling = _weighted_terms(*fields)
-            self._chol = (fields, _energy_factor(terms, coupling, self.grid.n + 1))
-        return self._chol[1]
+        first use."""
+        terms, coupling = self.energy
+        return _energy_factor(terms, coupling, self.grid.n + 1)
 
-    def _energy(self, x: np.ndarray, y: np.ndarray | None = None):
-        """Re(y^H M_H x), matrix-free, for one state or for each row; y defaults to x."""
-        terms, coupling = _weighted_terms(self.grid, self.model, self.gamma,
-                                          self.alpha1, self.alpha2)
-        if y is None:
-            return _form(terms, x, coupling)
-        return _forms(terms, x, y, coupling)[0]
+    def _energy(self, x: np.ndarray):
+        """x^H M_H x, matrix-free, for one state or for each row."""
+        terms, coupling = self.energy
+        return _form(terms, x, coupling)
 
     def weighted_norm(self, vec: np.ndarray) -> float:
         return float(np.sqrt(max(self._energy(vec), 0.0)))
 
 
 def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> GeneratorSystem:
-    """Build the sparse generator and the energy weights on n intervals.
+    """Build the sparse generator on n intervals, with the energy weight gamma.
 
     gamma defaults to the certified value from the admissibility report;
     pass it explicitly to probe non-admissible coefficient sets.
     """
-    rep = check_admissibility(m)
     if gamma is None:
+        rep = check_admissibility(m)
         if not rep.admissible:
             raise ValueError(
                 "model not admissible (%s); pass gamma explicitly" % "; ".join(rep.violations)
             )
         gamma = rep.gamma
-        alpha1, alpha2 = rep.alpha1, rep.alpha2
-    else:
-        alpha1, alpha2 = inner_product_weights(m)
     grid = Grid.make(n, m.length)
-    return GeneratorSystem(
-        grid=grid,
-        model=m,
-        A=generator_matrix(m, grid),
-        gamma=gamma,
-        alpha1=alpha1,
-        alpha2=alpha2,
-    )
+    return GeneratorSystem(grid=grid, model=m, A=generator_matrix(m, grid), gamma=gamma)
 
 
 # --- smooth random states -------------------------------------------------
@@ -508,7 +497,7 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
     order-one positive residuals for generic states.
     """
     states = sample_states(sys, samples, seed=seed)
-    terms, coupling = _weighted_terms(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
+    terms, coupling = sys.energy
     numerator, denominator = _forms(terms, (sys.A @ states.T).T, states, coupling)
     resid = numerator / denominator
     max_r = float(resid.max())

@@ -271,7 +271,8 @@ def injectivity_check(tau: float, m: RescaledModel) -> float:
     data (1, c0): the flux u = P w' obeys the oscillator of the pair with
     u(0) = P(0) c0 and u'(0) = -tau^2, so u = P(0) c0 phi2 - tau phi1 and
     w = -u' / tau^2.  Returns the defect of the payload condition
-    w'(L) = tau^2 w(L).  A positive margin rules out a nontrivial kernel
+    w'(L) = tau^2 w(L), which is (tau / P(L)) |N(tau)| with N the boundary
+    determinant of the resolvent pipeline.  A positive margin rules out a nontrivial kernel
     at this frequency; the admissibility hypotheses keep Im(c0) away from
     zero, which is what makes the certificate meaningful.
     """
@@ -286,13 +287,9 @@ def injectivity_check(tau: float, m: RescaledModel) -> float:
         # at zero frequency invertibility is the closed-form inverse's
         # existence, governed by theta3 alone
         return abs(m.theta3)
-    phi1, phi1p, phi2, phi2p = _pair_values(tau, m.tension.value0, m.tension.slope,
-                                            m.length)
-    u0 = float(m.tension0) * c0_coefficient(tau, m)
-    u_end = u0 * phi2 - tau * phi1
-    up_end = u0 * phi2p - tau * phi1p
-    # w'(L) - tau^2 w(L) with w' = u / P and tau^2 w = -u'
-    return float(np.abs(u_end / m.tensionL + up_end))
+    # w'(L) - tau^2 w(L) = (u + P u')(L) / P(L) with w' = u / P and
+    # tau^2 w = -u', and (u + P u')(L) = -tau N(tau)
+    return tau / float(m.tensionL) * float(denominator_values(m, [tau])[0])
 
 
 @dataclass
@@ -340,7 +337,7 @@ def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
     # The gain is measured in the same weighted energy norm the matrix
     # side uses for its operator norms, so the two sweeps are directly
     # comparable; the Sobolev norms above only scale the residual.
-    sol_energy, data_energy = weighted_norm(grid, states, m, rep.gamma, rep.alpha1, rep.alpha2)
+    sol_energy, data_energy = weighted_norm(grid, states, m, rep.gamma)
     if data_norm > 0.0:
         residual = max(lines) / data_norm
         gain = sol_energy / data_energy

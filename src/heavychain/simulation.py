@@ -39,7 +39,6 @@ from heavychain.operator import diff_matrix, trapezoid_weights
 
 __all__ = [
     "C_LYAPUNOV",
-    "ENERGY_COLUMNS",
     "Trajectory",
     "EnergyTrace",
     "IdentityReport",
@@ -49,8 +48,6 @@ __all__ = [
     "verify_energy_identity",
     "decay_fit",
 ]
-
-ENERGY_COLUMNS = ("t", "Hbar", "Vbar", "V", "dVdt_lhs", "dVdt_rhs", "norm_H")
 
 # Allowance for the energy-balance residual, residual <= C * (dt^2 + dx^2)
 # * max|V|, with dt and dx in physical units.  Calibrated on the reference

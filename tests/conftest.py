@@ -56,10 +56,10 @@ def _gram(terms: list, npts: int, coupling: tuple) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def energy_gram():
-    """energy_gram(grid, model, gamma, alpha1, alpha2): the dense energy
-    Gram M_H assembled from the stencil terms, the quadrature tests'
-    reference for the matrix-free forms."""
-    def assemble(grid, m, gamma, alpha1, alpha2):
-        terms, coupling = _weighted_terms(grid, m, gamma, alpha1, alpha2)
+    """energy_gram(grid, model, gamma): the dense energy Gram M_H
+    assembled from the stencil terms, the quadrature tests' reference for
+    the matrix-free forms."""
+    def assemble(grid, m, gamma):
+        terms, coupling = _weighted_terms(grid, m, gamma)
         return _gram(terms, grid.n + 1, coupling)
     return assemble

@@ -9,6 +9,7 @@ from heavychain.discretization import (
     Grid,
     _bump_profiles,
     _form,
+    _forms,
     _mode_table,
     _natural_terms,
     assemble_generator,
@@ -159,7 +160,7 @@ def test_generator_is_sparse_with_stencil_entries(ref_model):
 
 def system_gram(energy_gram, sys):
     """The assembled energy Gram M_H of a generator system."""
-    return energy_gram(sys.grid, sys.model, sys.gamma, sys.alpha1, sys.alpha2)
+    return energy_gram(sys.grid, sys.model, sys.gamma)
 
 
 def test_gram_matrices_match_quadrature(ref_model, energy_gram):
@@ -190,13 +191,12 @@ def test_matrix_free_norms_match_grams(ref_model, energy_gram):
     gram = system_gram(energy_gram, sys)
     npts = sys.grid.n + 1
     states = sample_states(sys, 12, seed=4)
-    energy = weighted_norm(sys.grid, states, ref_model, sys.gamma, sys.alpha1, sys.alpha2)
+    energy = weighted_norm(sys.grid, states, ref_model, sys.gamma)
     sobolev = sobolev_norms(sys.grid, states)
     for vec, e, (h2, h1) in zip(states, energy, sobolev):
         assert e == pytest.approx(np.sqrt(np.vdot(vec, gram @ vec).real), rel=5e-12)
         assert e == pytest.approx(sys.weighted_norm(vec), rel=1e-14)
-        assert e == pytest.approx(
-            weighted_norm(sys.grid, vec, ref_model, sys.gamma, sys.alpha1, sys.alpha2), rel=1e-14)
+        assert e == pytest.approx(weighted_norm(sys.grid, vec, ref_model, sys.gamma), rel=1e-14)
         w, v = vec[:npts], vec[npts:]
         zero = np.zeros(npts)
         assert h2 == pytest.approx(np.sqrt(natural_quadrature(sys.grid, np.concatenate([w, zero]))),
@@ -221,11 +221,12 @@ def test_dissipativity_numerator_matches_gram(ref_model, energy_gram):
     # against the assembled Gram, on a scale set by the two norms
     sys = assemble_generator(ref_model, 80)
     gram = system_gram(energy_gram, sys)
+    terms, coupling = sys.energy
     for z in sample_states(sys, 12, seed=6):
         az = sys.A @ z
         ref = np.vdot(z, gram @ az).real
         scale = sys.weighted_norm(z) * sys.weighted_norm(az)
-        assert abs(sys._energy(az, z) - ref) <= 1e-11 * scale
+        assert abs(_forms(terms, az, z, coupling)[0] - ref) <= 1e-11 * scale
 
 
 def test_h2_norm_second_order_on_long_grids():

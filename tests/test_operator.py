@@ -48,7 +48,7 @@ def weighted_inner(grid, z1, z2, m):
     """z2^H M_H z1 from the matrix-free norm, by the polarization identity."""
     rep = check_admissibility(m)
     return sum(
-        1j**k * weighted_norm(grid, z1 + 1j**k * z2, m, rep.gamma, rep.alpha1, rep.alpha2) ** 2
+        1j**k * weighted_norm(grid, z1 + 1j**k * z2, m, rep.gamma) ** 2
         for k in range(4)
     ) / 4.0
 
@@ -125,7 +125,7 @@ def test_weighted_inner_term_isolation(ref_model):
         + alpha1 * gamma * m.tensionL * dw[-1] ** 2
         + alpha2 * w_vals[0] ** 2
     )
-    got = weighted_norm(grid, vec, m, gamma, alpha1, alpha2) ** 2
+    got = weighted_norm(grid, vec, m, gamma) ** 2
     assert got == pytest.approx(expected, rel=1e-7)
 
 
@@ -134,7 +134,7 @@ def test_weighted_inner_conjugate_symmetry(ref_model, energy_gram):
     grid, z1 = smooth_state(ref_model, 80, seed=5)
     _, z2 = smooth_state(ref_model, 80, seed=6)
     rep = check_admissibility(ref_model)
-    M = energy_gram(grid, ref_model, rep.gamma, rep.alpha1, rep.alpha2)
+    M = energy_gram(grid, ref_model, rep.gamma)
     ip12 = weighted_inner(grid, z1, z2, ref_model)
     ip21 = weighted_inner(grid, z2, z1, ref_model)
     assert ip12 == pytest.approx(np.conj(ip21), rel=1e-12)
@@ -161,7 +161,7 @@ def test_boundary_functional_values(ref_model):
     m = ref_model
     rep = check_admissibility(m)
     grid = Grid.make(200, m.length)
-    _, (cols, vals) = _weighted_terms(grid, m, rep.gamma, rep.alpha1, rep.alpha2)
+    _, (cols, vals) = _weighted_terms(grid, m, rep.gamma)
 
     def boundary_functional(w):
         return vals @ np.concatenate([w, np.zeros_like(w)])[cols]

@@ -1,5 +1,7 @@
 """Crank-Nicolson stepping, physical energy ledger, decay fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,6 +12,7 @@ from heavychain.discretization import (
     assemble_generator,
     sample_states,
 )
+from heavychain.model import ControllerGains, derive_physical_thetas, rescale
 from heavychain.simulation import (
     C_LYAPUNOV,
     _jump_pays,
@@ -103,6 +106,21 @@ def test_energy_identity_refinement(ref_model, ref_params, ref_gains):
         residuals.append(rep.residual)
     ratio = residuals[0] / residuals[1]
     assert 3.0 < ratio < 5.0
+    # An admissible gain draw whose residual, from one seeded state, sits
+    # 2.1x above the C_LYAPUNOV bound at every N (2.48, 2.16, 2.10, 2.10 at
+    # N = 50-400): the frozen constant is not uniform over gains and
+    # states.  The residual still falls at second order.
+    gains = ControllerGains(0.8363547788869565, 1.8957948695581766, 4.818263946288127)
+    m = rescale(ref_params, derive_physical_thetas(ref_params, gains))
+    residuals = []
+    for n in (100, 200):
+        sys = assemble_generator(m, n)
+        z0 = sample_states(sys, 1, seed=727432751)[0].real
+        dt = sys.grid.dx / (8.0 * np.sqrt(m.tension0))
+        tr = simulate(z0, sys, 200 * dt, dt=dt)
+        residuals.append(verify_energy_identity(energies(tr, ref_params, gains)).residual)
+    ratio = residuals[0] / residuals[1]
+    assert 3.0 < ratio < 5.0
 
 
 def test_decay_fit_pure_mode(ref_model):
@@ -172,7 +190,7 @@ def test_cn_conserves_interior_wave_energy(ref_model):
 def test_singular_step_matrix_raises(ref_model):
     # A = (2/dt) I makes I - dt/2 A vanish
     sys = assemble_generator(ref_model, 10)
-    sys.A = 2.0 * sparse.eye_array(sys.grid.size, format="csr")
+    sys = dataclasses.replace(sys, A=2.0 * sparse.eye_array(sys.grid.size, format="csr"))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         simulate(np.ones(sys.grid.size), sys, 2.0, dt=1.0)
 
