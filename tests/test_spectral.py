@@ -190,6 +190,15 @@ def test_resolvent_norm_application_count(ref_sys, monkeypatch):
     assert np.mean(applications) <= 15.0
 
 
+def test_resolvent_norm_follows_replaced_gram(ref_model):
+    sys = assemble_generator(ref_model, 50)
+    before = resolvent_norm_discrete(sys, 1.0).norm  # factors M_H
+    heavier = dataclasses.replace(sys, gamma=2.0 * sys.gamma)
+    ref = dense_resolvent_norm(energy_factor(heavier), sys.A.toarray(), 1.0)
+    assert abs(ref - before) > 1e-3 * ref
+    assert resolvent_norm_discrete(heavier, 1.0).norm == pytest.approx(ref, rel=1e-9)
+
+
 @pytest.mark.parametrize("field", ["gamma", "model"])
 def test_resolvent_norm_follows_reassigned_field(ref_model, field):
     # a field cannot be reassigned in place; a replaced system builds its
