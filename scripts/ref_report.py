@@ -70,8 +70,8 @@ def main():
     x = sys_h.grid.x
     zd = resolvent_apply_discrete(sys_h, args.tau,
                                   np.concatenate([f(x), zero(x)]))
-    wc = np.interp(x, sol.w.x, sol.w.y.real) + 1j * np.interp(x, sol.w.x, sol.w.y.imag)
-    vc = np.interp(x, sol.v.x, sol.v.y.real) + 1j * np.interp(x, sol.v.x, sol.v.y.imag)
+    wc = np.interp(x, sol.x, sol.w.real) + 1j * np.interp(x, sol.x, sol.w.imag)
+    vc = np.interp(x, sol.x, sol.v.real) + 1j * np.interp(x, sol.x, sol.v.imag)
     diff = sys_h.weighted_norm(-np.concatenate([wc, vc]) - zd)
     diff /= sys_h.weighted_norm(zd)
     print(f"resolvent at tau={args.tau:g}: gain {sol.gain:.5f}, "

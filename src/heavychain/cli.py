@@ -480,8 +480,8 @@ def _run_bvp(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
         out_dir, "bvp_summary",
         ["tau", "gain", "residual", "c1_re", "c1_im", "c2_re", "c2_im",
          "a0", "a1"], srows, fmt))
-    rows = np.column_stack([sol.w.x, sol.w.y.real, sol.w.y.imag,
-                            sol.v.y.real, sol.v.y.imag])
+    rows = np.column_stack([sol.x, sol.w.real, sol.w.imag,
+                            sol.v.real, sol.v.imag])
     report.artifacts.append(_write_table(
         out_dir, "bvp_solution", ["x", "w_re", "w_im", "v_re", "v_im"],
         rows, fmt))

@@ -1,23 +1,21 @@
-"""State space machinery on uniformly sampled functions.
+"""Grid-level building blocks of the generator.
 
 A closed-loop state is z = (w, v, xi, psi) with deflection w, velocity v
-and the two boundary velocities xi = v(length), psi = v(0) carried as
-explicit components.  The generator acts as
+and the two boundary velocities xi = v(length), psi = v(0).  On the grid
+it is one vector (w_0..w_N, v_0..v_N), so xi and psi are v_N and v_0.
+The generator acts as
 
     z  |->  ( v,  (P w')',  -w'(length),  feedback(z) )
 
 subject to the domain conditions (P w')'(length) = -w'(length) and
-(P w')'(0) = feedback(z).  This module holds the grid-level building
-blocks: sampled functions and states, the sparse second-order difference
-stencils (central in the interior, one-sided at the ends), the trapezoid
-weights, and the closed-form inverse of the generator that serves as a
-discretization oracle.  The two discrete energies are defined once, from
+(P w')'(0) = feedback(z).  This module holds the sparse second-order
+difference stencils (central in the interior, one-sided at the ends),
+the trapezoid weights, and the closed-form inverse of the generator that
+serves as a discretization oracle.  The two discrete energies are defined once, from
 these stencils, in :mod:`heavychain.discretization`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -25,8 +23,6 @@ from scipy import sparse
 from heavychain.model import RescaledModel
 
 __all__ = [
-    "SampledFunction",
-    "StateZ",
     "diff_matrix",
     "diff2_matrix",
     "trapezoid_weights",
@@ -67,72 +63,29 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-@dataclass
-class SampledFunction:
-    """Samples of a function on a uniform grid."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x)
-        self.y = np.asarray(self.y)
-        if self.x.shape != self.y.shape:
-            raise ValueError("grid / value shape mismatch")
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
-    def at0(self):
-        return self.y[0]
-
-    @property
-    def atL(self):
-        return self.y[-1]
-
-    def cumulative(self) -> "SampledFunction":
-        out = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (self.y[1:] + self.y[:-1]) * self.dx))
-        )
-        return SampledFunction(self.x, out)
+def _running_integral(y: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid running integral int_0^x y on a uniform grid."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * dx)))
 
 
-@dataclass
-class StateZ:
-    """State (w, v, xi, psi); xi and psi double the boundary velocities."""
-
-    w: SampledFunction
-    v: SampledFunction
-    xi: complex
-    psi: complex
-
-    @classmethod
-    def from_functions(cls, w: SampledFunction, v: SampledFunction) -> "StateZ":
-        return cls(w=w, v=v, xi=v.atL, psi=v.at0)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.w.x
-
-
-def invert_generator(f: SampledFunction, g: SampledFunction, m: RescaledModel) -> StateZ:
+def invert_generator(x: np.ndarray, f: np.ndarray, g: np.ndarray,
+                     m: RescaledModel) -> np.ndarray:
     """Solve  A z = (f, g, g(length), g(0))  in closed form.
 
-    The construction integrates g twice through the tension profile:
+    f and g are samples on the uniform grid x.  The construction
+    integrates g twice through the tension profile:
     v = f,   w'(x) = (-P(length)*g(length) + int_length^x g) / P(x),
-    and the cart equation pins w(0) (theta3 must not vanish).
+    and the cart equation pins w(0) (theta3 must not vanish).  Returns
+    z = (w_0..w_N, v_0..v_N), the generator's state layout, in which the
+    boundary velocities xi = v(length) and psi = v(0) are v_N and v_0.
     """
     if m.theta3 == 0.0:
         raise ValueError("theta3 = 0: generator is not invertible")
-    x, dx = f.x, f.dx
+    dx = float(x[1] - x[0])
     P = m.tension(x)
-    cum_g = g.cumulative().y  # int_0^x g
+    cum_g = _running_integral(g, dx)  # int_0^x g
     int_from_L = cum_g - cum_g[-1]  # int_length^x g
-    dw = (-m.tensionL * g.y[-1] + int_from_L) / P
-    df0 = (diff_matrix(len(x) - 1, dx) @ f.y)[0]
-    w0 = (g.y[0] - m.theta1 * f.y[0] - m.theta2 * df0 - m.theta4 * dw[0]) / m.theta3
-    w_vals = w0 + SampledFunction(x, dw).cumulative().y
-    w = SampledFunction(x, w_vals)
-    return StateZ.from_functions(w, SampledFunction(x, f.y.copy()))
+    dw = (-m.tensionL * g[-1] + int_from_L) / P
+    df0 = (diff_matrix(len(x) - 1, dx) @ f)[0]
+    w0 = (g[0] - m.theta1 * f[0] - m.theta2 * df0 - m.theta4 * dw[0]) / m.theta3
+    return np.concatenate([w0 + _running_integral(dw, dx), f])

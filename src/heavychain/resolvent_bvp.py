@@ -15,7 +15,8 @@ fundamental pair (phi1, phi2) of the homogeneous oscillator supplies the
 Green kernel J(x, t) = (phi1(x) phi2(t) - phi2(x) phi1(t)) / W with
 constant Wronskian W = tau, and two boundary conditions fix the free
 coefficients c1, c2.  The hanging chain's tension is affine, so the pair
-is evaluated in closed form: with u = 2 tau sqrt(P) / |P'| the oscillator
+is evaluated in closed form from the two numbers of its AffineTension,
+P(0) and P': with u = 2 tau sqrt(P) / |P'| the oscillator
 is solved by sqrt(P) Z1(u), Z in {J, Y}, whose slope is sign(P') tau Z0(u)
 (the classical hanging-chain solution; sines and cosines when P' = 0).
 The fields are then recovered through
@@ -26,7 +27,9 @@ and every accepted solve reports the defect of all four lines of the
 original system, measured with fourth-order finite differences that are
 independent of the reconstruction.  Frequencies below |tau| = 0.1 skip
 the tau^{-2} division and solve the coupled system directly by
-collocation on a fine grid.
+collocation on a fine grid.  Data f, g (and their optional derivatives)
+are callables on [0, L]; a solution comes back as the arrays w, v on its
+grid x.
 """
 
 from __future__ import annotations
@@ -35,12 +38,15 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import factorial, j0, j1, y0, y1
 
 from heavychain.discretization import Grid, assemble_generator, sobolev_norms, weighted_norm
-from heavychain.model import AdmissibilityReport, RescaledModel, check_admissibility
-from heavychain.operator import SampledFunction
+from heavychain.model import (
+    AdmissibilityReport,
+    AffineTension,
+    RescaledModel,
+    check_admissibility,
+)
 from heavychain.spectral import ResolventSample, resolvent_apply_discrete
 
 __all__ = [
@@ -72,6 +78,9 @@ SMALL_TAU = 0.1
 # Smallest output grid: keeps fourth-order residual audits meaningful at
 # low frequency where the wavelength count stops driving the resolution.
 MIN_GRID = 1600
+
+# Cells of the generator grid that the small-frequency collocation solve uses.
+COLLOCATION_CELLS = 2000
 
 
 def _fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
@@ -108,17 +117,6 @@ def _fd4(y: np.ndarray, dx: float, m: int = 1) -> np.ndarray:
     return out / dx ** m
 
 
-def _as_values(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate a callable or resample a SampledFunction onto x."""
-    if isinstance(f, SampledFunction):
-        if len(f.x) == len(x) and np.allclose(f.x, x):
-            return np.asarray(f.y)
-        return CubicSpline(f.x, f.y)(x)
-    if callable(f):
-        return np.asarray(f(x))
-    raise TypeError("data must be a SampledFunction or a callable")
-
-
 @dataclass(frozen=True)
 class FundamentalPair:
     """Real solutions of y'' + (tau^2/P) y = 0 normalised at x = 0.
@@ -138,10 +136,6 @@ class FundamentalPair:
     @property
     def wronskian(self) -> float:
         return self.tau
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
 
 
 def _pair_values(tau: float, p0: float, slope: float, x):
@@ -169,26 +163,13 @@ def _pair_values(tau: float, p0: float, slope: float, x):
             (bp0 * a - ap0 * b) / det, (bp0 * ap - ap0 * bp) / det)
 
 
-def _affine_coefficients(tension, length: float) -> tuple[float, float]:
-    """(P(0), P') of a tension callable; refuses one that is not affine and positive."""
-    xs = np.linspace(0.0, length, 5)
-    # a constant tension may come back as a scalar
-    pv = np.asarray(tension(xs), dtype=float) * np.ones_like(xs)
-    p0 = float(pv[0])
-    slope = float(pv[-1] - pv[0]) / length
-    if np.max(np.abs(pv - (p0 + slope * xs))) > 1e-12 * np.max(np.abs(pv)):
-        raise ValueError("the closed-form pair needs an affine tension")
-    if min(pv[0], pv[-1]) <= 0.0:
-        raise ValueError("tension must be positive on [0, length]")
-    return p0, slope
-
-
-def fundamental_pair(tau: float, tension, length: float, tol: float = 1e-8,
+def fundamental_pair(tau: float, tension: AffineTension, length: float,
+                     tol: float = 1e-8,
                      points_per_wavelength: int = 400) -> FundamentalPair:
     """Closed-form oscillator pair sampled on a wavelength-resolving grid.
 
-    tension must be an affine callable, positive on [0, length].  tol
-    bounds the accepted Wronskian drift (relative to tau).
+    The affine tension P(x) = value0 + slope*x must be positive on
+    [0, length].  tol bounds the accepted Wronskian drift (relative to tau).
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive (negative frequencies by conjugation)")
@@ -197,8 +178,10 @@ def fundamental_pair(tau: float, tension, length: float, tol: float = 1e-8,
             "tau=%g beyond the resolution cap TAU_CAP=%g: cost grows linearly "
             "in tau with no new information" % (tau, TAU_CAP)
         )
-    p0, slope = _affine_coefficients(tension, length)
+    p0, slope = tension.value0, tension.slope
     pmin = min(p0, p0 + slope * length)
+    if pmin <= 0.0:
+        raise ValueError("tension must be positive on [0, length]")
     wavelength = 2.0 * np.pi * np.sqrt(pmin) / tau
     n = max(MIN_GRID, int(np.ceil(points_per_wavelength * length / wavelength)))
     x = np.linspace(0.0, length, n + 1)
@@ -237,24 +220,14 @@ def _greens_values(fv: np.ndarray, pair: FundamentalPair):
     return i0, i1
 
 
-def greens_apply(f, pair: FundamentalPair):
-    """Cumulative kernel integrals I0 = int_0^x f J and I1 = int_0^x f dJ/dx.
+def greens_apply(f, pair: FundamentalPair) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative kernel integrals I0 = int_0^x f J and I1 = int_0^x f dJ/dx
+    of a callable f, sampled on the pair's grid.
 
     The kernel J(x,t) separates in (x, t), so both integrals reduce to two
     running quadratures against phi1 and phi2.
     """
-    if isinstance(f, SampledFunction):
-        if len(f.x) != len(pair.x) or not np.allclose(f.x, pair.x):
-            raise ValueError("data must live on the pair's grid")
-        fv = np.asarray(f.y)
-    elif callable(f):
-        fv = np.asarray(f(pair.x))
-    else:
-        fv = np.asarray(f)
-        if fv.shape != pair.x.shape:
-            raise ValueError("data must live on the pair's grid")
-    i0, i1 = _greens_values(fv, pair)
-    return SampledFunction(pair.x, i0), SampledFunction(pair.x, i1)
+    return _greens_values(np.asarray(f(pair.x)), pair)
 
 
 def c0_coefficient(tau: float, m: RescaledModel) -> complex:
@@ -294,11 +267,12 @@ def injectivity_check(tau: float, m: RescaledModel) -> float:
 
 @dataclass
 class ResolventSolution:
-    """Reconstructed resolvent pair with its audit trail."""
+    """Reconstructed resolvent pair on the grid x, with its audit trail."""
 
     tau: float
-    w: SampledFunction
-    v: SampledFunction
+    x: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
     c1: complex
     c2: complex
     a0: complex
@@ -345,7 +319,7 @@ def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
         residual = max(lines)
         gain = 0.0
     return ResolventSolution(
-        tau=float(tau), w=SampledFunction(x, wv), v=SampledFunction(x, vv),
+        tau=float(tau), x=x, w=wv, v=vv,
         c1=complex(c1), c2=complex(c2), a0=complex(a0), a1=complex(a1),
         denominator=complex(den), norms=sol_norm, data_norms=data_norms,
         residual=float(residual), residual_lines=lines, gain=float(gain),
@@ -353,21 +327,17 @@ def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
     )
 
 
-def _derivative_values(f, x, fv, explicit):
+def _derivative_values(x, fv, explicit):
     if explicit is not None:
         return np.asarray(explicit(x))
-    if isinstance(f, SampledFunction) and not (
-        len(f.x) == len(x) and np.allclose(f.x, x)
-    ):
-        return CubicSpline(f.x, f.y).derivative()(x)
     return _fd4(fv, float(x[1] - x[0]))
 
 
-def _solve_collocation(f, g, tau, m, rep, n):
-    sys = assemble_generator(m, n)
+def _solve_collocation(f, g, tau, m, rep):
+    sys = assemble_generator(m, COLLOCATION_CELLS)
     x = sys.grid.x
-    fv = _as_values(f, x)
-    gv = _as_values(g, x)
+    fv = np.asarray(f(x))
+    gv = np.asarray(g(x))
     z = -resolvent_apply_discrete(sys, tau, np.concatenate([fv, gv]))
     wv, vv = z[:sys.grid.n + 1], z[sys.grid.n + 1:]
     return _package(x, wv, vv, fv, gv, tau, m, rep,
@@ -392,8 +362,8 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
                         f_prime=None, g_prime=None) -> ResolventSolution:
     """Solve (A - i tau)(w, v) = (f, g) at the continuous level.
 
-    Data may be callables or SampledFunctions; optional f_prime/g_prime
-    callables supply analytic derivatives (finite differences otherwise).
+    Data are callables on [0, length]; optional f_prime/g_prime callables
+    supply analytic derivatives (finite differences otherwise).
     |tau| < 0.1 falls back to a direct collocation solve; negative tau is
     handled by conjugation symmetry.
     """
@@ -408,24 +378,23 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
         )
         return replace(
             conj, tau=float(tau),
-            w=SampledFunction(conj.w.x, np.conj(conj.w.y)),
-            v=SampledFunction(conj.v.x, np.conj(conj.v.y)),
+            w=np.conj(conj.w), v=np.conj(conj.v),
             c1=np.conj(conj.c1), c2=np.conj(conj.c2),
             a0=np.conj(conj.a0), a1=np.conj(conj.a1),
             denominator=np.conj(conj.denominator),
         )
     if tau < SMALL_TAU:
-        return _solve_collocation(f, g, tau, m, rep, 2000)
+        return _solve_collocation(f, g, tau, m, rep)
 
     if pair is None:
         pair = fundamental_pair(tau, m.tension, m.length)
     elif abs(pair.tau - tau) > 1e-12 * max(1.0, tau):
         raise ValueError("supplied fundamental pair was built for another tau")
     x = pair.x
-    fv = _as_values(f, x)
-    gv = _as_values(g, x)
-    fpv = _derivative_values(f, x, fv, f_prime)
-    gpv = _derivative_values(g, x, gv, g_prime)
+    fv = np.asarray(f(x))
+    gv = np.asarray(g(x))
+    fpv = _derivative_values(x, fv, f_prime)
+    gpv = _derivative_values(x, gv, g_prime)
 
     theta1, theta2, theta3, theta4 = m.thetas
     p0, pl, length = float(m.tension0), float(m.tensionL), m.length
@@ -461,11 +430,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
 
 
 def _conjugate_data(f):
-    if f is None:
-        return None
-    if isinstance(f, SampledFunction):
-        return SampledFunction(f.x, np.conj(f.y))
-    return lambda x: np.conj(f(x))
+    return None if f is None else lambda x: np.conj(f(x))
 
 
 def denominator_values(m: RescaledModel, taus) -> np.ndarray:
@@ -546,7 +511,8 @@ class KernelDecayStudy:
     slope_i1: float
 
 
-def kernel_decay_study(tau_grid, f, tension, length: float) -> KernelDecayStudy:
+def kernel_decay_study(tau_grid, f, tension: AffineTension,
+                       length: float) -> KernelDecayStudy:
     """Log-log decay rates of the kernel integrals against frequency.
 
     Expects a logarithmic grid spanning at least two decades above tau=10;
@@ -562,7 +528,7 @@ def kernel_decay_study(tau_grid, f, tension, length: float) -> KernelDecayStudy:
     for k, tau in enumerate(taus):
         ppw = int(max(160, 1.2 * tau))
         pair = fundamental_pair(tau, tension, length, points_per_wavelength=ppw)
-        fv = _as_values(f, pair.x)
+        fv = np.asarray(f(pair.x))
         if not np.any(np.abs(fv) > 0.0):
             raise ValueError("degenerate study: data vanishes identically")
         i0, i1 = _greens_values(fv, pair)

@@ -42,7 +42,6 @@ __all__ = [
     "ResolventSample",
     "HuangReport",
     "spectrum",
-    "spectrum_of_matrix",
     "resolvent_norm_discrete",
     "resolvent_sweep",
     "resolvent_apply_discrete",
@@ -74,17 +73,13 @@ class SpectrumReport:
         return self.abscissa < 0.0
 
 
-def spectrum_of_matrix(a: np.ndarray) -> SpectrumReport:
+def spectrum(sys: GeneratorSystem) -> SpectrumReport:
+    """Dense spectrum of the semi-discrete generator (a dense copy of A)."""
     try:
-        lam = np.linalg.eigvals(a)
+        lam = np.linalg.eigvals(sys.A.toarray())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError("dense eigensolver failed: %s" % exc) from exc
     return SpectrumReport.from_eigenvalues(lam)
-
-
-def spectrum(sys: GeneratorSystem) -> SpectrumReport:
-    """Dense spectrum of the semi-discrete generator (a dense copy of A)."""
-    return spectrum_of_matrix(sys.A.toarray())
 
 
 @dataclass(frozen=True)

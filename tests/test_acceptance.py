@@ -20,12 +20,13 @@ from heavychain.discretization import (
 from heavychain.model import (
     ControllerGains,
     PhysicalParams,
+    AffineTension,
     check_admissibility,
     chi3_threshold,
     derive_physical_thetas,
     rescale,
 )
-from heavychain.operator import SampledFunction, invert_generator
+from heavychain.operator import invert_generator
 from heavychain.resolvent_bvp import (
     continuous_resolvent_sweep,
     fundamental_pair,
@@ -199,10 +200,10 @@ def pipeline_battery(ref_model, ref_sys400):
                                       f_prime=fp, g_prime=gp)
             rhs = np.concatenate([f(x), g(x)])
             zd = resolvent_apply_discrete(sys_h, tau, rhs)
-            wc = np.interp(x, sol.w.x, sol.w.y.real) \
-                + 1j * np.interp(x, sol.w.x, sol.w.y.imag)
-            vc = np.interp(x, sol.v.x, sol.v.y.real) \
-                + 1j * np.interp(x, sol.v.x, sol.v.y.imag)
+            wc = np.interp(x, sol.x, sol.w.real) \
+                + 1j * np.interp(x, sol.x, sol.w.imag)
+            vc = np.interp(x, sol.x, sol.v.real) \
+                + 1j * np.interp(x, sol.x, sol.v.imag)
             # the continuous convention solves (A - i tau) z = F, the
             # discrete one (i tau - A_h) z = F; flip the sign to compare
             zc = -np.concatenate([wc, vc])
@@ -239,13 +240,13 @@ def test_kernel_closed_forms_and_decay_slopes(ref_model):
     t0 = time.perf_counter()
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     for tau in (5.0, 50.0):
-        pair = fundamental_pair(tau, one, 1.0, tol=1e-10)
+        pair = fundamental_pair(tau, AffineTension(1.0, 0.0), 1.0, tol=1e-10)
         assert np.max(np.abs(pair.phi1 - np.sin(tau * pair.x))) < 1e-8
         assert np.max(np.abs(pair.phi2 - np.cos(tau * pair.x))) < 1e-8
         i0, i1 = greens_apply(one, pair)
-        assert np.max(np.abs(i0.y - (1 - np.cos(tau * pair.x)) / tau**2)) < 1e-8
-        assert np.max(np.abs(i1.y - np.sin(tau * pair.x) / tau)) < 1e-8
-    pair = fundamental_pair(10.0, lambda x: 4.0 * one(x), 1.0, tol=1e-10)
+        assert np.max(np.abs(i0 - (1 - np.cos(tau * pair.x)) / tau**2)) < 1e-8
+        assert np.max(np.abs(i1 - np.sin(tau * pair.x) / tau)) < 1e-8
+    pair = fundamental_pair(10.0, AffineTension(4.0, 0.0), 1.0, tol=1e-10)
     assert np.max(np.abs(pair.phi1 - 2.0 * np.sin(5.0 * pair.x))) < 1e-8
 
     length = ref_model.length
@@ -271,9 +272,8 @@ def test_generator_reproduces_datum_from_closed_form_inverse(ref_model):
     for n in (50, 100, 200, 400):
         sys_h = assemble_generator(ref_model, n)
         x = sys_h.grid.x
-        z = invert_generator(SampledFunction(x, f_fun(x)),
-                             SampledFunction(x, g_fun(x)), ref_model)
-        recovered = sys_h.A @ np.concatenate([z.w.y, z.v.y])
+        z = invert_generator(x, f_fun(x), g_fun(x), ref_model)
+        recovered = sys_h.A @ z
         datum = np.concatenate([f_fun(x), g_fun(x)])
         errs.append(float(np.max(np.abs(recovered - datum))))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]

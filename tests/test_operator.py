@@ -11,7 +11,6 @@ from heavychain.discretization import (
 )
 from heavychain.model import check_admissibility
 from heavychain.operator import (
-    SampledFunction,
     diff2_matrix,
     diff_matrix,
     invert_generator,
@@ -53,14 +52,15 @@ def weighted_inner(grid, z1, z2, m):
     ) / 4.0
 
 
-def apply_generator(z, m):
+def apply_generator(x, z, m):
     """(v, (P w')', -w'(L), feedback) with (P w')' = D1 (P D1 w) composed."""
-    d1 = diff_matrix(len(z.x) - 1, z.w.dx)
-    dw = d1 @ z.w.y
-    div = d1 @ (m.tension(z.x) * dw)
-    feedback = (m.theta1 * z.v.y[0] + m.theta2 * (d1 @ z.v.y)[0]
-                + m.theta3 * z.w.y[0] + m.theta4 * dw[0])
-    return z.v.y, div, -dw[-1], feedback
+    w, v = np.split(z, 2)
+    d1 = diff_matrix(len(x) - 1, x[1] - x[0])
+    dw = d1 @ w
+    div = d1 @ (m.tension(x) * dw)
+    feedback = (m.theta1 * v[0] + m.theta2 * (d1 @ v)[0]
+                + m.theta3 * w[0] + m.theta4 * dw[0])
+    return v, div, -dw[-1], feedback
 
 
 def test_fd_matrices_match_stencils(rng):
@@ -191,16 +191,15 @@ def test_feedback_decomposition(ref_model):
 def test_invert_generator_constant_data(ref_model):
     m = ref_model
     x = Grid.make(300, m.length).x
-    one = SampledFunction(x, np.ones_like(x))
-    zero = SampledFunction(x, np.zeros_like(x))
+    one, zero = np.ones_like(x), np.zeros_like(x)
 
-    z = invert_generator(one, zero, m)
-    assert np.allclose(z.w.y, REF_INV_CONST, atol=1e-10)
-    assert np.allclose(z.v.y, 1.0)
-    assert z.xi == 1.0 and z.psi == 1.0
+    w, v = np.split(invert_generator(x, one, zero, m), 2)
+    assert np.allclose(w, REF_INV_CONST, atol=1e-10)
+    assert np.allclose(v, 1.0)
+    assert v[-1] == 1.0 and v[0] == 1.0  # xi and psi
 
-    z2 = invert_generator(zero, one, m)
-    dw = diff_matrix(300, x[1]) @ z2.w.y
+    w2, _ = np.split(invert_generator(x, zero, one, m), 2)
+    dw = diff_matrix(300, x[1]) @ w2
     assert dw[0] == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -211,9 +210,9 @@ def test_invert_generator_requires_theta3(ref_model):
         length=m.length, s_x=m.s_x, s_t=m.s_t, params=m.params,
     )
     x = Grid.make(20, m.length).x
-    f = SampledFunction(x, np.ones_like(x))
+    f = np.ones_like(x)
     with pytest.raises(ValueError):
-        invert_generator(f, f, bad)
+        invert_generator(x, f, f, bad)
 
 
 def test_invert_then_apply_recovers_datum(ref_model):
@@ -221,9 +220,9 @@ def test_invert_then_apply_recovers_datum(ref_model):
 
     def datum(n):
         x = Grid.make(n, m.length).x
-        f = SampledFunction(x, np.sin(np.pi * x / m.length) + 0.3 * x / m.length)
-        g = SampledFunction(x, np.cos(2 * np.pi * x / m.length))
-        return f, g
+        f = np.sin(np.pi * x / m.length) + 0.3 * x / m.length
+        g = np.cos(2 * np.pi * x / m.length)
+        return x, f, g
 
     # composing two first-derivative stencils costs an order within a few
     # nodes of each end, so the clean second-order rate is measured on the
@@ -231,17 +230,17 @@ def test_invert_then_apply_recovers_datum(ref_model):
     # and is checked globally elsewhere
     errs, errs_int = [], []
     for n in (100, 200, 400):
-        f, g = datum(n)
-        z = invert_generator(f, g, m)
-        aw, av, axi, apsi = apply_generator(z, m)
+        x, f, g = datum(n)
+        z = invert_generator(x, f, g, m)
+        aw, av, axi, apsi = apply_generator(x, z, m)
         e_all = max(
-            np.max(np.abs(aw - f.y)),
-            np.max(np.abs(av - g.y)),
-            abs(axi - g.y[-1]),
-            abs(apsi - g.y[0]),
+            np.max(np.abs(aw - f)),
+            np.max(np.abs(av - g)),
+            abs(axi - g[-1]),
+            abs(apsi - g[0]),
         )
         errs.append(e_all)
-        errs_int.append(np.max(np.abs(av - g.y)[4:-4]))
+        errs_int.append(np.max(np.abs(av - g)[4:-4]))
     assert errs[2] < errs[0]
     orders = np.log2(np.array(errs_int[:-1]) / np.array(errs_int[1:]))
     assert orders.min() > 1.8
@@ -251,13 +250,13 @@ def test_invert_output_satisfies_domain_conditions(ref_model):
     m = ref_model
     n = 800
     x = Grid.make(n, m.length).x
-    f = SampledFunction(x, np.cos(np.pi * x / m.length))
-    g = SampledFunction(x, np.sin(np.pi * x / m.length) ** 2)
-    z = invert_generator(f, g, m)
-    _, div, minus_dw_end, feedback = apply_generator(z, m)
-    scale = np.max(np.abs(g.y)) + 1.0
+    f = np.cos(np.pi * x / m.length)
+    g = np.sin(np.pi * x / m.length) ** 2
+    z = invert_generator(x, f, g, m)
+    _, div, minus_dw_end, feedback = apply_generator(x, z, m)
+    scale = np.max(np.abs(g)) + 1.0
     # domain conditions: (P w')'(L) = -w'(L) and (P w')'(0) = feedback(z)
     assert abs(div[-1] - minus_dw_end) < 2e-3 * scale
     assert abs(div[0] - feedback) < 2e-3 * scale
     # interior equation (P w')' = g
-    assert np.max(np.abs(div - g.y)) < 2e-3 * scale
+    assert np.max(np.abs(div - g)) < 2e-3 * scale
