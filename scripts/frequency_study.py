@@ -25,7 +25,7 @@ from heavychain.model import (
     rescale,
 )
 from heavychain.resolvent_bvp import denominator_values, kernel_decay_study
-from heavychain.spectral import resolvent_sweep
+from heavychain.spectral import resolvent_norm_discrete
 
 
 def write_columns(path: Path, a, b):
@@ -49,9 +49,8 @@ def main():
 
     for n in args.grids:
         sys_h = assemble_generator(m, n)
-        samples = resolvent_sweep(sys_h, 0.1, 1000.0, args.points)
-        taus = np.array([s.tau for s in samples])
-        norms = np.array([s.norm for s in samples])
+        taus = np.geomspace(0.1, 1000.0, args.points)
+        norms = np.array([resolvent_norm_discrete(sys_h, t).norm for t in taus])
         write_columns(out / f"sweep_n{n}.dat", taus, norms)
         k = int(np.argmax(norms))
         print(f"N={n}: max resolvent norm {norms[k]:.2f} at tau {taus[k]:.2f}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -207,39 +207,6 @@ def load_config(path) -> Config:
 # ------------------------------------------------------------ reporting
 
 
-@dataclass
-class RunReport:
-    """Everything one run learned, JSON-ready; plot arrays ride along."""
-
-    subcommand: str
-    version: str
-    config_echo: dict
-    admissibility: dict
-    verdicts: list
-    spectrum: dict | None = None
-    sweep: dict | None = None
-    energy: dict | None = None
-    bvp: dict | None = None
-    kernel: dict | None = None
-    artifacts: list = field(default_factory=list)
-    plots: dict = field(default_factory=dict, repr=False)
-
-    def to_dict(self) -> dict:
-        out = {
-            "subcommand": self.subcommand,
-            "version": self.version,
-            "config": self.config_echo,
-            "admissibility": self.admissibility,
-            "verdicts": self.verdicts,
-            "artifacts": sorted(self.artifacts),
-        }
-        for name in ("spectrum", "sweep", "energy", "bvp", "kernel"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
-
-
 def _jsonify(obj):
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
@@ -261,9 +228,11 @@ def _jsonify(obj):
     return obj
 
 
-def write_report(report: RunReport, out_dir: Path) -> Path:
+def write_report(report: dict, out_dir: Path) -> Path:
+    """Dump the report as report.json, listing it among the sorted artifacts."""
     path = out_dir / "report.json"
-    payload = _jsonify(report.to_dict())
+    report["artifacts"] = sorted(report["artifacts"] + [path.name])
+    payload = _jsonify(report)
     path.write_text(
         json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
@@ -294,17 +263,12 @@ def _write_table(out_dir: Path, stem: str, columns: list, rows, fmt: str) -> str
     return name
 
 
-def emit_plotdata(report: RunReport, out_dir: Path) -> list:
-    """Write each stored plot as a two-column whitespace .dat file."""
-    written = []
-    for name in sorted(report.plots):
-        arr = np.asarray(report.plots[name], dtype=float)
-        fname = f"{name}.dat"
-        lines = [f"{_fmt(a)} {_fmt(b)}" for a, b in arr]
-        (out_dir / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(fname)
-    report.artifacts.extend(written)
-    return written
+def _write_plot(out_dir: Path, stem: str, x, y) -> str:
+    """Write the points (x, y) as a two-column whitespace .dat file."""
+    name = f"{stem}.dat"
+    lines = [f"{_fmt(a)} {_fmt(b)}" for a, b in zip(x, y)]
+    (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return name
 
 
 def _admissibility_dict(rep, m) -> dict:
@@ -333,33 +297,29 @@ def _verdict(check: str, outcome: str, source: str) -> dict:
 # ----------------------------------------------------------- subcommands
 
 
-def _run_check(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
-    pass  # the admissibility section and verdict are always populated
-
-
-def _run_spectrum(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
+def _run_spectrum(cfg: Config, report: dict, out_dir: Path, fmt: str):
     sys_h = assemble_generator(cfg.model(), cfg.grid_n)
     rep = spectrum(sys_h)
     lam = np.sort_complex(rep.eigenvalues)
-    report.spectrum = {
+    report["spectrum"] = {
         "n": cfg.grid_n,
         "abscissa": rep.abscissa,
         "stable": rep.stable,
         "rightmost": [complex(v) for v in rep.rightmost],
         "count": int(len(lam)),
     }
-    report.verdicts.append(_verdict(
+    report["verdicts"].append(_verdict(
         "spectral-abscissa-negative",
         "pass" if rep.stable else "fail",
         "heavychain.spectral.spectrum",
     ))
     rows = [(v.real, v.imag) for v in lam]
-    report.artifacts.append(
-        _write_table(out_dir, "eigenvalues", ["re", "im"], rows, fmt))
-    report.plots["eigenvalues"] = np.array(rows) if rows else np.zeros((0, 2))
+    report["artifacts"] += [
+        _write_table(out_dir, "eigenvalues", ["re", "im"], rows, fmt),
+        _write_plot(out_dir, "eigenvalues", lam.real, lam.imag)]
 
 
-def _run_simulate(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
+def _run_simulate(cfg: Config, report: dict, out_dir: Path, fmt: str):
     sys_h = assemble_generator(cfg.model(), cfg.grid_n)
     rng = np.random.default_rng(cfg.seed)
     z0 = rng.standard_normal(sys_h.grid.size)
@@ -393,7 +353,7 @@ def _run_simulate(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
         "final_norm": float(et.norm_h[-1]),
         "steps_stored": int(len(tr.times)),
     }
-    report.verdicts.append(_verdict(
+    report["verdicts"].append(_verdict(
         "energy-identity",
         "pass" if ident.satisfied else "fail",
         "heavychain.simulation.verify_energy_identity",
@@ -402,20 +362,20 @@ def _run_simulate(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
         fit = decay_fit(tr)
         energy["decay"] = {"omega": fit.omega, "prefactor": fit.prefactor,
                            "t_start": fit.t_start, "t_end": fit.t_end}
-        report.verdicts.append(_verdict(
+        report["verdicts"].append(_verdict(
             "norm-decay-fit", f"omega={fit.omega:.6g}",
             "heavychain.simulation.decay_fit"))
     except ValueError as exc:
         energy["decay"] = {"skipped": str(exc)}
-    report.energy = energy
+    report["energy"] = energy
     cols = ["t", "hbar", "vbar", "total", "dvdt_lhs", "dvdt_rhs", "norm_h"]
-    report.artifacts.append(
-        _write_table(out_dir, "energy", cols, et.rows(), fmt))
     keep = et.norm_h > 0.0
-    report.plots["decay"] = np.column_stack([et.t[keep], et.norm_h[keep]])
+    report["artifacts"] += [
+        _write_table(out_dir, "energy", cols, et.rows(), fmt),
+        _write_plot(out_dir, "decay", et.t[keep], et.norm_h[keep])]
 
 
-def _run_sweep(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
+def _run_sweep(cfg: Config, report: dict, out_dir: Path, fmt: str):
     m = cfg.model()
     sys_h = assemble_generator(m, cfg.grid_n)
     spec = spectrum(sys_h)
@@ -429,7 +389,7 @@ def _run_sweep(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
         m, space(lo, cfg.tau_max, min(25, cfg.sweep_points)), data)
     pooled = list(discrete) + list(continuous)
     verdict = huang_verdict(pooled, spec)
-    report.sweep = {
+    report["sweep"] = {
         "n": cfg.grid_n,
         "abscissa": spec.abscissa,
         "verdict": verdict.verdict,
@@ -440,17 +400,18 @@ def _run_sweep(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
         "samples_discrete": len(discrete),
         "samples_continuous": len(continuous),
     }
-    report.verdicts.append(_verdict(
+    report["verdicts"].append(_verdict(
         "resolvent-sweep-shape", verdict.verdict,
         "heavychain.spectral.huang_verdict"))
     rows = sorted(((s.tau, s.norm, s.source) for s in pooled),
                   key=lambda r: (r[0], r[2]))
-    report.artifacts.append(
-        _write_table(out_dir, "sweep", ["tau", "norm", "source"], rows, fmt))
-    report.plots["sweep"] = np.array([(r[0], r[1]) for r in rows])
+    taus, norms, _ = zip(*rows)
+    report["artifacts"] += [
+        _write_table(out_dir, "sweep", ["tau", "norm", "source"], rows, fmt),
+        _write_plot(out_dir, "sweep", taus, norms)]
 
 
-def _run_bvp(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
+def _run_bvp(cfg: Config, report: dict, out_dir: Path, fmt: str):
     m = cfg.model()
     length = m.length
     f = lambda x: np.sin(np.pi * np.asarray(x, dtype=float) / length)
@@ -458,7 +419,7 @@ def _run_bvp(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     sol = solve_resolvent_bvp(f, zero, cfg.bvp_tau, m,
                               f_prime=fp, g_prime=zero)
-    report.bvp = {
+    report["bvp"] = {
         "tau": sol.tau,
         "method": sol.method,
         "gain": sol.gain,
@@ -470,24 +431,24 @@ def _run_bvp(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
         "datum": "f = sin(pi x / length), g = 0",
     }
     ok = sol.residual <= (1e-6 if sol.method == "pipeline" else 5e-6)
-    report.verdicts.append(_verdict(
+    report["verdicts"].append(_verdict(
         "bvp-residual-small", "pass" if ok else "fail",
         "heavychain.resolvent_bvp.solve_resolvent_bvp"))
     srows = [(sol.tau, sol.gain, sol.residual,
               sol.c1.real, sol.c1.imag, sol.c2.real, sol.c2.imag,
               abs(sol.a0), abs(sol.a1))]
-    report.artifacts.append(_write_table(
+    report["artifacts"].append(_write_table(
         out_dir, "bvp_summary",
         ["tau", "gain", "residual", "c1_re", "c1_im", "c2_re", "c2_im",
          "a0", "a1"], srows, fmt))
     rows = np.column_stack([sol.x, sol.w.real, sol.w.imag,
                             sol.v.real, sol.v.imag])
-    report.artifacts.append(_write_table(
+    report["artifacts"].append(_write_table(
         out_dir, "bvp_solution", ["x", "w_re", "w_im", "v_re", "v_im"],
         rows, fmt))
 
 
-def _run_kernel(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
+def _run_kernel(cfg: Config, report: dict, out_dir: Path, fmt: str):
     m = cfg.model()
     lo = max(cfg.tau_min, 10.0)
     hi = cfg.tau_max
@@ -499,7 +460,7 @@ def _run_kernel(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
     length = m.length
     f = lambda x: np.cos(np.pi * np.asarray(x, dtype=float) / length) + 0.5
     study = kernel_decay_study(taus, f, m.tension, length)
-    report.kernel = {
+    report["kernel"] = {
         "slope_sup_kernel": study.slope_i0,
         "slope_sup_kernel_derivative": study.slope_i1,
         "tau_min": float(taus[0]),
@@ -507,18 +468,19 @@ def _run_kernel(cfg: Config, report: RunReport, out_dir: Path, fmt: str):
         "points": int(len(taus)),
     }
     in_band = abs(study.slope_i0 + 2.0) < 0.2 and abs(study.slope_i1 + 1.0) < 0.2
-    report.verdicts.append(_verdict(
+    report["verdicts"].append(_verdict(
         "kernel-decay-slopes", "pass" if in_band else "fail",
         "heavychain.resolvent_bvp.kernel_decay_study"))
     rows = np.column_stack([study.taus, study.sup_i0, study.sup_i1])
-    report.artifacts.append(_write_table(
-        out_dir, "kernel", ["tau", "sup_i0", "sup_i1"], rows, fmt))
-    report.plots["kernel_i0"] = np.column_stack([study.taus, study.sup_i0])
-    report.plots["kernel_i1"] = np.column_stack([study.taus, study.sup_i1])
+    report["artifacts"] += [
+        _write_table(out_dir, "kernel", ["tau", "sup_i0", "sup_i1"], rows, fmt),
+        _write_plot(out_dir, "kernel_i0", study.taus, study.sup_i0),
+        _write_plot(out_dir, "kernel_i1", study.taus, study.sup_i1)]
 
 
+# "check" has no runner: the admissibility section and verdict of every
+# report are its whole output
 _RUNNERS = {
-    "check": _run_check,
     "simulate": _run_simulate,
     "spectrum": _run_spectrum,
     "sweep": _run_sweep,
@@ -532,7 +494,7 @@ _RUNNERS = {
 
 def run(subcommand: str, config_path, out_dir, fmt: str = "csv") -> int:
     """Execute one subcommand; returns the process exit code."""
-    if subcommand not in _RUNNERS:
+    if subcommand not in SUBCOMMANDS:
         print(f"error: unknown subcommand {subcommand!r}", file=sys.stderr)
         return 1
     try:
@@ -551,33 +513,32 @@ def run(subcommand: str, config_path, out_dir, fmt: str = "csv") -> int:
 
     m = cfg.model()
     adm = check_admissibility(m)
-    report = RunReport(
-        subcommand=subcommand,
-        version=__version__,
-        config_echo=cfg.echo,
-        admissibility=_admissibility_dict(adm, m),
-        verdicts=[_verdict("admissibility",
-                           "pass" if adm.admissible else
-                           "fail: " + "; ".join(adm.violations),
-                           "heavychain.model.check_admissibility")],
-    )
+    report = {
+        "subcommand": subcommand,
+        "version": __version__,
+        "config": cfg.echo,
+        "admissibility": _admissibility_dict(adm, m),
+        "verdicts": [_verdict("admissibility",
+                              "pass" if adm.admissible else
+                              "fail: " + "; ".join(adm.violations),
+                              "heavychain.model.check_admissibility")],
+        "artifacts": [],
+    }
     if not adm.admissible:
-        report.artifacts.append("report.json")
         write_report(report, out)
         for v in adm.violations:
             print(f"not admissible: {v}", file=sys.stderr)
         return 2
 
     try:
-        _RUNNERS[subcommand](cfg, report, out, fmt)
+        if subcommand in _RUNNERS:
+            _RUNNERS[subcommand](cfg, report, out, fmt)
     except ConfigError as exc:
         print(f"config error: {exc.key}: {exc.reason}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the tool
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit_plotdata(report, out)
-    report.artifacts.append("report.json")
     write_report(report, out)
     return 0
 

@@ -118,15 +118,16 @@ def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
 
 # --- the two discrete energies ------------------------------------------
 #
-# Each energy is one list of terms (block, s, T): block 0 reads w, block 1
-# reads v, T is a product of sparse stencils on the n + 1 nodes, applied
-# right to left (the empty product is the identity), and s weighs each row
-# of T, so a state's energy is sum s |T y_block|^2.  The energy form adds
-# the rank-one coupling 1/2 |j . z|^2 of psi = v_0 with the boundary
-# functional of w, the row j given by its stored (columns, values) in the
-# state vector.  Every form is evaluated matrix-free from these lists (see
-# _form), and chol_H factors the energy by a banded QR of their rows, so no
-# Gram matrix is assembled from them.
+# Each energy is one list of terms (block, s, T), and a state's energy is
+# sum s |T y|^2 over them.  y is the block the term reads: w (block 0), v
+# (block 1) or, for block None, the whole state z.  T is a product of
+# sparse stencils applied right to left (the empty product is the
+# identity), and s weighs each row of T.  The coupling 1/2 |j . z|^2 of
+# psi = v_0 with the boundary functional of w is the one whole-state term
+# of the energy form.  Every routine below takes a term list and nothing
+# else: forms are evaluated matrix-free (see _form), and _energy_factor
+# factors either energy by a banded QR of its rows, so no Gram matrix is
+# assembled from them.
 
 def _sobolev_terms(grid: Grid) -> list:
     """|w|^2_{H^2} + |v|^2_{H^1}, trapezoid rule over the stencils."""
@@ -143,14 +144,17 @@ def _natural_terms(grid: Grid) -> list:
     return _sobolev_terms(grid) + [(1, ends, ())]
 
 
-def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float) -> tuple[list, tuple]:
-    """Terms and coupling row of the energy inner product.
+def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float) -> list:
+    """Terms of the energy inner product.
 
     w: the damped divergence (P w')' = D1 (P D1 w), the gradient with the
     payload-end slope, the cart-end value; v: the damped gradient, the
-    velocity with the payload and cart velocities; coupling: psi -
-    2 alpha1 P(0) w'(0) + 2 alpha2 w(0).  The feedback fixes alpha1 and
-    alpha2 (inner_product_weights); gamma is the one free weight.
+    velocity with the payload and cart velocities; last, on the whole
+    state, the coupling 1/2 |j z|^2 with j z = psi - 2 alpha1 P(0) w'(0) +
+    2 alpha2 w(0).  The coupling's 1/2 is carried by its row, j / sqrt(2)
+    at unit weight, so the energy factor's row is j / sqrt(2) rounded
+    entry by entry.  The feedback fixes alpha1 and alpha2
+    (inner_product_weights); gamma is the one free weight.
     """
     alpha1, alpha2 = inner_product_weights(m)
     n, dx = grid.n, grid.dx
@@ -162,62 +166,51 @@ def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float) -> tuple[list, t
                             d1.indptr), shape=d1.shape)  # rows of D1 scaled by P
     e0, en = np.zeros(npts), np.zeros(npts)
     e0[0] = en[n] = 1.0
-    terms = [(0, alpha1 * gamma * q, (d1, pd1)),
-             (0, alpha1 * (p * q + gamma * m.tensionL * en), (d1,)),
-             (0, alpha2 * e0, ()),
-             (1, alpha1 * gamma * p * q, (d1,)),
-             (1, alpha1 * (q + m.tensionL * en) + alpha2 * gamma * e0, ())]
     cols, vals = _row(d1, 0)
-    coupling = (np.concatenate([[npts, 0], cols]),
-                np.concatenate([[1.0, 2.0 * alpha2], -2.0 * alpha1 * m.tension0 * vals]))
-    return terms, coupling
+    j = np.concatenate([[1.0, 2.0 * alpha2], -2.0 * alpha1 * m.tension0 * vals]) / np.sqrt(2.0)
+    j = sparse.csr_array((j, (np.zeros(len(j), dtype=int), np.concatenate([[npts, 0], cols]))),
+                         shape=(1, 2 * npts))  # the coupling row j / sqrt(2)
+    return [(0, alpha1 * gamma * q, (d1, pd1)),
+            (0, alpha1 * (p * q + gamma * m.tensionL * en), (d1,)),
+            (0, alpha2 * e0, ()),
+            (1, alpha1 * gamma * p * q, (d1,)),
+            (1, alpha1 * (q + m.tensionL * en) + alpha2 * gamma * e0, ()),
+            (None, np.ones(1), (j,))]
 
 
 def _stencils(terms: list, z: np.ndarray):
-    """(s, T z_block) for each term, z holding one state or states as columns.
+    """(s, T y) for each term, z holding one state or states as columns.
 
     Applies the factors one by one: on long grids an assembled product
     such as D1 (P D1) loses digits like eps / dx^2, the factors do not.
     """
     npts = len(z) // 2
     for block, s, factors in terms:
-        tz = z[block * npts:(block + 1) * npts]
+        tz = z if block is None else z[block * npts:(block + 1) * npts]
         for f in reversed(factors):
             tz = f @ tz
         yield s, tz
 
 
-def _form(terms: list, x: np.ndarray, coupling=None):
-    """x^H M x = sum s |T x|^2 + 1/2 |j x|^2, for one state or for each row of x."""
-    x = np.asarray(x).T
+def _form(terms: list, x: np.ndarray):
+    """x^H M x = sum s |T y|^2, for one state or for each row of x."""
     out = 0.0
-    for s, tx in _stencils(terms, x):
+    for s, tx in _stencils(terms, np.asarray(x).T):
         out = out + s @ (np.conj(tx) * tx).real
-    if coupling is not None:
-        cols, vals = coupling
-        jx = vals @ x[cols]
-        out = out + 0.5 * (np.conj(jx) * jx).real
     return out
 
 
-def _forms(terms: list, x: np.ndarray, y: np.ndarray, coupling=None):
+def _forms(terms: list, x: np.ndarray, y: np.ndarray):
     """(Re(y^H M x), y^H M y) for one state or for each row of x and y,
     with each factor applied once, to the stacked columns [x | y]."""
     shape = np.shape(x)[:-1]
     x, y = np.atleast_2d(x), np.atleast_2d(y)
     k = len(x)
-    z = np.concatenate([x, y]).T
     cross = energy = 0.0
-    for s, tz in _stencils(terms, z):
+    for s, tz in _stencils(terms, np.concatenate([x, y]).T):
         tx, ty = tz[:, :k], tz[:, k:]
         cross = cross + s @ (np.conj(ty) * tx).real
         energy = energy + s @ (np.conj(ty) * ty).real
-    if coupling is not None:
-        cols, vals = coupling
-        jz = z[cols]
-        jx, jy = vals @ jz[:, :k], vals @ jz[:, k:]
-        cross = cross + 0.5 * (np.conj(jy) * jx).real
-        energy = energy + 0.5 * (np.conj(jy) * jy).real
     return cross.reshape(shape), energy.reshape(shape)
 
 
@@ -232,49 +225,46 @@ def _interleaved(k: np.ndarray, npts: int) -> np.ndarray:
 _PANEL = 64
 
 
-def _energy_rows(terms: list, coupling: tuple, npts: int) -> sparse.csr_array:
-    """G with G^T G = M_H: the rows sqrt(s) T of the terms and the coupling
-    row j / sqrt(2), columns in node-interleaved order (w_0, v_0, w_1, v_1,
+def _energy_rows(terms: list, npts: int) -> sparse.csr_array:
+    """G with G^T G = M, M the form of the terms: the rows sqrt(s) T of
+    every term, columns in node-interleaved order (w_0, v_0, w_1, v_1,
     ...), rows sorted by their first column and zero rows dropped.  A
-    negative weight raises LinAlgError, as a Cholesky factor of M_H would."""
+    negative weight raises LinAlgError, as a Cholesky factor of M would."""
     rows, cols, vals = [], [], []
     count = 0
     for block, s, factors in terms:
         if np.any(s < 0.0):
             raise np.linalg.LinAlgError("energy form is not positive definite")
-        t = sparse.eye_array(npts, format="csr")
-        for f in factors:
-            t = t @ f
+        width, offset = (2 * npts, 0) if block is None else (npts, block * npts)
+        t = sparse.eye_array(width, format="csr")
+        for f in reversed(factors):
+            t = f @ t
         t = sparse.coo_array(sparse.diags_array(np.sqrt(s)) @ t)
         rows.append(count + t.row)
-        cols.append(_interleaved(block * npts + t.col, npts))
+        cols.append(_interleaved(offset + t.col, npts))
         vals.append(t.data)
-        count += npts
-    j_cols, j_vals = coupling
-    rows.append(np.full(len(j_cols), count))
-    cols.append(_interleaved(j_cols, npts))
-    vals.append(j_vals / np.sqrt(2.0))
+        count += t.shape[0]
     g = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(count + 1, 2 * npts))
+                         shape=(count, 2 * npts))
     g.eliminate_zeros()
     g = g[np.diff(g.indptr) > 0]
     g.sort_indices()
     return g[np.argsort(g.indices[g.indptr[:-1]], kind="stable")]
 
 
-def _energy_factor(terms: list, coupling: tuple, npts: int) -> np.ndarray:
-    """Upper-banded R with R^T R = M_H in node-interleaved order, by QR of
-    the stencil rows G: no Gram is formed, so R carries cond(G) rounding,
-    not cond(G)^2.  Returned in LAPACK upper band layout, shape
+def _energy_factor(terms: list, npts: int) -> np.ndarray:
+    """Upper-banded R with R^T R = Pi M Pi^T, M the form of the terms, by
+    QR of their stencil rows G: no Gram is formed, so R carries cond(G)
+    rounding, not cond(G)^2.  Returned in LAPACK upper band layout, shape
     (kb + 1, n) with R[i, j] at [kb + i - j, j]; kb is the widest row span
-    of G (8 for the D1 (P D1) rows).
+    of G (8 for the D1 (P D1) rows of the energy form).
 
     Dense QR on sliding panels of _PANEL columns: a panel stacks the rows
     carried from the last one with the rows of G that start in it, its
     first rows are final rows of R, the rest are carried on.  O(n) time
     and memory; the diagonal is made positive.
     """
-    g = _energy_rows(terms, coupling, npts)
+    g = _energy_rows(terms, npts)
     ptr, col, val = g.indptr, g.indices, g.data
     first = col[ptr[:-1]]
     kb = int((col[ptr[1:] - 1] - first).max())
@@ -314,8 +304,7 @@ def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float
     Equals sqrt(y^H M_H y) on grids where M_H can be formed; on long grids
     the assembled form loses digits like eps / dx^4, the stencils do not.
     """
-    terms, coupling = _weighted_terms(grid, m, gamma)
-    return np.sqrt(_form(terms, states, coupling))
+    return np.sqrt(_form(_weighted_terms(grid, m, gamma), states))
 
 
 @dataclass(frozen=True)
@@ -323,10 +312,11 @@ class GeneratorSystem:
     """Sparse generator on one grid and the free weight gamma of its energy.
 
     The energy form M_H follows from (grid, model, gamma): the model fixes
-    its other weights.  It is read matrix-free from its stencil terms and
-    never assembled; chol_H factors it from the same terms.  Both are built
-    on first use and kept; the system is frozen, so dataclasses.replace is
-    the only way to change a field, and the new system builds its own.
+    its other weights.  Its one representation is the term list energy
+    (see _weighted_terms): weighted_norm reads it matrix-free and chol_H
+    factors it, and M_H itself is never assembled.  Both are built on first
+    use and kept; the system is frozen, so dataclasses.replace is the only
+    way to change a field, and the new system builds its own.
     """
 
     grid: Grid
@@ -335,8 +325,8 @@ class GeneratorSystem:
     gamma: float
 
     @cached_property
-    def energy(self) -> tuple[list, tuple]:
-        """(terms, coupling) of the energy form M_H, see _weighted_terms."""
+    def energy(self) -> list:
+        """The terms of the energy form M_H, see _weighted_terms."""
         return _weighted_terms(self.grid, self.model, self.gamma)
 
     @cached_property
@@ -345,16 +335,12 @@ class GeneratorSystem:
         order (w_0, v_0, w_1, v_1, ...), so |z|_H = |R Pi z|_2; in LAPACK
         upper band layout (kb + 1, n), see _energy_factor.  Built in O(n) on
         first use."""
-        terms, coupling = self.energy
-        return _energy_factor(terms, coupling, self.grid.n + 1)
+        return _energy_factor(self.energy, self.grid.n + 1)
 
-    def _energy(self, x: np.ndarray):
-        """x^H M_H x, matrix-free, for one state or for each row."""
-        terms, coupling = self.energy
-        return _form(terms, x, coupling)
-
-    def weighted_norm(self, vec: np.ndarray) -> float:
-        return float(np.sqrt(max(self._energy(vec), 0.0)))
+    def weighted_norm(self, states: np.ndarray):
+        """Energy norm sqrt(z^H M_H z) of a state, or of each row of
+        states, matrix-free."""
+        return np.sqrt(np.maximum(_form(self.energy, states), 0.0))
 
 
 def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> GeneratorSystem:
@@ -497,8 +483,7 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
     order-one positive residuals for generic states.
     """
     states = sample_states(sys, samples, seed=seed)
-    terms, coupling = sys.energy
-    numerator, denominator = _forms(terms, (sys.A @ states.T).T, states, coupling)
+    numerator, denominator = _forms(sys.energy, (sys.A @ states.T).T, states)
     resid = numerator / denominator
     max_r = float(resid.max())
     admissible = check_admissibility(sys.model).admissible
@@ -518,5 +503,5 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
 def norm_ratio_interval(sys: GeneratorSystem, samples: int = 1000, seed: int = 0):
     """Range of |z|_H / |z|_natural over the smooth sample family."""
     states = sample_states(sys, samples, seed=seed)
-    ratios = np.sqrt(sys._energy(states) / _form(_natural_terms(sys.grid), states))
+    ratios = sys.weighted_norm(states) / np.sqrt(_form(_natural_terms(sys.grid), states))
     return float(ratios.min()), float(ratios.max())

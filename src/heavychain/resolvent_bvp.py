@@ -133,10 +133,6 @@ class FundamentalPair:
     phi2p: np.ndarray
     wronskian_drift: float
 
-    @property
-    def wronskian(self) -> float:
-        return self.tau
-
 
 def _pair_values(tau: float, p0: float, slope: float, x):
     """(phi1, phi1', phi2, phi2') at x for the affine tension P = p0 + slope*x.
@@ -212,22 +208,18 @@ def _cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return running - (dx * dx / 12.0) * (yp - yp[0])
 
 
-def _greens_values(fv: np.ndarray, pair: FundamentalPair):
+def greens_apply(fv: np.ndarray, pair: FundamentalPair) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative kernel integrals I0 = int_0^x f J and I1 = int_0^x f dJ/dx
+    of the samples fv of f on the pair's grid.
+
+    The kernel J(x,t) separates in (x, t), so both integrals reduce to two
+    running quadratures against phi1 and phi2.
+    """
     cum1 = _cumulative(fv * pair.phi1, pair.x)
     cum2 = _cumulative(fv * pair.phi2, pair.x)
     i0 = (pair.phi1 * cum2 - pair.phi2 * cum1) / pair.tau
     i1 = (pair.phi1p * cum2 - pair.phi2p * cum1) / pair.tau
     return i0, i1
-
-
-def greens_apply(f, pair: FundamentalPair) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative kernel integrals I0 = int_0^x f J and I1 = int_0^x f dJ/dx
-    of a callable f, sampled on the pair's grid.
-
-    The kernel J(x,t) separates in (x, t), so both integrals reduce to two
-    running quadratures against phi1 and phi2.
-    """
-    return _greens_values(np.asarray(f(pair.x)), pair)
 
 
 def c0_coefficient(tau: float, m: RescaledModel) -> complex:
@@ -413,7 +405,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
     h = a1 * x + a0
     rhs_h = big_gp - (tau2 / pv) * h
 
-    i0, i1 = _greens_values(rhs_h, pair)
+    i0, i1 = greens_apply(rhs_h, pair)
     ratio, den, den_scale = _boundary_determinant(
         tau, m, pair.phi1[-1], pair.phi1p[-1], pair.phi2[-1], pair.phi2p[-1])
     if abs(den) <= 1e-10 * max(den_scale, 1.0):
@@ -531,7 +523,7 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
         fv = np.asarray(f(pair.x))
         if not np.any(np.abs(fv) > 0.0):
             raise ValueError("degenerate study: data vanishes identically")
-        i0, i1 = _greens_values(fv, pair)
+        i0, i1 = greens_apply(fv, pair)
         sup0[k] = np.max(np.abs(i0))
         sup1[k] = np.max(np.abs(i1))
     log_t = np.log(taus)

@@ -66,7 +66,7 @@ class Trajectory:
     dt: float
 
     def norm_history(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.system._energy(self.states), 0.0))
+        return self.system.weighted_norm(self.states)
 
 
 def _jump_pays(n: int, nnz: int, stride: int, strides: int) -> bool:
@@ -237,10 +237,6 @@ class DecayFit:
     prefactor: float
     t_start: float
     t_end: float
-
-    def __iter__(self):
-        yield self.omega
-        yield self.prefactor
 
 
 def decay_fit(tr: Trajectory) -> DecayFit:

@@ -43,7 +43,6 @@ __all__ = [
     "HuangReport",
     "spectrum",
     "resolvent_norm_discrete",
-    "resolvent_sweep",
     "resolvent_apply_discrete",
     "huang_verdict",
 ]
@@ -138,15 +137,6 @@ def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample
     # space (n >= 10 on every grid) instead of ARPACK's default 20
     lam = eigsh(op, k=1, which="LA", v0=np.ones(n), ncv=8, return_eigenvectors=False)
     return ResolventSample(tau=float(tau), norm=float(np.sqrt(lam[0])), source="discrete")
-
-
-def resolvent_sweep(sys: GeneratorSystem, tau_min: float = 0.1,
-                    tau_max: float = 1e3, points: int = 200) -> list[ResolventSample]:
-    """Log-spaced sweep of the weighted resolvent norm along i*tau."""
-    if not (0 < tau_min < tau_max):
-        raise ValueError("need 0 < tau_min < tau_max")
-    taus = np.geomspace(tau_min, tau_max, points)
-    return [resolvent_norm_discrete(sys, t) for t in taus]
 
 
 def resolvent_apply_discrete(sys: GeneratorSystem, tau: float,

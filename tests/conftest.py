@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from heavychain.discretization import _weighted_terms
 from heavychain.model import (
@@ -35,22 +36,17 @@ def rng():
     return np.random.default_rng(20260814)
 
 
-def _gram(terms: list, npts: int, coupling: tuple) -> np.ndarray:
-    """Dense sum of T^T diag(s) T over the terms, plus 1/2 j j^T."""
+def _gram(terms: list, npts: int) -> np.ndarray:
+    """Dense sum of T^T diag(s) T over the terms, each T applied to the
+    selector of the block it reads (the whole state for block None)."""
     M = np.zeros((2 * npts, 2 * npts))
-    diag = np.arange(npts)
     for block, s, factors in terms:
-        blk = M[block * npts:(block + 1) * npts, block * npts:(block + 1) * npts]
-        if not factors:
-            blk[diag, diag] += s
-            continue
-        T = factors[0]
-        for f in factors[1:]:
-            T = T @ f
-        blk += T.T @ (s[:, None] * T.toarray())
-    j = np.zeros(2 * npts)
-    np.add.at(j, *coupling)
-    M += 0.5 * np.outer(j, j)
+        T = sparse.eye_array(2 * npts, format="csr")
+        if block is not None:
+            T = T[block * npts:(block + 1) * npts]
+        for f in reversed(factors):
+            T = f @ T
+        M += T.T @ (s[:, None] * T.toarray())
     return M
 
 
@@ -60,6 +56,5 @@ def energy_gram():
     assembled from the stencil terms, the quadrature tests' reference for
     the matrix-free forms."""
     def assemble(grid, m, gamma):
-        terms, coupling = _weighted_terms(grid, m, gamma)
-        return _gram(terms, grid.n + 1, coupling)
+        return _gram(_weighted_terms(grid, m, gamma), grid.n + 1)
     return assemble

@@ -221,12 +221,11 @@ def test_dissipativity_numerator_matches_gram(ref_model, energy_gram):
     # against the assembled Gram, on a scale set by the two norms
     sys = assemble_generator(ref_model, 80)
     gram = system_gram(energy_gram, sys)
-    terms, coupling = sys.energy
     for z in sample_states(sys, 12, seed=6):
         az = sys.A @ z
         ref = np.vdot(z, gram @ az).real
         scale = sys.weighted_norm(z) * sys.weighted_norm(az)
-        assert abs(_forms(terms, az, z, coupling)[0] - ref) <= 1e-11 * scale
+        assert abs(_forms(sys.energy, az, z)[0] - ref) <= 1e-11 * scale
 
 
 def test_h2_norm_second_order_on_long_grids():

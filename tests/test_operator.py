@@ -156,15 +156,17 @@ def test_weighted_inner_linearity(ref_model):
 
 
 def test_boundary_functional_values(ref_model):
-    """The coupling row of the energy form reads J(w) = -2 alpha1 P(0) w'(0)
+    """The last term of the energy form, 1/2 |j z|^2 on the whole state as
+    the row j / sqrt(2) at unit weight, reads J(w) = -2 alpha1 P(0) w'(0)
     + 2 alpha2 w(0) on states with v = 0."""
     m = ref_model
     rep = check_admissibility(m)
     grid = Grid.make(200, m.length)
-    _, (cols, vals) = _weighted_terms(grid, m, rep.gamma)
+    block, s, (row,) = _weighted_terms(grid, m, rep.gamma)[-1]
+    assert block is None and list(s) == [1.0]
 
     def boundary_functional(w):
-        return vals @ np.concatenate([w, np.zeros_like(w)])[cols]
+        return np.sqrt(2.0) * (row @ np.concatenate([w, np.zeros_like(w)]))[0]
 
     assert boundary_functional(np.ones_like(grid.x)) == pytest.approx(2.0 * rep.alpha2, rel=1e-12)
     assert boundary_functional(grid.x.copy()) == pytest.approx(  # w'(0) = 1

@@ -62,7 +62,7 @@ def test_fundamental_pair_constant_tension_closed_form():
         assert np.max(np.abs(pair.phi1 - np.sin(tau * pair.x))) < 1e-8
         assert np.max(np.abs(pair.phi2 - np.cos(tau * pair.x))) < 1e-8
         assert np.max(np.abs(pair.phi1p - tau * np.cos(tau * pair.x))) < 1e-7
-        assert pair.wronskian == pytest.approx(tau)
+        assert pair.tau == pytest.approx(tau)
 
 
 def test_fundamental_pair_scaled_tension_closed_form():
@@ -112,7 +112,7 @@ def test_greens_apply_closed_form():
     # constant forcing against sin/cos kernels integrates in closed form
     tau = 5.0
     pair = fundamental_pair(tau, UNIT_TENSION, 1.0, tol=1e-10)
-    i0, i1 = greens_apply(unit_fun, pair)
+    i0, i1 = greens_apply(unit_fun(pair.x), pair)
     assert np.max(np.abs(i0 - (1.0 - np.cos(tau * pair.x)) / tau**2)) < 1e-8
     assert np.max(np.abs(i1 - np.sin(tau * pair.x) / tau)) < 1e-8
 

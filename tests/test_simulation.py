@@ -130,9 +130,9 @@ def test_decay_fit_pure_mode(ref_model):
     k = sel[np.argmax(lam.real[sel])]
     horizon = 1.05 * np.log(10.0) / abs(lam[k].real)
     tr = simulate(vecs[:, k], sys, horizon, dt=0.02, store_every=5)
-    omega, prefactor = decay_fit(tr)
-    assert omega == pytest.approx(-lam[k].real, rel=0.05)
-    assert prefactor >= 1.0
+    fit = decay_fit(tr)
+    assert fit.omega == pytest.approx(-lam[k].real, rel=0.05)
+    assert fit.prefactor >= 1.0
 
 
 def test_decay_fit_rejects_degenerate_input(ref_model):

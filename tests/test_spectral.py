@@ -9,7 +9,14 @@ from scipy import sparse
 from scipy.linalg import svdvals
 
 from heavychain import spectral
-from heavychain.discretization import _weighted_terms, assemble_generator, sample_states
+from heavychain.discretization import (
+    _energy_factor,
+    _form,
+    _natural_terms,
+    _weighted_terms,
+    assemble_generator,
+    sample_states,
+)
 from heavychain.model import (
     ControllerGains,
     check_admissibility,
@@ -25,7 +32,6 @@ from heavychain.spectral import (
     huang_verdict,
     resolvent_apply_discrete,
     resolvent_norm_discrete,
-    resolvent_sweep,
     spectrum,
 )
 
@@ -36,30 +42,29 @@ REF_NORM_TAU0_N100 = 24.98499
 
 def energy_factor(sys):
     """Dense R0 with R0^T R0 = M_H in the (w, v) order, positive diagonal:
-    QR of the dense stencil stack, the rows sqrt(s) T of the energy terms
-    and the coupling row j / sqrt(2).  No Gram is formed, so R0 carries
-    cond(G) rounding, not cond(G)^2."""
-    terms, (cols, vals) = _weighted_terms(sys.grid, sys.model, sys.gamma)
+    QR of the dense stencil stack, the rows sqrt(s) T of the energy terms,
+    each T applied to the selector of the block it reads (the whole state
+    for block None).  No Gram is formed, so R0 carries cond(G) rounding,
+    not cond(G)^2."""
     npts = sys.grid.n + 1
     stack = []
-    for block, s, factors in terms:
-        t = np.eye(npts)
+    for block, s, factors in _weighted_terms(sys.grid, sys.model, sys.gamma):
+        t = np.eye(2 * npts)
+        if block is not None:
+            t = t[block * npts:(block + 1) * npts]
         for f in reversed(factors):
             t = f @ t
-        rows = np.zeros((npts, 2 * npts))
-        rows[:, block * npts:(block + 1) * npts] = np.sqrt(s)[:, None] * t
-        stack.append(rows)
-    j = np.zeros((1, 2 * npts))
-    np.add.at(j[0], cols, vals / np.sqrt(2.0))
-    r0 = np.linalg.qr(np.vstack(stack + [j]), mode="r")
+        stack.append(np.sqrt(s)[:, None] * t)
+    r0 = np.linalg.qr(np.vstack(stack), mode="r")
     return np.sign(np.diag(r0))[:, None] * r0
 
 
 def dense_resolvent_norm(r0, a, tau):
-    """1 / sigma_min of R0 (i tau - A) R0^{-1}, all dense; one norm per
-    entry when tau is an array."""
-    r_inv, eye = np.linalg.inv(r0), np.eye(len(a))
-    norms = [1.0 / svdvals(r0 @ (1j * t * eye - a) @ r_inv)[-1] for t in np.ravel(tau)]
+    """1 / sigma_min of R0 (i tau - A) R0^{-1} = i tau - R0 A R0^{-1}, all
+    dense; the similarity is formed once, then one SVD per entry when tau
+    is an array."""
+    a_sim, eye = r0 @ a @ np.linalg.inv(r0), np.eye(len(a))
+    norms = [1.0 / svdvals(1j * t * eye - a_sim)[-1] for t in np.ravel(tau)]
     return np.reshape(norms, np.shape(tau))
 
 
@@ -129,10 +134,9 @@ def test_resolvent_norm_matches_dense_svd(ref_model):
 
 def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
     # the default CLI sweep ends at tau = 1000
-    a = ref_sys.A.toarray()
-    r0 = energy_factor(ref_sys)
-    for tau in (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0):
-        ref = dense_resolvent_norm(r0, a, tau)
+    taus = np.array([0.0, 0.1, 1.0, 10.0, 100.0, 1000.0])
+    refs = dense_resolvent_norm(energy_factor(ref_sys), ref_sys.A.toarray(), taus)
+    for tau, ref in zip(taus, refs):
         assert resolvent_norm_discrete(ref_sys, tau).norm == pytest.approx(ref, rel=1e-9)
 
 
@@ -185,7 +189,8 @@ def test_resolvent_norm_application_count(ref_sys, monkeypatch):
         return operator(shape, matvec=apply, dtype=dtype)
 
     monkeypatch.setattr(spectral, "LinearOperator", counted)
-    resolvent_sweep(ref_sys, 0.1, 1e3, points=60)
+    for tau in np.geomspace(0.1, 1e3, 60):
+        resolvent_norm_discrete(ref_sys, tau)
     assert len(applications) == 60
     assert np.mean(applications) <= 15.0
 
@@ -228,6 +233,16 @@ def test_energy_and_factor_built_once(ref_model):
     assert "energy" not in vars(dataclasses.replace(sys, gamma=sys.gamma))
 
 
+def banded_form(r, states):
+    """|R Pi z|^2 for each row z of states, R in LAPACK upper band layout
+    and Pi the node-interleaved order (w_0, v_0, w_1, v_1, ...)."""
+    kb, n = len(r) - 1, r.shape[1]
+    upper = sparse.dia_array((r, kb - np.arange(kb + 1)), shape=(n, n))
+    npts = n // 2
+    interleaved = np.stack([states[:, :npts], states[:, npts:]], axis=-1).reshape(len(states), n)
+    return np.sum(np.abs(upper @ interleaved.T) ** 2, axis=0)
+
+
 def test_energy_factor_is_banded_and_o_n(ref_model):
     # R^T R = Pi M_H Pi^T in LAPACK upper band layout, built without an
     # n x n array (one would take 82 MiB here)
@@ -242,15 +257,25 @@ def test_energy_factor_is_banded_and_o_n(ref_model):
     assert r.shape == (kb + 1, n)
     assert np.all(r[kb] > 0.0)
     assert peak < 5 * 2**20
-    upper = sparse.dia_array((r, kb - np.arange(kb + 1)), shape=(n, n))
     states = sample_states(sys, 8, seed=0)
-    npts = sys.grid.n + 1
-    interleaved = np.stack([states[:, :npts], states[:, npts:]], axis=-1).reshape(len(states), n)
-    energy = np.sum(np.abs(upper @ interleaved.T) ** 2, axis=0)
     # smooth states cancel entries of size P / dx^2 in the D1 (P D1) rows:
     # every float64 route loses digits like eps / dx^2 here (applying the
     # stencil rows themselves reads 2e-13 off a long-double evaluation)
-    np.testing.assert_allclose(energy, sys._energy(states), rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(banded_form(r, states), _form(sys.energy, states),
+                               rtol=1e-11, atol=0.0)
+
+
+def test_one_factor_routine_serves_both_energies(ref_model):
+    # the natural and the energy form are both plain term lists, so one
+    # routine factors either: |R Pi z|^2 = z^H M z for each
+    for n in (50, 400):
+        sys = assemble_generator(ref_model, n)
+        states = sample_states(sys, 8, seed=0)
+        for terms in (_natural_terms(sys.grid), sys.energy):
+            r = _energy_factor(terms, n + 1)
+            assert np.all(r[-1] > 0.0)
+            np.testing.assert_allclose(banded_form(r, states), _form(terms, states),
+                                       rtol=1e-11, atol=0.0)
 
 
 def test_resolvent_norm_refines_monotonically(ref_model):
@@ -291,7 +316,7 @@ def test_resolvent_exceeds_spectral_lower_bound(ref_sys, ref_spectrum):
 
 
 def test_sweep_and_verdict(ref_sys, ref_spectrum):
-    sweep = resolvent_sweep(ref_sys, 0.1, 1e3, points=60)
+    sweep = [resolvent_norm_discrete(ref_sys, t) for t in np.geomspace(0.1, 1e3, 60)]
     taus = np.array([s.tau for s in sweep])
     norms = np.array([s.norm for s in sweep])
     assert np.all(np.isfinite(norms)) and np.all(norms > 0)
@@ -307,7 +332,7 @@ def test_sweep_and_verdict(ref_sys, ref_spectrum):
 def test_verdict_shifted_spectrum_inconclusive(ref_sys, ref_spectrum):
     shift = abs(ref_spectrum.abscissa) * 2.0
     shifted = SpectrumReport.from_eigenvalues(ref_spectrum.eigenvalues + shift)
-    sweep = resolvent_sweep(ref_sys, 0.1, 1e3, points=12)
+    sweep = [resolvent_norm_discrete(ref_sys, t) for t in np.geomspace(0.1, 1e3, 12)]
     verdict = huang_verdict(sweep, shifted)
     assert verdict.verdict == VERDICT_INCONCLUSIVE
     assert any("abscissa" in r for r in verdict.reasons)
