@@ -82,6 +82,14 @@ MIN_GRID = 1600
 # Cells of the generator grid that the small-frequency collocation solve uses.
 COLLOCATION_CELLS = 2000
 
+# Accepted Wronskian drift of a fundamental pair, relative to max(1, tau).
+DRIFT_TOL = 1e-8
+
+# Nodes per block of kernel_decay_study's walk along a pair grid (598 187
+# nodes at TAU_CAP): the study holds the grid and a few dozen arrays of
+# this length, not a few dozen of the grid's.
+_BLOCK = 16384
+
 
 def _fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
     """Stencil weights for the m-th derivative from node offsets (unit spacing)."""
@@ -159,13 +167,13 @@ def _pair_values(tau: float, p0: float, slope: float, x):
             (bp0 * a - ap0 * b) / det, (bp0 * ap - ap0 * bp) / det)
 
 
-def fundamental_pair(tau: float, tension: AffineTension, length: float,
-                     tol: float = 1e-8,
-                     points_per_wavelength: int = 400) -> FundamentalPair:
-    """Closed-form oscillator pair sampled on a wavelength-resolving grid.
+def _pair_grid(tau: float, tension: AffineTension, length: float,
+               points_per_wavelength: int) -> np.ndarray:
+    """The uniform grid on [0, length] of the pair at tau: MIN_GRID cells,
+    or more to put points_per_wavelength nodes on the shortest wavelength.
 
-    The affine tension P(x) = value0 + slope*x must be positive on
-    [0, length].  tol bounds the accepted Wronskian drift (relative to tau).
+    Refuses tau <= 0, tau > TAU_CAP and a tension that is not positive on
+    [0, length].
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive (negative frequencies by conjugation)")
@@ -180,32 +188,79 @@ def fundamental_pair(tau: float, tension: AffineTension, length: float,
         raise ValueError("tension must be positive on [0, length]")
     wavelength = 2.0 * np.pi * np.sqrt(pmin) / tau
     n = max(MIN_GRID, int(np.ceil(points_per_wavelength * length / wavelength)))
-    x = np.linspace(0.0, length, n + 1)
-    phi1, phi1p, phi2, phi2p = _pair_values(tau, p0, slope, x)
-    drift = float(np.max(np.abs(phi1p * phi2 - phi1 * phi2p - tau)))
+    return np.linspace(0.0, length, n + 1)
+
+
+def _wronskian_drift(tau: float, phi1, phi1p, phi2, phi2p) -> float:
+    return float(np.max(np.abs(phi1p * phi2 - phi1 * phi2p - tau)))
+
+
+def _check_drift(drift: float, tau: float, tol: float) -> None:
     if drift > tol * max(1.0, tau):
         raise RuntimeError(
             "Wronskian drift %.3e exceeds tolerance %.3e at tau=%g; "
             "lower tau" % (drift, tol * max(1.0, tau), tau)
         )
+
+
+def fundamental_pair(tau: float, tension: AffineTension, length: float,
+                     tol: float = DRIFT_TOL,
+                     points_per_wavelength: int = 400) -> FundamentalPair:
+    """Closed-form oscillator pair sampled on a wavelength-resolving grid.
+
+    The affine tension P(x) = value0 + slope*x must be positive on
+    [0, length].  tol bounds the accepted Wronskian drift (relative to tau).
+    """
+    x = _pair_grid(tau, tension, length, points_per_wavelength)
+    phi1, phi1p, phi2, phi2p = _pair_values(tau, tension.value0, tension.slope, x)
+    drift = _wronskian_drift(tau, phi1, phi1p, phi2, phi2p)
+    _check_drift(drift, tau, tol)
     return FundamentalPair(
         tau=float(tau), x=x, phi1=phi1, phi1p=phi1p,
         phi2=phi2, phi2p=phi2p, wronskian_drift=drift,
     )
 
 
-def _cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Fourth-order running integral with a smooth error profile.
+def _cumulative(y: np.ndarray, dx: float, rows: slice = slice(None),
+                carry: tuple | None = None) -> tuple[np.ndarray, tuple]:
+    """Fourth-order running integral from x = 0 with a smooth error profile.
 
     Trapezoid plus the Euler-Maclaurin endpoint correction.  Unlike a
     cumulative Simpson rule, the quadrature defect has no odd/even node
     sawtooth, so finite-difference audits of downstream quantities do not
     amplify it by 1/dx^2.
+
+    y samples a window of a uniform grid of spacing dx, and the integral
+    comes back on the window's rows; the nodes around them are the reach
+    of the end correction's stencils.  A window that starts at x = 0 takes
+    carry None; a later one takes the carry that the window before it
+    returned (the integral at the node before rows, and y'(0)).  Returns
+    the integral on rows and the carry for the next window.
     """
-    dx = float(x[1] - x[0])
-    running = np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) * (0.5 * dx))])
+    r0, r1, _ = rows.indices(len(y))
     yp = _fd4(y, dx)
-    return running - (dx * dx / 12.0) * (yp - yp[0])
+    if carry is None:
+        yp0 = yp[0]
+        running = np.concatenate([[0.0], np.cumsum((y[1:r1] + y[:r1 - 1]) * (0.5 * dx))])
+    else:
+        last, yp0 = carry
+        running = np.cumsum(np.concatenate(
+            [[last], (y[r0:r1] + y[r0 - 1:r1 - 1]) * (0.5 * dx)]))[1:]
+    return running - (dx * dx / 12.0) * (yp[r0:r1] - yp0), (running[-1], yp0)
+
+
+def _kernel_integrals(fv, phis, tau: float, dx: float, rows: slice = slice(None),
+                      carry: tuple = (None, None)):
+    """I0 and I1 on the rows of a window of the pair's grid, from the
+    samples fv of f and phis = (phi1, phi1', phi2, phi2') on the window;
+    carry continues both running quadratures (see _cumulative).  Returns
+    (I0, I1, carry)."""
+    cum1, carry1 = _cumulative(fv * phis[0], dx, rows, carry[0])
+    cum2, carry2 = _cumulative(fv * phis[2], dx, rows, carry[1])
+    phi1, phi1p, phi2, phi2p = (p[rows] for p in phis)
+    i0 = (phi1 * cum2 - phi2 * cum1) / tau
+    i1 = (phi1p * cum2 - phi2p * cum1) / tau
+    return i0, i1, (carry1, carry2)
 
 
 def greens_apply(fv: np.ndarray, pair: FundamentalPair) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +270,8 @@ def greens_apply(fv: np.ndarray, pair: FundamentalPair) -> tuple[np.ndarray, np.
     The kernel J(x,t) separates in (x, t), so both integrals reduce to two
     running quadratures against phi1 and phi2.
     """
-    cum1 = _cumulative(fv * pair.phi1, pair.x)
-    cum2 = _cumulative(fv * pair.phi2, pair.x)
-    i0 = (pair.phi1 * cum2 - pair.phi2 * cum1) / pair.tau
-    i1 = (pair.phi1p * cum2 - pair.phi2p * cum1) / pair.tau
+    phis = (pair.phi1, pair.phi1p, pair.phi2, pair.phi2p)
+    i0, i1, _ = _kernel_integrals(fv, phis, pair.tau, float(pair.x[1] - pair.x[0]))
     return i0, i1
 
 
@@ -503,6 +556,50 @@ class KernelDecayStudy:
     slope_i1: float
 
 
+def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
+                   points_per_wavelength: int):
+    """greens_apply of f on fundamental_pair's grid at tau, block by block.
+
+    Each block of _BLOCK nodes evaluates the pair and f on itself plus
+    the stencil reach of _fd4 (two nodes each side, the six end nodes at
+    the ends of the grid), and the running quadratures carry their sums
+    and y'(0) from block to block, so only the grid is held in full.
+    Yields, per block, I0 and I1 on its nodes (the same floats as on the
+    whole grid), the pair's Wronskian drift there, and whether f is
+    nonzero anywhere on the block's window.
+    """
+    x = _pair_grid(tau, tension, length, points_per_wavelength)
+    dx = float(x[1] - x[0])
+    size = len(x)
+    carry = (None, None)
+    for s in range(0, size, _BLOCK):
+        e = min(s + _BLOCK, size)
+        lo, hi = max(0, min(s - 2, size - 6)), min(size, max(e + 2, 6))
+        rows = slice(s - lo, e - lo)
+        phis = _pair_values(tau, tension.value0, tension.slope, x[lo:hi])
+        fv = np.asarray(f(x[lo:hi]))
+        i0, i1, carry = _kernel_integrals(fv, phis, tau, dx, rows, carry)
+        yield (i0, i1, _wronskian_drift(tau, *(p[rows] for p in phis)),
+               bool(np.any(np.abs(fv) > 0.0)))
+
+
+def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
+                 points_per_wavelength: int) -> tuple[float, float]:
+    """sup |I0| and sup |I1| of f at tau, from _kernel_blocks.  Refuses as
+    fundamental_pair does (the drift is the largest over all blocks), and
+    f that vanishes on the whole grid."""
+    peaks, nonzero = [], False
+    for i0, i1, drift, nonzero_here in _kernel_blocks(tau, f, tension, length,
+                                                      points_per_wavelength):
+        peaks.append((np.max(np.abs(i0)), np.max(np.abs(i1)), drift))
+        nonzero = nonzero or nonzero_here
+    sup0, sup1, drift = np.max(peaks, axis=0)
+    _check_drift(float(drift), tau, DRIFT_TOL)
+    if not nonzero:
+        raise ValueError("degenerate study: data vanishes identically")
+    return float(sup0), float(sup1)
+
+
 def kernel_decay_study(tau_grid, f, tension: AffineTension,
                        length: float) -> KernelDecayStudy:
     """Log-log decay rates of the kernel integrals against frequency.
@@ -510,22 +607,15 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
     Expects a logarithmic grid spanning at least two decades above tau=10;
     the sup of I0 should fall like tau^-2 and the sup of I1 like tau^-1.
     Quadrature points per wavelength scale with tau so the measured sups
-    stay above the integration noise floor.
+    stay above the integration noise floor.  Each grid is walked in
+    blocks of a fixed number of nodes (see _kernel_blocks), so beside the
+    grid itself the study's memory is O(block), not O(grid).
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.min() < 10.0 or taus.max() / taus.min() < 99.0:
         raise ValueError("grid must span at least two decades starting at tau >= 10")
-    sup0 = np.empty(len(taus))
-    sup1 = np.empty(len(taus))
-    for k, tau in enumerate(taus):
-        ppw = int(max(160, 1.2 * tau))
-        pair = fundamental_pair(tau, tension, length, points_per_wavelength=ppw)
-        fv = np.asarray(f(pair.x))
-        if not np.any(np.abs(fv) > 0.0):
-            raise ValueError("degenerate study: data vanishes identically")
-        i0, i1 = greens_apply(fv, pair)
-        sup0[k] = np.max(np.abs(i0))
-        sup1[k] = np.max(np.abs(i1))
+    sup0, sup1 = np.array([_kernel_sups(tau, f, tension, length, int(max(160, 1.2 * tau)))
+                           for tau in taus]).T.copy()
     log_t = np.log(taus)
     slope0 = float(np.polyfit(log_t, np.log(sup0), 1)[0])
     slope1 = float(np.polyfit(log_t, np.log(sup1), 1)[0])

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import ztbmv, ztbsv
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import dgeev, dgeev_lwork, zgbtrf, zgbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
 
 from heavychain.discretization import GeneratorSystem, _interleaved
@@ -73,12 +73,18 @@ class SpectrumReport:
 
 
 def spectrum(sys: GeneratorSystem) -> SpectrumReport:
-    """Dense spectrum of the semi-discrete generator (a dense copy of A)."""
-    try:
-        lam = np.linalg.eigvals(sys.A.toarray())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError("dense eigensolver failed: %s" % exc) from exc
-    return SpectrumReport.from_eigenvalues(lam)
+    """Dense spectrum of the semi-discrete generator: one column-major
+    dense copy of A, which LAPACK (dgeev) reduces in place, where
+    numpy's eigvals would copy it once more."""
+    a = sys.A.toarray(order="F")
+    if not np.isfinite(a).all():
+        raise RuntimeError("dense eigensolver failed: A is not finite")
+    work, _ = dgeev_lwork(len(a), compute_vl=0, compute_vr=0)
+    wr, wi, _, _, info = dgeev(a, compute_vl=0, compute_vr=0, lwork=int(work),
+                               overwrite_a=1)
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise RuntimeError("dense eigensolver failed: dgeev info %d" % info)
+    return SpectrumReport.from_eigenvalues(wr + 1j * wi)
 
 
 @dataclass(frozen=True)

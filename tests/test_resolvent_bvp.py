@@ -1,5 +1,7 @@
 """Continuous resolvent pipeline: kernels, margins, solves, decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 
+from heavychain import resolvent_bvp
 from heavychain.discretization import assemble_generator
 from heavychain.model import (
     AffineTension,
@@ -16,10 +19,14 @@ from heavychain.model import (
     rescale,
 )
 from heavychain.resolvent_bvp import (
+    MIN_GRID,
     SMALL_TAU,
     TAU_CAP,
     _fd4,
     _fd4_weights,
+    _kernel_blocks,
+    _kernel_sups,
+    _pair_grid,
     _solve_collocation,
     c0_coefficient,
     continuous_resolvent_sweep,
@@ -345,6 +352,123 @@ def test_kernel_decay_study_rejects_degenerate_input(ref_model):
             np.linspace(10.0, 20.0, 5), unit_fun, ref_model.tension,
             ref_model.length,
         )
+
+
+def test_kernel_decay_study_refuses_what_the_pair_refuses(ref_model):
+    with pytest.raises(ValueError, match="TAU_CAP"):
+        kernel_decay_study(np.geomspace(10.0, 2.0 * TAU_CAP, 5), unit_fun,
+                           ref_model.tension, ref_model.length)
+    with pytest.raises(ValueError, match="positive"):
+        kernel_decay_study(np.geomspace(10.0, 1000.0, 3), unit_fun,
+                           AffineTension(1.0, -2.0), 1.0)
+
+
+def _kernel_tau(ref_model, block, residue):
+    """A frequency below 133 (160 points per wavelength) whose pair grid
+    has residue nodes modulo block."""
+    return next(tau for tau in np.arange(20.0, 40.0, 0.01)
+                if len(_pair_grid(tau, ref_model.tension, ref_model.length, 160))
+                % block == residue)
+
+
+def _whole_grid(tau, f, ref_model, ppw=160, tol=1e-8):
+    pair = fundamental_pair(tau, ref_model.tension, ref_model.length, tol=tol,
+                            points_per_wavelength=ppw)
+    return pair, *greens_apply(f(pair.x), pair)
+
+
+def _kernel_data(ref_model):
+    return lambda x: np.cos(np.pi * x / ref_model.length) + 0.5
+
+
+def _assert_blockwise_is_whole_grid(ref_model, tau):
+    # the blocks run the same floating-point operations as the whole grid
+    # (a wrong halo would only move a seam row's end correction, far
+    # below any relative tolerance on the sups)
+    f = _kernel_data(ref_model)
+    _, i0, i1 = _whole_grid(tau, f, ref_model)
+    blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, 160))
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i0)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), i1)
+    np.testing.assert_allclose(
+        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160),
+        (np.max(np.abs(i0)), np.max(np.abs(i1))), rtol=1e-12, atol=0.0)
+    return blocks
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3])
+def test_blockwise_kernel_integrals_match_whole_grid_across_seams(ref_model, monkeypatch,
+                                                                  residue):
+    # 64-node blocks: the last block holds 1, 2 or 3 nodes, so the seam
+    # halo and the one-sided end rows of _fd4 at the far end both act
+    monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
+    blocks = _assert_blockwise_is_whole_grid(ref_model, _kernel_tau(ref_model, 64, residue))
+    assert len(blocks[-1][0]) == residue
+
+
+def test_blockwise_kernel_integrals_single_block(ref_model):
+    assert MIN_GRID + 1 <= resolvent_bvp._BLOCK
+    blocks = _assert_blockwise_is_whole_grid(ref_model, 10.0)
+    assert len(blocks) == 1 and len(blocks[0][0]) == MIN_GRID + 1
+
+
+def test_kernel_decay_study_matches_whole_grid_reference(ref_model, monkeypatch):
+    # an odd block puts the seams anywhere, up to TAU_CAP's 598 187 nodes
+    monkeypatch.setattr(resolvent_bvp, "_BLOCK", 4099)
+    f = _kernel_data(ref_model)
+    taus = np.geomspace(10.0, 1000.0, 3)
+    study = kernel_decay_study(taus, f, ref_model.tension, ref_model.length)
+    ref = np.array([[np.max(np.abs(i)) for i in
+                     _whole_grid(tau, f, ref_model, ppw=int(max(160, 1.2 * tau)))[1:]]
+                    for tau in taus])
+    np.testing.assert_allclose(study.sup_i0, ref[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(study.sup_i1, ref[:, 1], rtol=1e-12, atol=0.0)
+
+
+def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatch):
+    # the refusal reads the largest drift over all blocks, as
+    # fundamental_pair reads it over the whole grid
+    monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
+    f = _kernel_data(ref_model)
+    tau = 30.0
+    drift = _whole_grid(tau, f, ref_model)[0].wronskian_drift / tau
+    monkeypatch.setattr(resolvent_bvp, "DRIFT_TOL", 0.999 * drift)
+    with pytest.raises(RuntimeError, match="Wronskian drift"):
+        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160)
+    monkeypatch.setattr(resolvent_bvp, "DRIFT_TOL", 1.001 * drift)
+    _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160)
+
+
+def test_blockwise_degenerate_data_is_judged_on_the_whole_grid(ref_model, monkeypatch):
+    monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
+    length = ref_model.length
+    # zero on every block but a few in the middle, so neither the first
+    # nor the last block alone decides
+    bump = lambda x: np.where(np.abs(np.asarray(x) - 0.5 * length) < 0.05 * length, 1.0, 0.0)
+    assert min(_kernel_sups(30.0, bump, ref_model.tension, length, 160)) > 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        _kernel_sups(30.0, zero_fun, ref_model.tension, length, 160)
+
+
+def test_kernel_decay_study_memory_is_o_block(ref_model):
+    # beside the one grid at TAU_CAP (598 187 floats), a block step holds
+    # about twenty float arrays of a window's length (the block and its
+    # 2 + 2 halo nodes): the pair with its Bessel basis and temporaries,
+    # f, the two integrands with their stencils and running sums, I0 and
+    # I1, and the previous block's results.  The bound allows 32.  The
+    # whole-grid study holds about fifteen grid-length arrays (66 MB).
+    length = ref_model.length
+    f = _kernel_data(ref_model)
+    taus = np.geomspace(10.0, 1000.0, 13)
+    grid_bytes = _pair_grid(taus[-1], ref_model.tension, length, 1200).nbytes
+    window_bytes = (resolvent_bvp._BLOCK + 4) * 8
+    tracemalloc.start()
+    try:
+        kernel_decay_study(taus, f, ref_model.tension, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes + 32 * window_bytes
 
 
 def test_fd4_central_weights_and_quartic_exactness():

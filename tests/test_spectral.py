@@ -102,6 +102,19 @@ def test_reference_spectrum(ref_spectrum, ref_sys):
     assert np.abs(rep.eigenvalues).min() > 0.05
 
 
+def test_spectrum_matches_numpy_eigvals_and_refuses_non_finite(ref_sys, ref_spectrum):
+    # the in-place dgeev against numpy's eigvals on its own copy
+    lam = ref_spectrum.eigenvalues
+    ref = np.linalg.eigvals(ref_sys.A.toarray())
+    scale = np.abs(ref).max()
+    assert np.abs(lam[:, None] - ref[None, :]).min(axis=1).max() <= 1e-12 * scale
+    assert np.abs(ref[:, None] - lam[None, :]).min(axis=1).max() <= 1e-12 * scale
+    bad = ref_sys.A.copy()
+    bad.data[0] = np.nan
+    with pytest.raises(RuntimeError, match="not finite"):
+        spectrum(dataclasses.replace(ref_sys, A=bad))
+
+
 def test_abscissa_stable_under_refinement(ref_model):
     a200 = spectrum(assemble_generator(ref_model, 200)).abscissa
     a400 = spectrum(assemble_generator(ref_model, 400)).abscissa
