@@ -20,13 +20,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from heavychain.model import RescaledModel
-
 __all__ = [
     "diff_matrix",
     "diff2_matrix",
     "trapezoid_weights",
-    "invert_generator",
 ]
 
 
@@ -61,31 +58,3 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
     w = np.full(n + 1, dx)
     w[0] = w[-1] = 0.5 * dx
     return w
-
-
-def _running_integral(y: np.ndarray, dx: float) -> np.ndarray:
-    """Trapezoid running integral int_0^x y on a uniform grid."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * dx)))
-
-
-def invert_generator(x: np.ndarray, f: np.ndarray, g: np.ndarray,
-                     m: RescaledModel) -> np.ndarray:
-    """Solve  A z = (f, g, g(length), g(0))  in closed form.
-
-    f and g are samples on the uniform grid x.  The construction
-    integrates g twice through the tension profile:
-    v = f,   w'(x) = (-P(length)*g(length) + int_length^x g) / P(x),
-    and the cart equation pins w(0) (theta3 must not vanish).  Returns
-    z = (w_0..w_N, v_0..v_N), the generator's state layout, in which the
-    boundary velocities xi = v(length) and psi = v(0) are v_N and v_0.
-    """
-    if m.theta3 == 0.0:
-        raise ValueError("theta3 = 0: generator is not invertible")
-    dx = float(x[1] - x[0])
-    P = m.tension(x)
-    cum_g = _running_integral(g, dx)  # int_0^x g
-    int_from_L = cum_g - cum_g[-1]  # int_length^x g
-    dw = (-m.tensionL * g[-1] + int_from_L) / P
-    df0 = (diff_matrix(len(x) - 1, dx) @ f)[0]
-    w0 = (g[0] - m.theta1 * f[0] - m.theta2 * df0 - m.theta4 * dw[0]) / m.theta3
-    return np.concatenate([w0 + _running_integral(dw, dx), f])

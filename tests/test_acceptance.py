@@ -26,7 +26,6 @@ from heavychain.model import (
     derive_physical_thetas,
     rescale,
 )
-from heavychain.operator import invert_generator
 from heavychain.resolvent_bvp import (
     continuous_resolvent_sweep,
     fundamental_pair,
@@ -44,6 +43,7 @@ from heavychain.spectral import (
     resolvent_norm_discrete,
     spectrum,
 )
+from tests.conftest import invert_generator
 
 
 def report_line(name: str, ok: bool, detail: str):

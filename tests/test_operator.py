@@ -10,12 +10,8 @@ from heavychain.discretization import (
     weighted_norm,
 )
 from heavychain.model import check_admissibility
-from heavychain.operator import (
-    diff2_matrix,
-    diff_matrix,
-    invert_generator,
-    trapezoid_weights,
-)
+from heavychain.operator import diff2_matrix, diff_matrix, trapezoid_weights
+from tests.conftest import invert_generator
 
 REF_INV_CONST = -17.658  # -theta1/theta3 for the reference configuration
 

@@ -102,17 +102,96 @@ def test_reference_spectrum(ref_spectrum, ref_sys):
     assert np.abs(rep.eigenvalues).min() > 0.05
 
 
+def eigenvalue_distance(lam, ref):
+    """The farthest any eigenvalue of either set lies from the other set."""
+    d = np.abs(lam[:, None] - ref[None, :])
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
 def test_spectrum_matches_numpy_eigvals_and_refuses_non_finite(ref_sys, ref_spectrum):
-    # the in-place dgeev against numpy's eigvals on its own copy
-    lam = ref_spectrum.eigenvalues
+    # the Hessenberg-order route against numpy's dgeev on its own copy
     ref = np.linalg.eigvals(ref_sys.A.toarray())
-    scale = np.abs(ref).max()
-    assert np.abs(lam[:, None] - ref[None, :]).min(axis=1).max() <= 1e-12 * scale
-    assert np.abs(ref[:, None] - lam[None, :]).min(axis=1).max() <= 1e-12 * scale
+    assert eigenvalue_distance(ref_spectrum.eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
     bad = ref_sys.A.copy()
     bad.data[0] = np.nan
     with pytest.raises(RuntimeError, match="not finite"):
         spectrum(dataclasses.replace(ref_sys, A=bad))
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_spectrum_matches_numpy_eigvals_on_finer_grids(ref_model, n):
+    sys = assemble_generator(ref_model, n)
+    ref = np.linalg.eigvals(sys.A.toarray())
+    assert eigenvalue_distance(spectrum(sys).eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_spectrum_matches_numpy_eigvals_across_gains(ref_params, n):
+    for m in admissible_gain_models(ref_params, 6, seed=17):
+        sys = assemble_generator(m, n)
+        ref = np.linalg.eigvals(sys.A.toarray())
+        assert eigenvalue_distance(spectrum(sys).eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
+
+
+def test_spectrum_reduces_from_first_column_below_subdiagonal(ref_model, monkeypatch):
+    # in the order (v_0, w_0, v_1, w_1, ...) only the payload row v_N
+    # reaches below the subdiagonal, to w_{N-2}: the reduction starts at
+    # column n - 5.  One more stored entry at row v_40, column w_5
+    # (positions 80 and 11) moves eigenvalues by about 7e-4 max|lambda|
+    # and the start to column 11
+    starts = []
+    dgehrd = spectral.dgehrd
+
+    def recording(h, lo, hi, overwrite_a):
+        starts.append(lo)
+        return dgehrd(h, lo=lo, hi=hi, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(spectral, "dgehrd", recording)
+    sys = assemble_generator(ref_model, 50)
+    npts = sys.grid.n + 1
+    extra = sparse.csr_array(([1.0], ([npts + 40], [5])), shape=sys.A.shape)
+    for a, start in ((sys.A, sys.grid.size - 5), (sys.A + extra, 11)):
+        lam = spectrum(dataclasses.replace(sys, A=a)).eigenvalues
+        ref = np.linalg.eigvals(a.toarray())
+        assert starts[-1] == start
+        assert eigenvalue_distance(lam, ref) <= 1e-12 * np.abs(ref).max()
+
+
+def test_spectrum_is_deterministic_and_holds_one_dense_copy(ref_model, monkeypatch):
+    lworks = []
+    dhseqr = spectral._dhseqr
+
+    def recording(*args):
+        lworks.append(args[12].value)  # lwork
+        dhseqr(*args)
+
+    monkeypatch.setattr(spectral, "_dhseqr", recording)
+    sys = assemble_generator(ref_model, 400)
+    first = spectrum(sys).eigenvalues
+    tracemalloc.start()
+    try:
+        second = spectrum(sys).eigenvalues
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, second)
+    # one dense n x n copy; dhseqr's queried workspace and five n-vectors
+    # (dgehrd's tau and work, dgebal's scale, wr, wi); eight arrays of nnz
+    # (the triplets in the new order and their temporaries)
+    n, nnz = sys.grid.size, sys.A.nnz
+    assert peak <= 8 * n * n + 8 * (max(lworks) + 5 * n) + 8 * 8 * nnz
+
+
+def test_spectrum_failure_names_dhseqr(ref_sys, monkeypatch):
+    dhseqr = spectral._dhseqr
+
+    def failing(*args):
+        dhseqr(*args)
+        args[-1].value = 1  # info > 0: the QR did not converge
+
+    monkeypatch.setattr(spectral, "_dhseqr", failing)
+    with pytest.raises(RuntimeError, match="dhseqr"):
+        spectrum(ref_sys)
 
 
 def test_abscissa_stable_under_refinement(ref_model):
