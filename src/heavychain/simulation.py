@@ -15,13 +15,13 @@ with h = dt/2, each step is one solve with the once-factored sparse
 I - hA plus one vector update.  A run that stores every s-th state only
 needs R^s, and can instead form it once and take one dense product per
 stored state (the jump route).  Forming R^s steps the n columns of the
-identity through one stride, which costs what stepping n vectors does,
-s n nnz flops with nnz the entries of the LU factors; the strides then
-cost n^2 each instead of s nnz.  The run jumps only when that count is
-smaller, s n nnz + strides n^2 < strides s nnz, which a run storing
-every step (s = 1, n^2 >= nnz) never meets.  The identity check compares
-one-step differences of V against midpoint averages of the right-hand
-side, which keeps both sides second-order consistent at t_{n+1/2}.
+identity through one stride; the strides then cost one product with n^2
+entries each instead of s solves.  On small grids a step's time is mostly
+SuperLU's fixed cost per solve call, not its flops, so the choice
+compares measured times (see ``_jump_pays``): even a run that stores
+every step jumps on small grids.  The identity check compares one-step
+differences of V against midpoint averages of the right-hand side, which
+keeps both sides second-order consistent at t_{n+1/2}.
 """
 
 from __future__ import annotations
@@ -69,14 +69,40 @@ class Trajectory:
         return self.system.weighted_norm(self.states)
 
 
-def _jump_pays(n: int, nnz: int, stride: int, strides: int) -> bool:
-    """Whether forming R^stride and jumping takes fewer flops than stepping.
+# Measured costs of the two routes, in ns: one SuperLU solve call and its
+# vector update, fixed; each LU factor entry, per right-hand side; each
+# entry of a dense product R^s z.  See _jump_pays.
+_SOLVE_CALL_NS = 3000.0
+_FACTOR_ENTRY_NS = 2.0
+_DENSE_ENTRY_NS = 0.08
 
-    Stepping costs stride * nnz per stride (one LU solve per step, nnz
-    entries in the factors).  Jumping first steps the n identity columns
-    through one stride, stride * n * nnz, then costs n^2 per stride.
+
+def _jump_pays(n: int, nnz: int, stride: int, strides: int) -> bool:
+    """Whether forming R^stride and jumping takes less time than stepping.
+
+    Stepping pays one solve call per step: strides * stride * (call +
+    nnz entry).  Jumping first steps the n identity columns through one
+    stride, stride * (call + n nnz entry), then pays strides * n^2 dense
+    entries.  The terms are timeit minima on the reference model at
+    dt = dx / (8 c) (2 vCPU, OpenBLAS 0.3.31), with nnz the entries of the
+    LU factors of I - dt/2 A:
+
+        N                          5     50    100   200   400   800
+        n                          12    102   202   402   802   1602
+        nnz                        58    515   1015  2015  4019  8019
+        2 lu.solve(z) - z, us      3.16  4.14  5.36  7.50  11.5  19.5
+        R @ z, us                  0.67  1.36  3.26  13.9  34.2  119
+
+    A least-squares line through the step times gives 3.1 us + 2.05 ns per
+    factor entry; a product costs 0.080-0.086 ns per entry at n = 202-402,
+    where the choice for s = 1 falls, and 0.047-0.053 ns above.  Stepping
+    the identity block through one stride took 1.0-2.9 ns per factor entry
+    and column.  So 200 steps stored one by one jump at N = 50 (1.4 us a
+    product against 4.1 us a step) and are stepped at N = 100 and up.
     """
-    return stride * n * nnz + strides * n * n < strides * stride * nnz
+    def solve(columns):
+        return _SOLVE_CALL_NS + columns * nnz * _FACTOR_ENTRY_NS
+    return stride * solve(n) + strides * n * n * _DENSE_ENTRY_NS < strides * stride * solve(1)
 
 
 def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
@@ -85,8 +111,8 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
 
     R is (I - dt/2 A)^{-1} (I + dt/2 A): one solve with the sparse step
     matrix, factored once (SuperLU), plus one vector update per step.
-    Every store_every-th state and the last are stored.  When counted
-    flops favour it (see ``_jump_pays``), the full strides are taken as
+    Every store_every-th state and the last are stored.  When measured
+    costs favour it (see ``_jump_pays``), the full strides are taken as
     one dense product each with R^store_every, formed by stepping the
     identity block through one stride; the final partial stride is
     stepped.  dt defaults to dx over the largest wave speed.  Complex

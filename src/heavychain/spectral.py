@@ -4,10 +4,13 @@ The spectrum is the one dense computation.  In the order (v_0, w_0, v_1,
 w_1, ...) the generator is upper Hessenberg except for the payload row
 v_N, whose one-sided stencil reaches w_{N-2}, so LAPACK's Hessenberg
 reduction (dgehrd) runs on the last five columns only, a scaling-only
-balance (dgebal) keeps the form, and the multishift QR of Braman, Byers
-and Mathias (dhseqr, SIAM J. Matrix Anal. Appl. 2002) gives the
-eigenvalues.  dgeev would spend about a quarter of its time reducing the
-whole matrix.
+balance (dgebal) keeps the form, and a Hessenberg QR gives the
+eigenvalues; dgeev would spend about a quarter of its time reducing the
+whole matrix.  Which QR runs depends on the size: below a measured
+crossover the double-shift QR of Francis (dlahqr), whose few calls and
+no workspace win on small matrices, and above it the multishift QR with
+aggressive early deflation of Braman, Byers and Mathias (dhseqr, SIAM J.
+Matrix Anal. Appl. 2002), whose blocked sweeps win on large ones.
 
 All norms here are taken in the energy inner product.  In the
 node-interleaved order (w_0, v_0, w_1, v_1, ...), given by the permutation
@@ -93,22 +96,51 @@ def _lapack(name: str, *argtypes):
     return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
 
 
-# scipy.linalg.lapack has no dhseqr wrapper
+# scipy.linalg.lapack wraps neither dhseqr nor dlahqr
 _INT = ctypes.POINTER(ctypes.c_int)
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
 _dhseqr = _lapack("dhseqr", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _INT, _F64, _INT,
                   _F64, _F64, _F64, _INT, _F64, _INT, _INT)
+_dlahqr = _lapack("dlahqr", _INT, _INT, _INT, _INT, _INT, _F64, _INT,
+                  _F64, _F64, _INT, _INT, _F64, _INT, _INT)
+
+# State sizes n below this take dlahqr, the rest dhseqr: the measured
+# crossover, see _hessenberg_eigenvalues.
+_DLAHQR_BELOW = 600
 
 
 def _hessenberg_eigenvalues(h: np.ndarray):
-    """(wr, wi, info) of the upper Hessenberg h, which is overwritten:
-    LAPACK dhseqr, eigenvalues only, after a workspace query."""
-    n, one, info = ctypes.c_int(len(h)), ctypes.c_int(1), ctypes.c_int(0)
-    wr, wi, z, work = np.empty(len(h)), np.empty(len(h)), np.empty(1), np.empty(1)
+    """(wr, wi, routine, info) of the upper Hessenberg h, which is
+    overwritten: eigenvalues only, by LAPACK dlahqr (WANTT = WANTZ = 0)
+    below _DLAHQR_BELOW and by dhseqr, after a workspace query, above.
+
+    dhseqr itself calls dlahqr below n = 75 (its NMIN); above, its
+    multishift sweeps pay set-up and workspace that only larger matrices
+    repay.  Per call on the balanced Hessenberg copy of the reference
+    model's generator, best of 3 (2 vCPU, OpenBLAS 0.3.31):
+
+        N (n = 2N + 2)   50     100    150    200    250    300    400
+        dhseqr, ms       1.76   8.0    19.7   36.9   73.7   104.8  178
+        dlahqr, ms       1.04   5.72   16.7   35.3   64.5   106.4  225
+
+    The two meet near n = 600.  Both-way against numpy's dgeev, dlahqr's
+    eigenvalues lie within 5e-13 max|lambda| at N = 50 to 250.
+    """
+    n, zero, one, info = ctypes.c_int(len(h)), ctypes.c_int(0), ctypes.c_int(1), ctypes.c_int(0)
+    wr, wi, z = np.empty(len(h)), np.empty(len(h)), np.empty(1)
+    if len(h) < _DLAHQR_BELOW:
+        _dlahqr(zero, zero, n, one, n, h, n, wr, wi, one, one, z, one, info)
+        return wr, wi, "dlahqr", info.value
+    work = np.empty(1)
     _dhseqr(b"E", b"N", n, one, n, h, n, wr, wi, z, one, work, ctypes.c_int(-1), info)
     work = np.empty(int(work[0]))
     _dhseqr(b"E", b"N", n, one, n, h, n, wr, wi, z, one, work, ctypes.c_int(len(work)), info)
-    return wr, wi, info.value
+    return wr, wi, "dhseqr", info.value
+
+
+def _permuted_entries(a: sparse.csr_array, perm: np.ndarray):
+    """Row and column of each stored entry of the CSR a in the order perm."""
+    return perm[np.repeat(np.arange(len(perm)), np.diff(a.indptr))], perm[a.indices]
 
 
 def spectrum(sys: GeneratorSystem) -> SpectrumReport:
@@ -118,31 +150,35 @@ def spectrum(sys: GeneratorSystem) -> SpectrumReport:
     In the order (v_0, w_0, v_1, w_1, ...) every row of A is upper
     Hessenberg except the payload row v_N, whose one-sided stencil reaches
     w_{N-2}.  One column-major dense copy is written in that order straight
-    from the sparse A; LAPACK dgehrd reduces only the columns from the
-    first one with a stored entry below the subdiagonal (n - 5 for the
-    generator, O(n) work), dgebal balances by a diagonal scaling, which
-    keeps the Hessenberg form, and dhseqr returns the eigenvalues.  The
-    first column is read from the pattern, so the route holds for any A,
-    wider boundary closures included.
+    from A's CSR arrays, duplicates summed; LAPACK dgehrd reduces only the
+    columns from the first one with a stored entry below the subdiagonal
+    (n - 5 for the generator, O(n) work), dgebal balances by a diagonal
+    scaling, which keeps the Hessenberg form, and a Hessenberg QR returns
+    the eigenvalues: the double-shift dlahqr below n = _DLAHQR_BELOW, where
+    its lower fixed cost wins (1.04 against 1.76 ms at N = 50), and the
+    multishift dhseqr above.  The first column is read from the pattern,
+    so the route holds for any A, wider boundary closures included.
 
-    Raises RuntimeError if A is not finite, or if dhseqr fails to converge
-    (info > 0).
+    Raises RuntimeError if A is not finite, or if the QR fails to converge
+    (info > 0); the message names the routine.
     """
-    a = sys.A.tocoo()
+    a = sys.A
     if not np.isfinite(a.data).all():
         raise RuntimeError("dense eigensolver failed: A is not finite")
     n = a.shape[0]
     # _interleaved gives (w_0, v_0, w_1, v_1, ...); ^ 1 swaps each pair
-    i, j = (_interleaved(k, n // 2) ^ 1 for k in (a.row, a.col))
-    h = sparse.coo_array((a.data, (i, j)), shape=a.shape).toarray(order="F")
+    i, j = _permuted_entries(a, _interleaved(np.arange(n), n // 2) ^ 1)
+    # h[i, j] sits at i + n j in column-major order; bincount sums
+    # duplicates as toarray does
+    h = np.bincount(i + n * j, weights=a.data, minlength=n * n).reshape((n, n), order="F")
     lo = int(j[i - j > 1].min(initial=n - 1))
     h, _, _ = dgehrd(h, lo=lo, hi=n - 1, overwrite_a=1)
     for col in range(lo, n - 2):  # dgehrd's reflectors, which dgebal would read
         h[col + 2:, col] = 0.0
     h, _, _, _, _ = dgebal(h, scale=1, overwrite_a=1)
-    wr, wi, info = _hessenberg_eigenvalues(h)
+    wr, wi, routine, info = _hessenberg_eigenvalues(h)
     if info != 0:
-        raise RuntimeError("dense eigensolver failed: dhseqr info %d" % info)
+        raise RuntimeError("dense eigensolver failed: %s info %d" % (routine, info))
     return SpectrumReport.from_eigenvalues(wr + 1j * wi)
 
 
@@ -159,9 +195,7 @@ def _shifted_band(a: sparse.csr_array, tau: float):
     with S[i, j] at ab[kl + ku + i - j, j] below kl spare rows for the
     pivoting fill.  Written from the stored entries of A, O(nnz)."""
     n = a.shape[0]
-    perm = _interleaved(np.arange(n), n // 2)
-    i = perm[np.repeat(np.arange(n), np.diff(a.indptr))]
-    j = perm[a.indices]
+    i, j = _permuted_entries(a, _interleaved(np.arange(n), n // 2))
     kl, ku = int(max(0, (i - j).max())), int(max(0, (j - i).max()))
     rows = 2 * kl + ku + 1
     ab = np.bincount((kl + ku + i - j) * n + j, weights=-a.data, minlength=rows * n)

@@ -245,8 +245,10 @@ def factor_nnz(sys, dt):
         # 40 full strides by R^20, then a stepped partial stride of 3
         ("real", 10, 20, [*range(0, 801, 20), 803], True),
         ("complex", 10, 20, [*range(0, 801, 20), 803], True),
+        # every step stored: on a small grid the dense product still wins
+        ("real", 25, 1, [*range(0, 61)], True),
     ],
-    ids=["real", "complex", "real-jump", "complex-jump"],
+    ids=["real", "complex", "real-jump", "complex-jump", "real-jump-every-step"],
 )
 def test_simulate_matches_dense_cn_reference(ref_model, kind, n, every, marks, jumps):
     # the textbook step (I - hA)^{-1} (I + hA) z by a dense solve, stored
@@ -281,15 +283,16 @@ def test_simulate_matches_dense_cn_reference(ref_model, kind, n, every, marks, j
 
 
 def test_jump_route_rule(ref_model):
-    # the CLI default run: N = 100, dt = dx / (8 c), 2006 strides of 72 steps
-    assert _jump_pays(202, 1015, 72, 2006)
-    for n in (100, 800):
+    # (N, steps per stride, strides, jumps) at dt = dx / (8 c)
+    cases = [
+        (50, 1, 200, True),  # a gain-scan run, every step stored
+        (800, 1, 200, False),  # the grid-fine run
+        (100, 72, 2006, True),  # the CLI default run
+        (100, 100, 1, False),  # one stride of 100 steps, the per-stage CN timing
+        (800, 100, 1, False),
+        (800, 2, 2000, False),  # many short strides on the large grid
+    ]
+    for n, stride, strides, jumps in cases:
         sys = assemble_generator(ref_model, n)
         dt = sys.grid.dx / (8.0 * np.sqrt(ref_model.tension0))
-        size, nnz = sys.grid.size, factor_nnz(sys, dt)
-        # storing every step never jumps, since n^2 >= nnz
-        assert not _jump_pays(size, nnz, 1, 10**9)
-        # one stride of 100 steps (the per-stage CN timing)
-        assert not _jump_pays(size, nnz, 100, 1)
-    # many short strides on the large grid: the dense product loses
-    assert not _jump_pays(size, nnz, 2, 2000)
+        assert _jump_pays(sys.grid.size, factor_nnz(sys, dt), stride, strides) == jumps

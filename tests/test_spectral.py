@@ -118,11 +118,30 @@ def test_spectrum_matches_numpy_eigvals_and_refuses_non_finite(ref_sys, ref_spec
         spectrum(dataclasses.replace(ref_sys, A=bad))
 
 
-@pytest.mark.parametrize("n", [200, 400])
-def test_spectrum_matches_numpy_eigvals_on_finer_grids(ref_model, n):
+def recording_calls(monkeypatch, name, calls):
+    """Replace spectral.<name> by a pass-through that appends its
+    arguments to calls."""
+    routine = getattr(spectral, name)
+
+    def recording(*args):
+        calls.append(args)
+        routine(*args)
+
+    monkeypatch.setattr(spectral, name, recording)
+
+
+# one grid on each side of the QR crossover (state size 402 and 802)
+@pytest.mark.parametrize("n, routine", [(200, "_dlahqr"), (400, "_dhseqr")], ids=["200", "400"])
+def test_spectrum_matches_numpy_eigvals_on_finer_grids(ref_model, monkeypatch, n, routine):
+    calls = {"_dlahqr": [], "_dhseqr": []}
+    for name, log in calls.items():
+        recording_calls(monkeypatch, name, log)
     sys = assemble_generator(ref_model, n)
     ref = np.linalg.eigvals(sys.A.toarray())
-    assert eigenvalue_distance(spectrum(sys).eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
+    lam = spectrum(sys).eigenvalues
+    assert calls[routine] and not any(log for name, log in calls.items() if name != routine)
+    assert eigenvalue_distance(lam, ref) <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(lam, spectrum(sys).eigenvalues)
 
 
 @pytest.mark.parametrize("n", [50, 100])
@@ -158,14 +177,8 @@ def test_spectrum_reduces_from_first_column_below_subdiagonal(ref_model, monkeyp
 
 
 def test_spectrum_is_deterministic_and_holds_one_dense_copy(ref_model, monkeypatch):
-    lworks = []
-    dhseqr = spectral._dhseqr
-
-    def recording(*args):
-        lworks.append(args[12].value)  # lwork
-        dhseqr(*args)
-
-    monkeypatch.setattr(spectral, "_dhseqr", recording)
+    calls = []
+    recording_calls(monkeypatch, "_dhseqr", calls)
     sys = assemble_generator(ref_model, 400)
     first = spectrum(sys).eigenvalues
     tracemalloc.start()
@@ -177,21 +190,49 @@ def test_spectrum_is_deterministic_and_holds_one_dense_copy(ref_model, monkeypat
     assert np.array_equal(first, second)
     # one dense n x n copy; dhseqr's queried workspace and five n-vectors
     # (dgehrd's tau and work, dgebal's scale, wr, wi); eight arrays of nnz
-    # (the triplets in the new order and their temporaries)
+    # (the entries' rows and columns in the new order and their temporaries)
     n, nnz = sys.grid.size, sys.A.nnz
-    assert peak <= 8 * n * n + 8 * (max(lworks) + 5 * n) + 8 * 8 * nnz
+    lwork = max(args[12].value for args in calls)
+    assert peak <= 8 * n * n + 8 * (lwork + 5 * n) + 8 * 8 * nnz
 
 
-def test_spectrum_failure_names_dhseqr(ref_sys, monkeypatch):
-    dhseqr = spectral._dhseqr
+def test_spectrum_dense_copy_is_the_generator_in_hessenberg_order(ref_model, monkeypatch):
+    # the copy written from the CSR arrays is A's own entries, bit for
+    # bit, in the order (v_0, w_0, v_1, w_1, ...), duplicates summed
+    copies = []
+    dgehrd = spectral.dgehrd
+
+    def recording(h, lo, hi, overwrite_a):
+        copies.append(h.copy())
+        return dgehrd(h, lo=lo, hi=hi, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(spectral, "dgehrd", recording)
+    sys = assemble_generator(ref_model, 50)
+    npts = sys.grid.n + 1
+    order = np.ravel(np.column_stack([np.arange(npts, 2 * npts), np.arange(npts)]))
+    # two more stored entries at row 7, column 3, which toarray sums
+    end = sys.A.indptr[8]
+    dup = sparse.csr_array((np.insert(sys.A.data, end, [0.25, 0.5]),
+                            np.insert(sys.A.indices, end, [3, 3]),
+                            sys.A.indptr + 2 * (np.arange(sys.grid.size + 1) >= 8)),
+                           shape=sys.A.shape)
+    for mat in (sys.A, dup):
+        spectrum(dataclasses.replace(sys, A=mat))
+        assert np.array_equal(copies[-1], mat.toarray()[np.ix_(order, order)])
+
+
+@pytest.mark.parametrize("n, routine", [(300, "_dhseqr"), (50, "_dlahqr")], ids=["dhseqr", "dlahqr"])
+def test_spectrum_failure_names_the_qr(ref_model, monkeypatch, n, routine):
+    # state size 602 takes dhseqr, 102 takes dlahqr
+    qr = getattr(spectral, routine)
 
     def failing(*args):
-        dhseqr(*args)
+        qr(*args)
         args[-1].value = 1  # info > 0: the QR did not converge
 
-    monkeypatch.setattr(spectral, "_dhseqr", failing)
-    with pytest.raises(RuntimeError, match="dhseqr"):
-        spectrum(ref_sys)
+    monkeypatch.setattr(spectral, routine, failing)
+    with pytest.raises(RuntimeError, match=routine[1:]):
+        spectrum(assemble_generator(ref_model, n))
 
 
 def test_abscissa_stable_under_refinement(ref_model):
