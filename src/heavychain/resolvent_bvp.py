@@ -34,8 +34,12 @@ grid x.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import groupby
 
 import numpy as np
 from scipy.special import factorial, j0, j1, y0, y1
@@ -523,6 +527,25 @@ def random_smooth_data(rng, length: float):
     return f, g, fp, gp
 
 
+def _sampled_once_per_grid(fun):
+    """fun, or None, sampling once per grid: calls on a grid equal to the
+    last one return its samples again, read-only, so no solve can change
+    another's data."""
+    if fun is None:
+        return None
+    last_x = last = None
+
+    def sampled(x):
+        nonlocal last_x, last
+        if last_x is None or not np.array_equal(x, last_x):
+            last = np.asarray(fun(x)).view()
+            last.flags.writeable = False
+            last_x = x
+        return last
+
+    return sampled
+
+
 def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSample]:
     """Data-induced resolvent gain sweep at the continuous level.
 
@@ -530,20 +553,29 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
     norm at each tau is the largest gain over the family, a lower
     envelope of the true operator norm that shares its shape.  One pair
     per tau, on a coarser grid (40 points per wavelength, drift 1e-6)
-    than a single solve uses, serves every datum.
+    than a single solve uses, serves every datum.  A pair grid is fixed
+    by its node count, so every frequency below the one that outgrows
+    MIN_GRID shares the smallest: successive frequencies on one grid
+    share each datum's samples there, so along increasing taus each
+    datum is sampled once per distinct grid.  A grid that serves one
+    frequency keeps no samples.
     """
+    def nodes(tau):
+        return len(_pair_grid(tau, m.tension, m.length, 40)) if tau >= SMALL_TAU else 0
+
     samples = []
-    for tau in taus:
-        if tau >= SMALL_TAU:
-            pair = fundamental_pair(tau, m.tension, m.length, tol=1e-6,
-                                    points_per_wavelength=40)
-        else:
-            pair = None
-        best = 0.0
-        for f, g, fp, gp in data:
-            sol = solve_resolvent_bvp(f, g, tau, m, pair=pair, f_prime=fp, g_prime=gp)
-            best = max(best, sol.gain)
-        samples.append(ResolventSample(tau=float(tau), norm=best, source="continuous"))
+    for n, run in groupby(taus, key=nodes):
+        run = list(run)
+        shared = (data if n == 0 or len(run) == 1 else
+                  [tuple(map(_sampled_once_per_grid, datum)) for datum in data])
+        for tau in run:
+            pair = (fundamental_pair(tau, m.tension, m.length, tol=1e-6, points_per_wavelength=40)
+                    if n else None)
+            best = 0.0
+            for f, g, fp, gp in shared:
+                sol = solve_resolvent_bvp(f, g, tau, m, pair=pair, f_prime=fp, g_prime=gp)
+                best = max(best, sol.gain)
+            samples.append(ResolventSample(tau=float(tau), norm=best, source="continuous"))
     return samples
 
 
@@ -556,17 +588,59 @@ class KernelDecayStudy:
     slope_i1: float
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the machine's count on platforms,
+    such as macOS, that have no affinity call)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pointwise(tau: float, f, tension: AffineTension, x: np.ndarray, rows: slice):
+    """The pair and f at the nodes x, the pair's Wronskian drift on rows,
+    and whether f is nonzero at any node: numpy ufuncs and scipy.special
+    only, node by node, so any split of x gives the same floats."""
+    phis = _pair_values(tau, tension.value0, tension.slope, x)
+    fv = np.asarray(f(x))
+    return (phis, fv, _wronskian_drift(tau, *(p[rows] for p in phis)),
+            bool(np.any(np.abs(fv) > 0.0)))
+
+
+def _block_pointwise(tau: float, f, tension: AffineTension, x: np.ndarray, rows: slice,
+                     helper: Executor | None):
+    """_pointwise on a block's window x; with a helper, the nodes before the
+    middle of rows run on it while the calling thread runs the rest."""
+    if helper is None or rows.stop - rows.start < 2:
+        return _pointwise(tau, f, tension, x, rows)
+    mid = (rows.start + rows.stop) // 2
+    future = helper.submit(_pointwise, tau, f, tension, x[:mid], slice(rows.start, mid))
+    try:
+        second = _pointwise(tau, f, tension, x[mid:], slice(0, rows.stop - mid))
+    finally:
+        first = future.result()
+    (phis1, fv1, drift1, nonzero1), (phis2, fv2, drift2, nonzero2) = first, second
+    return (tuple(map(np.concatenate, zip(phis1, phis2))), np.concatenate([fv1, fv2]),
+            max(drift1, drift2), nonzero1 or nonzero2)
+
+
 def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
-                   points_per_wavelength: int):
+                   points_per_wavelength: int, helper: Executor | None = None):
     """greens_apply of f on fundamental_pair's grid at tau, block by block.
 
     Each block of _BLOCK nodes evaluates the pair and f on itself plus
     the stencil reach of _fd4 (two nodes each side, the six end nodes at
     the ends of the grid), and the running quadratures carry their sums
     and y'(0) from block to block, so only the grid is held in full.
-    Yields, per block, I0 and I1 on its nodes (the same floats as on the
-    whole grid), the pair's Wronskian drift there, and whether f is
-    nonzero anywhere on the block's window.
+    With a helper (a one-thread executor), the pointwise part of a block
+    of two or more nodes (pair, f, drift, nonzero flag) runs in two
+    halves, the first on the helper and the second on the calling thread,
+    so f may be called from two threads at once and must be a pure
+    function of x.  The quadratures always run on the calling thread in
+    block order.  Yields, per block, I0 and I1 on its nodes (the same
+    floats as on the whole grid, with or without a helper), the pair's
+    Wronskian drift there, and whether f is nonzero anywhere on the
+    block's window.
     """
     x = _pair_grid(tau, tension, length, points_per_wavelength)
     dx = float(x[1] - x[0])
@@ -576,21 +650,21 @@ def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
         e = min(s + _BLOCK, size)
         lo, hi = max(0, min(s - 2, size - 6)), min(size, max(e + 2, 6))
         rows = slice(s - lo, e - lo)
-        phis = _pair_values(tau, tension.value0, tension.slope, x[lo:hi])
-        fv = np.asarray(f(x[lo:hi]))
+        phis, fv, drift, nonzero = _block_pointwise(tau, f, tension, x[lo:hi], rows,
+                                                    helper)
         i0, i1, carry = _kernel_integrals(fv, phis, tau, dx, rows, carry)
-        yield (i0, i1, _wronskian_drift(tau, *(p[rows] for p in phis)),
-               bool(np.any(np.abs(fv) > 0.0)))
+        yield i0, i1, drift, nonzero
 
 
 def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
-                 points_per_wavelength: int) -> tuple[float, float]:
+                 points_per_wavelength: int,
+                 helper: Executor | None = None) -> tuple[float, float]:
     """sup |I0| and sup |I1| of f at tau, from _kernel_blocks.  Refuses as
     fundamental_pair does (the drift is the largest over all blocks), and
     f that vanishes on the whole grid."""
     peaks, nonzero = [], False
     for i0, i1, drift, nonzero_here in _kernel_blocks(tau, f, tension, length,
-                                                      points_per_wavelength):
+                                                      points_per_wavelength, helper):
         peaks.append((np.max(np.abs(i0)), np.max(np.abs(i1)), drift))
         nonzero = nonzero or nonzero_here
     sup0, sup1, drift = np.max(peaks, axis=0)
@@ -609,13 +683,21 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
     Quadrature points per wavelength scale with tau so the measured sups
     stay above the integration noise floor.  Each grid is walked in
     blocks of a fixed number of nodes (see _kernel_blocks), so beside the
-    grid itself the study's memory is O(block), not O(grid).
+    grid itself the study's memory is O(block), not O(grid): about 17
+    arrays of a block's length at the peak (17.2 measured on the
+    13-frequency default).  When the process may use two or more CPUs,
+    the pointwise part of each block (pair, f, drift) runs in two halves
+    on two threads, the caller's and one helper thread that lives as long
+    as the call; f may then be called concurrently, so it must be a pure
+    function of x.  The sups are the same floats on one thread or two.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.min() < 10.0 or taus.max() / taus.min() < 99.0:
         raise ValueError("grid must span at least two decades starting at tau >= 10")
-    sup0, sup1 = np.array([_kernel_sups(tau, f, tension, length, int(max(160, 1.2 * tau)))
-                           for tau in taus]).T.copy()
+    with (ThreadPoolExecutor(1) if _usable_cpus() >= 2 else nullcontext()) as helper:
+        sup0, sup1 = np.array([
+            _kernel_sups(tau, f, tension, length, int(max(160, 1.2 * tau)), helper)
+            for tau in taus]).T.copy()
     log_t = np.log(taus)
     slope0 = float(np.polyfit(log_t, np.log(sup0), 1)[0])
     slope1 = float(np.polyfit(log_t, np.log(sup1), 1)[0])

@@ -33,3 +33,12 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_starts_no_thread():
+    # the kernel study's helper thread lives only inside a study call
+    code = "import threading, heavychain.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "1"

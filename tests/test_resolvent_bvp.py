@@ -1,6 +1,8 @@
 """Continuous resolvent pipeline: kernels, margins, solves, decay."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from heavychain.model import (
     rescale,
 )
 from heavychain.resolvent_bvp import (
+    COLLOCATION_CELLS,
     MIN_GRID,
     SMALL_TAU,
     TAU_CAP,
@@ -315,6 +318,57 @@ def test_sweep_produces_labelled_samples(ref_model):
     assert all(s.norm > 0.0 for s in samples)
 
 
+def test_sweep_samples_each_datum_once_per_grid(ref_model):
+    # the sweep's norms are the same floats as one solve per datum and
+    # tau, while each datum is sampled once per distinct pair grid: the
+    # four from 0.5 to 80 share MIN_GRID's 1 601 nodes
+    taus = [0.05, 0.5, 2.0, 30.0, 80.0, 300.0, 600.0]
+    rng = np.random.default_rng(11)
+    (f, g, fp, gp), (f2, g2, _, _) = (random_smooth_data(rng, ref_model.length)
+                                      for _ in range(2))
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    # the second datum leaves f' and g' to finite differences
+    data = [(counted, g, fp, gp), (f2, g2, None, None)]
+    samples = continuous_resolvent_sweep(ref_model, taus, data)
+    sweep_calls = list(calls)
+    for tau, sample in zip(taus, samples):
+        pair = (fundamental_pair(tau, ref_model.tension, ref_model.length, tol=1e-6,
+                                 points_per_wavelength=40) if tau >= SMALL_TAU else None)
+        assert sample.norm == max(
+            solve_resolvent_bvp(a, b, tau, ref_model, pair=pair, f_prime=ap,
+                                g_prime=bp).gain for a, b, ap, bp in data)
+    grids = [len(_pair_grid(tau, ref_model.tension, ref_model.length, 40))
+             for tau in taus[1:]]
+    assert grids[:4] == [MIN_GRID + 1] * 4 and len(set(grids)) == 3
+    # one call for the collocation solve at 0.05, one per distinct grid
+    assert sweep_calls == [COLLOCATION_CELLS + 1, *sorted(set(grids))]
+
+
+def test_sweep_shares_read_only_samples(ref_model, monkeypatch):
+    # 0.5 and 2.0 share MIN_GRID's grid; 300 has a grid of its own, on
+    # which the sweep keeps no samples
+    seen = []
+    solve = resolvent_bvp.solve_resolvent_bvp
+
+    def recording(f, g, tau, m, *, pair, f_prime, g_prime):
+        funs = (f, g, f_prime, g_prime)
+        seen.append((funs, tuple(fun(pair.x) for fun in funs)))
+        return solve(f, g, tau, m, pair=pair, f_prime=f_prime, g_prime=g_prime)
+
+    monkeypatch.setattr(resolvent_bvp, "solve_resolvent_bvp", recording)
+    data = [random_smooth_data(np.random.default_rng(12), ref_model.length)]
+    continuous_resolvent_sweep(ref_model, [0.5, 2.0, 300.0], data)
+    (_, low), (_, high), (own, _) = seen
+    assert all(a is b for a, b in zip(low, high))
+    assert not any(a.flags.writeable for a in low)
+    assert own == data[0]
+
+
 # ------------------------------------------------------- uniform estimates
 
 
@@ -452,10 +506,11 @@ def test_blockwise_degenerate_data_is_judged_on_the_whole_grid(ref_model, monkey
 
 def test_kernel_decay_study_memory_is_o_block(ref_model):
     # beside the one grid at TAU_CAP (598 187 floats), a block step holds
-    # about twenty float arrays of a window's length (the block and its
-    # 2 + 2 halo nodes): the pair with its Bessel basis and temporaries,
-    # f, the two integrands with their stencils and running sums, I0 and
-    # I1, and the previous block's results.  The bound allows 32.  The
+    # about seventeen float arrays of a window's length (17.2 measured,
+    # with the helper thread's halves or without; the block and its 2 + 2
+    # halo nodes): the pair with its Bessel basis and temporaries, f, the
+    # two integrands with their stencils and running sums, I0 and I1, and
+    # the previous block's results.  The bound allows 32.  The
     # whole-grid study holds about fifteen grid-length arrays (66 MB).
     length = ref_model.length
     f = _kernel_data(ref_model)
@@ -469,6 +524,88 @@ def test_kernel_decay_study_memory_is_o_block(ref_model):
     finally:
         tracemalloc.stop()
     assert peak < grid_bytes + 32 * window_bytes
+
+
+def _helper_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(resolvent_bvp, "_usable_cpus", lambda: cpus)
+
+
+def _recording(f, threads):
+    def fun(x):
+        threads.add(threading.get_ident())
+        return f(x)
+    return fun
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_kernel_helper_changes_no_float(ref_model, monkeypatch, block):
+    # the helper thread evaluates half of each block's pair and datum;
+    # the quadratures read the same floats as on one thread.  64-node
+    # blocks end in 1, 2 and 3 nodes (6-node end windows, split or not)
+    tension, length = ref_model.tension, ref_model.length
+    if block is None:
+        taus, ppw = [10.0, 1000.0], 1200
+    else:
+        monkeypatch.setattr(resolvent_bvp, "_BLOCK", block)
+        taus, ppw = [_kernel_tau(ref_model, block, r) for r in (1, 2, 3)], 160
+    f = _kernel_data(ref_model)
+    with ThreadPoolExecutor(1) as helper:
+        for tau in taus:
+            alone = list(_kernel_blocks(tau, f, tension, length, ppw))
+            halves = list(_kernel_blocks(tau, f, tension, length, ppw, helper))
+            assert len(halves) == len(alone) > (block is not None)
+            for a, h in zip(alone, halves):
+                np.testing.assert_array_equal(h[0], a[0])
+                np.testing.assert_array_equal(h[1], a[1])
+                assert h[2:] == a[2:]
+    # the study's own grids; a stiff tension keeps the 64-node walk short
+    if block is not None:
+        tension, length = AffineTension(400.0, -1.0), 1.0
+    studies, threads = {}, {}
+    for cpus in (1, 2):
+        _helper_cpus(monkeypatch, cpus)
+        threads[cpus] = set()
+        studies[cpus] = kernel_decay_study(np.geomspace(10.0, 1000.0, 3),
+                                           _recording(f, threads[cpus]), tension, length)
+    assert [len(t) for t in threads.values()] == [1, 2]
+    np.testing.assert_array_equal(studies[2].sup_i0, studies[1].sup_i0)
+    np.testing.assert_array_equal(studies[2].sup_i1, studies[1].sup_i1)
+    assert (studies[2].slope_i0, studies[2].slope_i1) == (studies[1].slope_i0,
+                                                          studies[1].slope_i1)
+
+
+def _drift_on_helper(pair_values):
+    # a pair that drifts only where the helper thread evaluates it
+    def values(*args):
+        phis = pair_values(*args)
+        if threading.current_thread() is threading.main_thread():
+            return phis
+        return (phis[0], phis[1] + 1.0, *phis[2:])
+    return values
+
+
+@pytest.mark.parametrize("refusal", [None, "drift", "degenerate"])
+def test_no_helper_thread_outlives_a_kernel_study(ref_model, monkeypatch, refusal):
+    _helper_cpus(monkeypatch, 2)
+    f, match = _kernel_data(ref_model), None
+    if refusal == "drift":
+        monkeypatch.setattr(resolvent_bvp, "_pair_values",
+                            _drift_on_helper(resolvent_bvp._pair_values))
+        match = "Wronskian drift"
+    elif refusal == "degenerate":
+        f, match = zero_fun, "degenerate"
+    threads = set()
+    before = threading.enumerate()
+    study = lambda: kernel_decay_study(np.geomspace(10.0, 1000.0, 3),  # noqa: E731
+                                       _recording(f, threads), ref_model.tension,
+                                       ref_model.length)
+    if match is None:
+        study()
+    else:
+        with pytest.raises((RuntimeError, ValueError), match=match):
+            study()
+    assert len(threads) == 2
+    assert threading.enumerate() == before
 
 
 def test_fd4_central_weights_and_quartic_exactness():
