@@ -38,7 +38,7 @@ import os
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from itertools import groupby
 
 import numpy as np
@@ -171,10 +171,10 @@ def _pair_values(tau: float, p0: float, slope: float, x):
             (bp0 * a - ap0 * b) / det, (bp0 * ap - ap0 * bp) / det)
 
 
-def _pair_grid(tau: float, tension: AffineTension, length: float,
-               points_per_wavelength: int) -> np.ndarray:
-    """The uniform grid on [0, length] of the pair at tau: MIN_GRID cells,
-    or more to put points_per_wavelength nodes on the shortest wavelength.
+def _grid_cells(tau: float, tension: AffineTension, length: float,
+                points_per_wavelength: int) -> int:
+    """Cells of the pair's grid at tau: MIN_GRID, or more to put
+    points_per_wavelength nodes on the shortest wavelength.
 
     Refuses tau <= 0, tau > TAU_CAP and a tension that is not positive on
     [0, length].
@@ -191,8 +191,14 @@ def _pair_grid(tau: float, tension: AffineTension, length: float,
     if pmin <= 0.0:
         raise ValueError("tension must be positive on [0, length]")
     wavelength = 2.0 * np.pi * np.sqrt(pmin) / tau
-    n = max(MIN_GRID, int(np.ceil(points_per_wavelength * length / wavelength)))
-    return np.linspace(0.0, length, n + 1)
+    return max(MIN_GRID, int(np.ceil(points_per_wavelength * length / wavelength)))
+
+
+def _pair_grid(tau: float, tension: AffineTension, length: float,
+               points_per_wavelength: int) -> np.ndarray:
+    """The uniform grid on [0, length] of the pair at tau (_grid_cells cells)."""
+    cells = _grid_cells(tau, tension, length, points_per_wavelength)
+    return np.linspace(0.0, length, cells + 1)
 
 
 def _wronskian_drift(tau: float, phi1, phi1p, phi2, phi2p) -> float:
@@ -527,23 +533,14 @@ def random_smooth_data(rng, length: float):
     return f, g, fp, gp
 
 
-def _sampled_once_per_grid(fun):
-    """fun, or None, sampling once per grid: calls on a grid equal to the
-    last one return its samples again, read-only, so no solve can change
-    another's data."""
+def _sampled_on(fun, x: np.ndarray):
+    """fun, or None, as its samples on the grid x, read-only so that no
+    solve can change another's data: for solves whose pairs all sit on x."""
     if fun is None:
         return None
-    last_x = last = None
-
-    def sampled(x):
-        nonlocal last_x, last
-        if last_x is None or not np.array_equal(x, last_x):
-            last = np.asarray(fun(x)).view()
-            last.flags.writeable = False
-            last_x = x
-        return last
-
-    return sampled
+    values = np.asarray(fun(x)).view()
+    values.flags.writeable = False
+    return lambda _: values
 
 
 def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSample]:
@@ -554,20 +551,23 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
     envelope of the true operator norm that shares its shape.  One pair
     per tau, on a coarser grid (40 points per wavelength, drift 1e-6)
     than a single solve uses, serves every datum.  A pair grid is fixed
-    by its node count, so every frequency below the one that outgrows
+    by its cell count, so every frequency below the one that outgrows
     MIN_GRID shares the smallest: successive frequencies on one grid
     share each datum's samples there, so along increasing taus each
     datum is sampled once per distinct grid.  A grid that serves one
     frequency keeps no samples.
     """
-    def nodes(tau):
-        return len(_pair_grid(tau, m.tension, m.length, 40)) if tau >= SMALL_TAU else 0
+    def cells(tau):
+        return _grid_cells(tau, m.tension, m.length, 40) if tau >= SMALL_TAU else 0
 
     samples = []
-    for n, run in groupby(taus, key=nodes):
+    for n, run in groupby(taus, key=cells):
         run = list(run)
-        shared = (data if n == 0 or len(run) == 1 else
-                  [tuple(map(_sampled_once_per_grid, datum)) for datum in data])
+        if n and len(run) > 1:
+            x = _pair_grid(run[0], m.tension, m.length, 40)
+            shared = [tuple(_sampled_on(fun, x) for fun in datum) for datum in data]
+        else:
+            shared = data
         for tau in run:
             pair = (fundamental_pair(tau, m.tension, m.length, tol=1e-6, points_per_wavelength=40)
                     if n else None)
@@ -597,31 +597,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pointwise(tau: float, f, tension: AffineTension, x: np.ndarray, rows: slice):
-    """The pair and f at the nodes x, the pair's Wronskian drift on rows,
-    and whether f is nonzero at any node: numpy ufuncs and scipy.special
-    only, node by node, so any split of x gives the same floats."""
-    phis = _pair_values(tau, tension.value0, tension.slope, x)
-    fv = np.asarray(f(x))
-    return (phis, fv, _wronskian_drift(tau, *(p[rows] for p in phis)),
-            bool(np.any(np.abs(fv) > 0.0)))
-
-
-def _block_pointwise(tau: float, f, tension: AffineTension, x: np.ndarray, rows: slice,
-                     helper: Executor | None):
-    """_pointwise on a block's window x; with a helper, the nodes before the
-    middle of rows run on it while the calling thread runs the rest."""
-    if helper is None or rows.stop - rows.start < 2:
-        return _pointwise(tau, f, tension, x, rows)
-    mid = (rows.start + rows.stop) // 2
-    future = helper.submit(_pointwise, tau, f, tension, x[:mid], slice(rows.start, mid))
+def _block_pair(tau: float, tension: AffineTension, x: np.ndarray,
+                helper: Executor | None):
+    """_pair_values at x; with a helper, the first half of x runs on it
+    while the calling thread runs the second.  The pair is computed node
+    by node, so the joined halves are the same floats."""
+    pair = partial(_pair_values, tau, tension.value0, tension.slope)
+    if helper is None:
+        return pair(x)
+    mid = len(x) // 2
+    future = helper.submit(pair, x[:mid])
     try:
-        second = _pointwise(tau, f, tension, x[mid:], slice(0, rows.stop - mid))
+        second = pair(x[mid:])
     finally:
         first = future.result()
-    (phis1, fv1, drift1, nonzero1), (phis2, fv2, drift2, nonzero2) = first, second
-    return (tuple(map(np.concatenate, zip(phis1, phis2))), np.concatenate([fv1, fv2]),
-            max(drift1, drift2), nonzero1 or nonzero2)
+    return tuple(map(np.concatenate, zip(first, second)))
 
 
 def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
@@ -632,15 +622,13 @@ def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
     the stencil reach of _fd4 (two nodes each side, the six end nodes at
     the ends of the grid), and the running quadratures carry their sums
     and y'(0) from block to block, so only the grid is held in full.
-    With a helper (a one-thread executor), the pointwise part of a block
-    of two or more nodes (pair, f, drift, nonzero flag) runs in two
-    halves, the first on the helper and the second on the calling thread,
-    so f may be called from two threads at once and must be a pure
-    function of x.  The quadratures always run on the calling thread in
-    block order.  Yields, per block, I0 and I1 on its nodes (the same
-    floats as on the whole grid, with or without a helper), the pair's
-    Wronskian drift there, and whether f is nonzero anywhere on the
-    block's window.
+    With a helper (a one-thread executor), the closed-form pair of each
+    block runs in two halves, the first on the helper and the second on
+    the calling thread; f, the drift, the nonzero flag and the
+    quadratures run on the calling thread in block order.  Yields, per
+    block, I0 and I1 on its nodes (the same floats as on the whole grid,
+    with or without a helper), the pair's Wronskian drift there, and
+    whether f is nonzero anywhere on the block's window.
     """
     x = _pair_grid(tau, tension, length, points_per_wavelength)
     dx = float(x[1] - x[0])
@@ -650,10 +638,11 @@ def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
         e = min(s + _BLOCK, size)
         lo, hi = max(0, min(s - 2, size - 6)), min(size, max(e + 2, 6))
         rows = slice(s - lo, e - lo)
-        phis, fv, drift, nonzero = _block_pointwise(tau, f, tension, x[lo:hi], rows,
-                                                    helper)
+        phis = _block_pair(tau, tension, x[lo:hi], helper)
+        fv = np.asarray(f(x[lo:hi]))
         i0, i1, carry = _kernel_integrals(fv, phis, tau, dx, rows, carry)
-        yield i0, i1, drift, nonzero
+        yield (i0, i1, _wronskian_drift(tau, *(p[rows] for p in phis)),
+               bool(np.any(np.abs(fv) > 0.0)))
 
 
 def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
@@ -686,10 +675,11 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
     grid itself the study's memory is O(block), not O(grid): about 17
     arrays of a block's length at the peak (17.2 measured on the
     13-frequency default).  When the process may use two or more CPUs,
-    the pointwise part of each block (pair, f, drift) runs in two halves
-    on two threads, the caller's and one helper thread that lives as long
-    as the call; f may then be called concurrently, so it must be a pure
-    function of x.  The sups are the same floats on one thread or two.
+    each block's closed-form Bessel pair runs in two halves on two
+    threads, the caller's and one helper thread that lives as long as
+    the call.  On one usable CPU no helper is opened: there it made the
+    default study 3-4 ms slower (about 3%), not faster.  The sups are
+    the same floats on one thread or two.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.min() < 10.0 or taus.max() / taus.min() < 99.0:

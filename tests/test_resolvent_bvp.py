@@ -30,6 +30,7 @@ from heavychain.resolvent_bvp import (
     _kernel_blocks,
     _kernel_sups,
     _pair_grid,
+    _pair_values,
     _solve_collocation,
     c0_coefficient,
     continuous_resolvent_sweep,
@@ -530,18 +531,24 @@ def _helper_cpus(monkeypatch, cpus):
     monkeypatch.setattr(resolvent_bvp, "_usable_cpus", lambda: cpus)
 
 
-def _recording(f, threads):
-    def fun(x):
+def _record_pair(monkeypatch, threads, drift_on_helper=False):
+    # note the threads that evaluate the pair; optionally make the pair
+    # drift only where the helper thread evaluates it
+    def values(*args):
         threads.add(threading.get_ident())
-        return f(x)
-    return fun
+        phis = _pair_values(*args)
+        if not drift_on_helper or threading.current_thread() is threading.main_thread():
+            return phis
+        return (phis[0], phis[1] + 1.0, *phis[2:])
+
+    monkeypatch.setattr(resolvent_bvp, "_pair_values", values)
 
 
 @pytest.mark.parametrize("block", [None, 64])
 def test_kernel_helper_changes_no_float(ref_model, monkeypatch, block):
-    # the helper thread evaluates half of each block's pair and datum;
-    # the quadratures read the same floats as on one thread.  64-node
-    # blocks end in 1, 2 and 3 nodes (6-node end windows, split or not)
+    # the helper thread evaluates half of each block's pair; the
+    # quadratures read the same floats as on one thread.  64-node blocks
+    # end in 1, 2 and 3 nodes (6-node end windows, split 3 + 3)
     tension, length = ref_model.tension, ref_model.length
     if block is None:
         taus, ppw = [10.0, 1000.0], 1200
@@ -565,8 +572,8 @@ def test_kernel_helper_changes_no_float(ref_model, monkeypatch, block):
     for cpus in (1, 2):
         _helper_cpus(monkeypatch, cpus)
         threads[cpus] = set()
-        studies[cpus] = kernel_decay_study(np.geomspace(10.0, 1000.0, 3),
-                                           _recording(f, threads[cpus]), tension, length)
+        _record_pair(monkeypatch, threads[cpus])
+        studies[cpus] = kernel_decay_study(np.geomspace(10.0, 1000.0, 3), f, tension, length)
     assert [len(t) for t in threads.values()] == [1, 2]
     np.testing.assert_array_equal(studies[2].sup_i0, studies[1].sup_i0)
     np.testing.assert_array_equal(studies[2].sup_i1, studies[1].sup_i1)
@@ -574,31 +581,18 @@ def test_kernel_helper_changes_no_float(ref_model, monkeypatch, block):
                                                           studies[1].slope_i1)
 
 
-def _drift_on_helper(pair_values):
-    # a pair that drifts only where the helper thread evaluates it
-    def values(*args):
-        phis = pair_values(*args)
-        if threading.current_thread() is threading.main_thread():
-            return phis
-        return (phis[0], phis[1] + 1.0, *phis[2:])
-    return values
-
-
 @pytest.mark.parametrize("refusal", [None, "drift", "degenerate"])
 def test_no_helper_thread_outlives_a_kernel_study(ref_model, monkeypatch, refusal):
     _helper_cpus(monkeypatch, 2)
-    f, match = _kernel_data(ref_model), None
-    if refusal == "drift":
-        monkeypatch.setattr(resolvent_bvp, "_pair_values",
-                            _drift_on_helper(resolvent_bvp._pair_values))
-        match = "Wronskian drift"
-    elif refusal == "degenerate":
-        f, match = zero_fun, "degenerate"
     threads = set()
+    _record_pair(monkeypatch, threads, drift_on_helper=refusal == "drift")
+    f, match = _kernel_data(ref_model), {"drift": "Wronskian drift",
+                                         "degenerate": "degenerate"}.get(refusal)
+    if refusal == "degenerate":
+        f = zero_fun
     before = threading.enumerate()
-    study = lambda: kernel_decay_study(np.geomspace(10.0, 1000.0, 3),  # noqa: E731
-                                       _recording(f, threads), ref_model.tension,
-                                       ref_model.length)
+    study = lambda: kernel_decay_study(np.geomspace(10.0, 1000.0, 3), f,  # noqa: E731
+                                       ref_model.tension, ref_model.length)
     if match is None:
         study()
     else:
