@@ -347,6 +347,7 @@ def _run_simulate(cfg: Config, report: dict, out_dir: Path, fmt: str):
     z0_ident = sample_states(sys_h, 1, seed=cfg.seed)[0].real
     tr_ident = simulate(z0_ident, sys_h, t_ident, dt=dt, store_every=1)
     ident = verify_energy_identity(energies(tr_ident, cfg.physical, cfg.gains))
+    norms = tr.norm_history()
     energy = {
         "identity": {
             "residual": ident.residual,
@@ -356,8 +357,8 @@ def _run_simulate(cfg: Config, report: dict, out_dir: Path, fmt: str):
             "dt": ident.dt,
             "dx": ident.dx,
         },
-        "initial_norm": float(et.norm_h[0]),
-        "final_norm": float(et.norm_h[-1]),
+        "initial_norm": float(norms[0]),
+        "final_norm": float(norms[-1]),
         "steps_stored": int(len(tr.times)),
     }
     report["verdicts"].append(_verdict(
@@ -376,10 +377,10 @@ def _run_simulate(cfg: Config, report: dict, out_dir: Path, fmt: str):
         energy["decay"] = {"skipped": str(exc)}
     report["energy"] = energy
     cols = ["t", "hbar", "vbar", "total", "dvdt_lhs", "dvdt_rhs", "norm_h"]
-    keep = et.norm_h > 0.0
+    keep = norms > 0.0
     report["artifacts"] += [
-        _write_table(out_dir, "energy", cols, et.rows(), fmt),
-        _write_plot(out_dir, "decay", et.t[keep], et.norm_h[keep])]
+        _write_table(out_dir, "energy", cols, np.column_stack([et.rows(), norms]), fmt),
+        _write_plot(out_dir, "decay", et.t[keep], norms[keep])]
 
 
 def _run_sweep(cfg: Config, report: dict, out_dir: Path, fmt: str):

@@ -60,9 +60,20 @@ __all__ = [
 KAPPA_DISSIPATIVITY = 0.30
 
 
+def _read_only(a):
+    """a, flagged read-only: it is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid with n intervals on [0, length]."""
+    """Uniform grid with n intervals on [0, length].
+
+    Its first-derivative stencil d1 and trapezoid weights q are built on
+    first use and kept, read-only, so the generator, both energies and the
+    physical ledger of :mod:`heavychain.simulation` read one copy of each.
+    """
 
     n: int
     length: float
@@ -81,6 +92,19 @@ class Grid:
         # state dimension
         return 2 * (self.n + 1)
 
+    @cached_property
+    def d1(self) -> sparse.csr_array:
+        """diff_matrix on this grid, its arrays read-only."""
+        d1 = diff_matrix(self.n, self.dx)
+        for a in (d1.data, d1.indices, d1.indptr):
+            _read_only(a)
+        return d1
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """trapezoid_weights on this grid, read-only."""
+        return _read_only(trapezoid_weights(self.n, self.dx))
+
 
 def _row(mat: sparse.csr_array, i: int):
     """(columns, values) of the stored entries in row i of a CSR matrix."""
@@ -96,7 +120,7 @@ def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
     P_half = m.tension(0.5 * (x[:-1] + x[1:]))  # tension at half nodes
     lo, hi = P_half[:-1], P_half[1:]
     k = np.arange(1, n)
-    d1 = diff_matrix(n, dx)
+    d1 = grid.d1
     c0, d0 = _row(d1, 0)
     cn, dn = _row(d1, n)
     # (rows, columns, values) of each piece; velocities start at column npts
@@ -131,8 +155,7 @@ def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
 
 def _sobolev_terms(grid: Grid) -> list:
     """|w|^2_{H^2} + |v|^2_{H^1}, trapezoid rule over the stencils."""
-    q = trapezoid_weights(grid.n, grid.dx)
-    d1 = diff_matrix(grid.n, grid.dx)
+    q, d1 = grid.q, grid.d1
     return [(0, q, ()), (0, q, (d1,)), (0, q, (diff2_matrix(grid.n, grid.dx),)),
             (1, q, ()), (1, q, (d1,))]
 
@@ -157,10 +180,9 @@ def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float) -> list:
     (inner_product_weights); gamma is the one free weight.
     """
     alpha1, alpha2 = inner_product_weights(m)
-    n, dx = grid.n, grid.dx
+    n = grid.n
     npts = n + 1
-    q = trapezoid_weights(n, dx)
-    d1 = diff_matrix(n, dx)
+    q, d1 = grid.q, grid.d1
     p = m.tension(grid.x)
     pd1 = sparse.csr_array((d1.data * np.repeat(p, np.diff(d1.indptr)), d1.indices,
                             d1.indptr), shape=d1.shape)  # rows of D1 scaled by P
@@ -472,6 +494,12 @@ class DissipativityReport:
         return self.admissible and self.satisfied
 
 
+def _check_samples(samples: int) -> None:
+    # an empty family has no maximum or range to report
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+
+
 def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
                         seed: int = 0) -> DissipativityReport:
     """Sampled check that the generator is dissipative in the energy form.
@@ -482,6 +510,7 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
     under grid refinement, while an inadmissible coefficient set produces
     order-one positive residuals for generic states.
     """
+    _check_samples(samples)
     states = sample_states(sys, samples, seed=seed)
     numerator, denominator = _forms(sys.energy, (sys.A @ states.T).T, states)
     resid = numerator / denominator
@@ -502,6 +531,7 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
 
 def norm_ratio_interval(sys: GeneratorSystem, samples: int = 1000, seed: int = 0):
     """Range of |z|_H / |z|_natural over the smooth sample family."""
+    _check_samples(samples)
     states = sample_states(sys, samples, seed=seed)
     ratios = sys.weighted_norm(states) / np.sqrt(_form(_natural_terms(sys.grid), states))
     return float(ratios.min()), float(ratios.max())

@@ -27,15 +27,15 @@ keeps both sides second-order consistent at t_{n+1/2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from heavychain.discretization import GeneratorSystem
+from heavychain.discretization import GeneratorSystem, _read_only
 from heavychain.model import ControllerGains, PhysicalParams
-from heavychain.operator import diff_matrix, trapezoid_weights
 
 __all__ = [
     "C_LYAPUNOV",
@@ -56,17 +56,31 @@ __all__ = [
 C_LYAPUNOV = 1200.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Stored Crank-Nicolson states on one grid, rescaled time axis."""
+    """Stored Crank-Nicolson states on one grid, rescaled time axis.
+
+    Frozen, and times and states are read-only views, so the norm history
+    computed on first use stays the history of these states.
+    """
 
     system: GeneratorSystem
     times: np.ndarray
     states: np.ndarray  # (len(times), 2*(n+1))
     dt: float
 
+    def __post_init__(self):
+        for name in ("times", "states"):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name)).view()))
+
     def norm_history(self) -> np.ndarray:
-        return self.system.weighted_norm(self.states)
+        """Energy norm |z|_H of each stored state (rescaled units),
+        computed on first call and kept, read-only."""
+        return self._norm_history
+
+    @cached_property
+    def _norm_history(self) -> np.ndarray:
+        return _read_only(self.system.weighted_norm(self.states))
 
 
 # Measured costs of the two routes, in ns: one SuperLU solve call and its
@@ -105,6 +119,23 @@ def _jump_pays(n: int, nnz: int, stride: int, strides: int) -> bool:
     return stride * solve(n) + strides * n * n * _DENSE_ENTRY_NS < strides * stride * solve(1)
 
 
+def _step_matrix(a: sparse.csr_array, dt: float, dtype) -> sparse.csc_array:
+    """I - dt/2 A in CSC, from A's stored entries and the unit diagonal.
+
+    One COO-to-CSC conversion sums the diagonal into A's entries; zero
+    sums are dropped, so indptr, indices and data equal those of
+    (eye - dt/2 A).tocsc().
+    """
+    n = a.shape[0]
+    diag = np.arange(n)
+    rows = np.concatenate([np.repeat(diag, np.diff(a.indptr)), diag])
+    cols = np.concatenate([a.indices, diag])
+    vals = np.concatenate([-(0.5 * dt * a.data), np.ones(n)]).astype(dtype, copy=False)
+    step = sparse.csc_array((vals, (rows, cols)), shape=(n, n))
+    step.eliminate_zeros()
+    return step
+
+
 def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
              dt: float | None = None, store_every: int = 1) -> Trajectory:
     """Crank-Nicolson run z_{n+1} = R z_n, R = 2 (I - dt/2 A)^{-1} - I.
@@ -131,9 +162,8 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
     if z0.shape != (n,):
         raise ValueError("initial state does not match the grid")
     dtype = complex if np.iscomplexobj(z0) else float
-    eye = sparse.eye_array(n, dtype=dtype)
     try:
-        lu = splu((eye - 0.5 * dt * sys.A).tocsc())
+        lu = splu(_step_matrix(sys.A, dt, dtype))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise np.linalg.LinAlgError("singular time-step matrix") from exc
 
@@ -162,7 +192,11 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
 
 @dataclass
 class EnergyTrace:
-    """Energy ledger of a run, everything in physical units."""
+    """Energy ledger of a run, everything in physical units.
+
+    The rescaled energy norm of the states is not part of it: that is
+    Trajectory.norm_history().
+    """
 
     t: np.ndarray
     hbar: np.ndarray
@@ -170,29 +204,35 @@ class EnergyTrace:
     total: np.ndarray
     dvdt_lhs: np.ndarray
     dvdt_rhs: np.ndarray
-    norm_h: np.ndarray
     dt: float
     dx: float
 
     def rows(self) -> np.ndarray:
+        """Columns t, hbar, vbar, total, dvdt_lhs, dvdt_rhs."""
         return np.column_stack(
-            [self.t, self.hbar, self.vbar, self.total,
-             self.dvdt_lhs, self.dvdt_rhs, self.norm_h]
+            [self.t, self.hbar, self.vbar, self.total, self.dvdt_lhs, self.dvdt_rhs]
         )
 
 
 def energies(tr: Trajectory, p: PhysicalParams, gains: ControllerGains) -> EnergyTrace:
-    """Physical energy ledger along a trajectory (real part of the states)."""
+    """Physical energy ledger along a trajectory (real part of the states).
+
+    Reads the grid's D1 and trapezoid weights and evaluates no energy form.
+    dV/dt is a second-order difference in time, so the run must store at
+    least three states.
+    """
+    if len(tr.times) < 3:
+        raise ValueError("energies needs at least three stored states for dV/dt, "
+                         f"got {len(tr.times)}")
     m = tr.system.model
     grid = tr.system.grid
     npts = grid.n + 1
     w_vals = np.real(tr.states[:, :npts])
     v_vals = np.real(tr.states[:, npts:])
 
-    d1 = diff_matrix(grid.n, grid.dx)
-    wx = m.s_x * (w_vals @ d1.T)
+    wx = m.s_x * (grid.d1 @ w_vals.T).T
     v_phys = m.s_t * v_vals
-    quad = trapezoid_weights(grid.n, grid.dx) / m.s_x
+    quad = grid.q / m.s_x
     tension = m.tension(grid.x)
 
     hbar = 0.5 * ((tension * wx**2 + p.rho * v_phys**2) @ quad)
@@ -213,8 +253,7 @@ def energies(tr: Trajectory, p: PhysicalParams, gains: ControllerGains) -> Energ
         total=total,
         dvdt_lhs=lhs,
         dvdt_rhs=rhs,
-        norm_h=tr.norm_history(),
-        dt=float(t_phys[1] - t_phys[0]) if len(t_phys) > 1 else 0.0,
+        dt=float(t_phys[1] - t_phys[0]),
         dx=grid.dx / m.s_x,
     )
 

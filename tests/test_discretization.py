@@ -20,8 +20,9 @@ from heavychain.discretization import (
     sobolev_norms,
     weighted_norm,
 )
+from heavychain import discretization, operator, simulation
 from heavychain.model import RescaledModel, check_admissibility
-from heavychain.simulation import Trajectory
+from heavychain.simulation import Trajectory, energies, simulate
 
 
 # --- quadrature reference: np.gradient stencils and the trapezoid rule ---
@@ -93,6 +94,32 @@ def test_grid_make():
     assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(9.81)
     with pytest.raises(ValueError):
         Grid.make(3, 1.0)
+
+
+def test_grid_stencils_built_once_per_system(ref_model, ref_params, ref_gains, monkeypatch):
+    # one draw's chain, as a gain scan runs it: the generator, the energy
+    # of the dissipativity probe, a run and its ledger all read the
+    # grid's one D1 and one set of trapezoid weights
+    calls = {"diff_matrix": 0, "trapezoid_weights": 0}
+    for name in calls:
+        build = getattr(operator, name)
+
+        def counting(*args, build=build, name=name):
+            calls[name] += 1
+            return build(*args)
+
+        for module in (operator, discretization, simulation):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    sys = assemble_generator(ref_model, 50)
+    dissipativity_check(sys, samples=20, seed=1)
+    z0 = sample_states(sys, 1, seed=1)[0].real
+    energies(simulate(z0, sys, 20 * sys.grid.dx), ref_params, ref_gains)
+    assert calls == {"diff_matrix": 1, "trapezoid_weights": 1}
+    grid = sys.grid
+    assert grid.d1 is sys.grid.d1 and grid.q is sys.grid.q
+    for a in (grid.d1.data, grid.d1.indices, grid.d1.indptr, grid.q):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_generator_is_exact_on_quadratics(ref_model):
@@ -360,6 +387,14 @@ def test_norm_ratio_interval(ref_model):
     lo, hi = norm_ratio_interval(assemble_generator(ref_model, 100), samples=300, seed=2)
     assert 0.0 < lo < hi
     assert hi / lo < 10.0
+
+
+@pytest.mark.parametrize("check", [dissipativity_check, norm_ratio_interval],
+                         ids=["dissipativity", "norm-ratio"])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_empty_sample_family_is_refused(ref_model, check, samples):
+    with pytest.raises(ValueError, match="samples"):
+        check(assemble_generator(ref_model, 20), samples=samples)
 
 
 def test_assemble_generator_rejects_inadmissible_without_gamma(ref_model):

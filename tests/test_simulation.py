@@ -7,15 +7,23 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from heavychain import discretization
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
     assemble_generator,
     sample_states,
 )
-from heavychain.model import ControllerGains, derive_physical_thetas, rescale
+from heavychain.model import (
+    ControllerGains,
+    check_admissibility,
+    chi3_threshold,
+    derive_physical_thetas,
+    rescale,
+)
 from heavychain.simulation import (
     C_LYAPUNOV,
     _jump_pays,
+    _step_matrix,
     decay_fit,
     energies,
     simulate,
@@ -135,6 +143,67 @@ def test_decay_fit_pure_mode(ref_model):
     assert fit.prefactor >= 1.0
 
 
+def counting_forms(monkeypatch):
+    """Count the energy-form evaluations of discretization._form."""
+    calls = []
+    form = discretization._form
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return form(*args)
+
+    monkeypatch.setattr(discretization, "_form", counting)
+    return calls
+
+
+def test_norm_history_is_computed_once_and_only_when_read(ref_model, ref_params, ref_gains,
+                                                          monkeypatch):
+    sys = assemble_generator(ref_model, 100)
+    lam, vecs = np.linalg.eig(sys.A.toarray())
+    sel = np.where((lam.imag > 0.5) & (lam.imag < 3.0))[0]
+    k = sel[np.argmax(lam.real[sel])]
+    tr = simulate(vecs[:, k], sys, 1.05 * np.log(10.0) / abs(lam[k].real), dt=0.02,
+                  store_every=5)
+    calls = counting_forms(monkeypatch)
+    energies(tr, ref_params, ref_gains)
+    assert calls == []
+    norms = tr.norm_history()
+    assert calls == [len(tr.times)]
+    fit = decay_fit(tr)
+    assert tr.norm_history() is norms and calls == [len(tr.times)]
+    assert fit.omega == pytest.approx(-lam[k].real, rel=0.05)
+    assert np.array_equal(norms, sys.weighted_norm(tr.states))
+    with pytest.raises(ValueError, match="read-only"):
+        norms[0] = 0.0
+
+
+def test_trajectory_is_frozen_and_read_only(ref_model):
+    sys = assemble_generator(ref_model, 20)
+    z0 = sample_states(sys, 1, seed=3)[0].real
+    tr = simulate(z0, sys, 0.05, dt=0.01)
+    for field in ("system", "times", "states", "dt"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tr, field, getattr(tr, field))
+    with pytest.raises(ValueError, match="read-only"):
+        tr.states[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        tr.times[0] = 1.0
+    # a trajectory built from a caller's arrays holds read-only views of them
+    states = np.array(tr.states)
+    own = dataclasses.replace(tr, states=states)
+    assert np.shares_memory(own.states, states) and states.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        own.states[0, 0] = 1.0
+
+
+def test_energies_refuse_fewer_than_three_states(ref_model, ref_params, ref_gains):
+    sys = assemble_generator(ref_model, 20)
+    tr = simulate(sample_states(sys, 1, seed=3)[0].real, sys, 0.01, dt=0.01)
+    assert len(tr.times) == 2
+    with pytest.raises(ValueError, match="three stored states"):
+        energies(tr, ref_params, ref_gains)
+
+
 def test_decay_fit_rejects_degenerate_input(ref_model):
     sys = assemble_generator(ref_model, 30)
     tr = simulate(np.zeros(sys.grid.size), sys, 1.0, dt=0.1)
@@ -229,6 +298,48 @@ def test_simulate_rejects_bad_arguments(ref_model, kwargs, name):
     else:
         with pytest.raises(ValueError, match=name):
             simulate(z0, sys, **args)
+
+
+def random_admissible_model(params, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        gains = ControllerGains(*rng.uniform(0.5, 2.0, 2),
+                                rng.uniform(1.1, 3.0) * chi3_threshold(params))
+        m = rescale(params, derive_physical_thetas(params, gains))
+        if check_admissibility(m).admissible:
+            return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("n, gains_seed", [(50, None), (100, None), (800, None), (50, 29)],
+                         ids=["50", "100", "800", "50-random-gains"])
+def test_step_matrix_is_eye_minus_half_dt_a(ref_model, ref_params, n, gains_seed, dtype):
+    # the step matrix SuperLU factors is the one the textbook expression
+    # builds, entry for entry and in the same storage order
+    m = ref_model if gains_seed is None else random_admissible_model(ref_params, gains_seed)
+    sys = assemble_generator(m, n)
+    dt = sys.grid.dx / (8.0 * np.sqrt(m.tension0))
+    step = _step_matrix(sys.A, dt, dtype)
+    ref = (sparse.eye_array(sys.grid.size, dtype=dtype) - 0.5 * dt * sys.A).tocsc()
+    assert step.format == "csc" and step.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(step, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_step_matrix_drops_zero_sums(ref_model):
+    # a stored zero of A and a diagonal entry with 1 - dt/2 a = 0 are not
+    # stored in I - dt/2 A, as the sparse difference drops them too
+    sys = assemble_generator(ref_model, 10)
+    a, dt, npts = sys.A.copy(), 0.01, sys.grid.n + 1
+    a.data[a.indptr[npts + 1] - 1] = 0.0
+    a.data[np.flatnonzero(a.indices[a.indptr[npts]:a.indptr[npts + 1]] == npts)
+           + a.indptr[npts]] = 2.0 / dt
+    step = _step_matrix(a, dt, float)
+    ref = (sparse.eye_array(sys.grid.size) - 0.5 * dt * a).tocsc()
+    assert step.nnz == a.nnz + sys.grid.size - 3
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(step, name), getattr(ref, name)), name
 
 
 def factor_nnz(sys, dt):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import svdvals
+from scipy.linalg import eigvals, svdvals
 
 from heavychain import spectral
 from heavychain.discretization import (
@@ -142,6 +142,17 @@ def test_spectrum_matches_numpy_eigvals_on_finer_grids(ref_model, monkeypatch, n
     assert calls[routine] and not any(log for name, log in calls.items() if name != routine)
     assert eigenvalue_distance(lam, ref) <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(lam, spectrum(sys).eigenvalues)
+
+
+def test_spectrum_at_n300_matches_eigvals_of_the_transpose(ref_model, monkeypatch):
+    # at N = 300 numpy's dgeev on A is the outlier: it lies 2.2e-12 max|lambda|
+    # from both this route and dgeev on A^T, which agree to 4.0e-14
+    calls = []
+    recording_calls(monkeypatch, "_dhseqr", calls)
+    sys = assemble_generator(ref_model, 300)
+    ref = eigvals(sys.A.toarray().T)
+    assert eigenvalue_distance(spectrum(sys).eigenvalues, ref) <= 1e-12 * np.abs(ref).max()
+    assert calls
 
 
 @pytest.mark.parametrize("n", [50, 100])
