@@ -7,6 +7,8 @@ from heavychain.model import (
     ControllerGains,
     PhysicalParams,
     RescaledModel,
+    check_admissibility,
+    chi3_threshold,
     derive_physical_thetas,
     rescale,
 )
@@ -36,6 +38,19 @@ def ref_model():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260814)
+
+
+def admissible_gain_models(params, count, seed):
+    """count seeded admissible models: chi1, chi2 in [0.5, 2], chi3 above threshold."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        chi1, chi2 = rng.uniform(0.5, 2.0, 2)
+        gains = ControllerGains(chi1, chi2, rng.uniform(1.1, 3.0) * chi3_threshold(params))
+        m = rescale(params, derive_physical_thetas(params, gains))
+        if check_admissibility(m).admissible:
+            models.append(m)
+    return models
 
 
 def _gram(terms: list, npts: int) -> np.ndarray:

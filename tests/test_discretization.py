@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from heavychain import discretization, operator, simulation
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
     Grid,
@@ -20,7 +21,6 @@ from heavychain.discretization import (
     sobolev_norms,
     weighted_norm,
 )
-from heavychain import discretization, operator, simulation
 from heavychain.model import RescaledModel, check_admissibility
 from heavychain.simulation import Trajectory, energies, simulate
 

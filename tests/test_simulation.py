@@ -13,13 +13,7 @@ from heavychain.discretization import (
     assemble_generator,
     sample_states,
 )
-from heavychain.model import (
-    ControllerGains,
-    check_admissibility,
-    chi3_threshold,
-    derive_physical_thetas,
-    rescale,
-)
+from heavychain.model import ControllerGains, derive_physical_thetas, rescale
 from heavychain.simulation import (
     C_LYAPUNOV,
     _jump_pays,
@@ -29,6 +23,7 @@ from heavychain.simulation import (
     simulate,
     verify_energy_identity,
 )
+from tests.conftest import admissible_gain_models
 
 REF_HBAR_TILT = 7.3575  # w = 1 - x/L, v = 0 on the reference parameters
 
@@ -300,23 +295,13 @@ def test_simulate_rejects_bad_arguments(ref_model, kwargs, name):
             simulate(z0, sys, **args)
 
 
-def random_admissible_model(params, seed):
-    rng = np.random.default_rng(seed)
-    while True:
-        gains = ControllerGains(*rng.uniform(0.5, 2.0, 2),
-                                rng.uniform(1.1, 3.0) * chi3_threshold(params))
-        m = rescale(params, derive_physical_thetas(params, gains))
-        if check_admissibility(m).admissible:
-            return m
-
-
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 @pytest.mark.parametrize("n, gains_seed", [(50, None), (100, None), (800, None), (50, 29)],
                          ids=["50", "100", "800", "50-random-gains"])
 def test_step_matrix_is_eye_minus_half_dt_a(ref_model, ref_params, n, gains_seed, dtype):
     # the step matrix SuperLU factors is the one the textbook expression
     # builds, entry for entry and in the same storage order
-    m = ref_model if gains_seed is None else random_admissible_model(ref_params, gains_seed)
+    m = ref_model if gains_seed is None else admissible_gain_models(ref_params, 1, gains_seed)[0]
     sys = assemble_generator(m, n)
     dt = sys.grid.dx / (8.0 * np.sqrt(m.tension0))
     step = _step_matrix(sys.A, dt, dtype)

@@ -17,13 +17,6 @@ from heavychain.discretization import (
     assemble_generator,
     sample_states,
 )
-from heavychain.model import (
-    ControllerGains,
-    check_admissibility,
-    chi3_threshold,
-    derive_physical_thetas,
-    rescale,
-)
 from heavychain.spectral import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
@@ -34,6 +27,7 @@ from heavychain.spectral import (
     resolvent_norm_discrete,
     spectrum,
 )
+from tests.conftest import admissible_gain_models
 
 REF_ABSCISSA_N100 = -0.0189475
 REF_NORM_TAU1_N100 = 4.112956
@@ -282,19 +276,6 @@ def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
     refs = dense_resolvent_norm(energy_factor(ref_sys), ref_sys.A.toarray(), taus)
     for tau, ref in zip(taus, refs):
         assert resolvent_norm_discrete(ref_sys, tau).norm == pytest.approx(ref, rel=1e-9)
-
-
-def admissible_gain_models(params, count, seed):
-    """count seeded admissible models: chi1, chi2 in [0.5, 2], chi3 above threshold."""
-    rng = np.random.default_rng(seed)
-    models = []
-    while len(models) < count:
-        chi1, chi2 = rng.uniform(0.5, 2.0, 2)
-        gains = ControllerGains(chi1, chi2, rng.uniform(1.1, 3.0) * chi3_threshold(params))
-        m = rescale(params, derive_physical_thetas(params, gains))
-        if check_admissibility(m).admissible:
-            models.append(m)
-    return models
 
 
 def test_resolvent_norm_matches_dense_across_gains(ref_params):
