@@ -30,12 +30,12 @@ the sampled maximum isolates the discretisation error).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from heavychain.model import RescaledModel, check_admissibility, inner_product_weights
+from heavychain.model import RescaledModel, inner_product_weights
 from heavychain.operator import diff2_matrix, diff_matrix, trapezoid_weights
 
 __all__ = [
@@ -66,13 +66,13 @@ def _read_only(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform grid with n intervals on [0, length].
+    """Uniform grid with n intervals on [0, length]; equality is identity.
 
-    Its first-derivative stencil d1 and trapezoid weights q are built on
-    first use and kept, read-only, so the generator, both energies and the
-    physical ledger of :mod:`heavychain.simulation` read one copy of each.
+    make shares one grid per (n, length) from a cache of the last four (a
+    run uses one or two; resolvent_bvp's long pair grids are built directly).
+    x is read-only; d1, q and the sample basis are built once, kept read-only.
     """
 
     n: int
@@ -81,10 +81,11 @@ class Grid:
     dx: float
 
     @classmethod
+    @lru_cache(maxsize=4)
     def make(cls, n: int, length: float) -> "Grid":
         if n < 4:
             raise ValueError("need at least 4 intervals")
-        x = np.linspace(0.0, length, n + 1)
+        x = _read_only(np.linspace(0.0, length, n + 1))
         return cls(n=n, length=length, x=x, dx=float(x[1] - x[0]))
 
     @property
@@ -105,6 +106,23 @@ class Grid:
         """trapezoid_weights on this grid, read-only."""
         return _read_only(trapezoid_weights(self.n, self.dx))
 
+    @cached_property
+    def sample_basis(self) -> tuple:
+        """(basis, trace0, traceL) of sample_states, read-only: rows of the
+        bumps, the modes of _mode_table and two end quintics on x, and each
+        mode's value, slope and curvature at x = 0 and at x = length."""
+        ell, x = self.length, self.x
+        modes = _mode_table(ell)
+        u = x / ell
+        # quintics with zero value and slope at both ends and unit second
+        # x-derivative at x = 0 (p0) or at x = L (pL)
+        p0_vals = 0.5 * ell**2 * u**2 * (1.0 - u) ** 3
+        pL_vals = 0.5 * ell**2 * u**3 * (1.0 - u) ** 2
+        basis = np.vstack([_bump_profiles(ell, x), [mode[0](x) for mode in modes],
+                           p0_vals, pL_vals])
+        traces = (np.array([mode[end] for mode in modes]) for end in (1, 2))
+        return tuple(_read_only(a) for a in (basis, *traces))
+
 
 def _row(mat: sparse.csr_array, i: int):
     """(columns, values) of the stored entries in row i of a CSR matrix."""
@@ -113,31 +131,24 @@ def _row(mat: sparse.csr_array, i: int):
 
 
 def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
-    """Sparse semi-discrete generator (4N + 7 stored entries)."""
-    n, dx = grid.n, grid.dx
+    """Sparse semi-discrete generator, written straight to CSR (4N + 7
+    entries, columns sorted): dw_i/dt = v_i; the cart end theta1 v(0) +
+    theta2 v'(0) + theta3 w(0) + theta4 w'(0) (D1's first row on w and on
+    v, theta3 and theta1 added to their first entries); ((P w')')_i in
+    the interior; the payload end -w'(L)."""
+    n, dx, x = grid.n, grid.dx, grid.x
     npts = n + 1
-    x = grid.x
     P_half = m.tension(0.5 * (x[:-1] + x[1:]))  # tension at half nodes
     lo, hi = P_half[:-1], P_half[1:]
     k = np.arange(1, n)
-    d1 = grid.d1
-    c0, d0 = _row(d1, 0)
-    cn, dn = _row(d1, n)
-    # (rows, columns, values) of each piece; velocities start at column npts
-    pieces = [
-        # dw/dt = v
-        (np.arange(npts), npts + np.arange(npts), np.ones(npts)),
-        # dv_i/dt = ((P w')')_i in the interior
-        (np.repeat(npts + k, 3), (k[:, None] + [-1, 0, 1]).ravel(),
-         np.column_stack([lo, -(lo + hi), hi]).ravel() / dx**2),
-        # payload end: dv_N/dt = -w'(L)
-        (np.full(len(cn), npts + n), cn, -dn),
-        # cart end: dv_0/dt = theta1 v(0) + theta2 v'(0) + theta3 w(0) + theta4 w'(0)
-        (np.full(2 * len(c0) + 2, npts), np.concatenate([[npts, 0], npts + c0, c0]),
-         np.concatenate([[m.theta1, m.theta3], m.theta2 * d0, m.theta4 * d0])),
-    ]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
-    return sparse.csr_array((vals, (rows, cols)), shape=(2 * npts, 2 * npts))
+    (c0, d0), (cn, dn) = _row(grid.d1, 0), _row(grid.d1, n)
+    indices = np.concatenate([npts + np.arange(npts), c0, npts + c0,
+                              (k[:, None] + [-1, 0, 1]).ravel(), cn])
+    data = np.concatenate([np.ones(npts), [m.theta3 + m.theta4 * d0[0]], m.theta4 * d0[1:],
+                           [m.theta1 + m.theta2 * d0[0]], m.theta2 * d0[1:],
+                           np.column_stack([lo, -(lo + hi), hi]).ravel() / dx**2, -dn])
+    indptr = np.concatenate([np.arange(npts + 1), npts + 6 + 3 * np.arange(npts)])
+    return sparse.csr_array((data, indices, indptr), shape=(2 * npts, 2 * npts))
 
 
 # --- the two discrete energies ------------------------------------------
@@ -190,8 +201,9 @@ def _weighted_terms(grid: Grid, m: RescaledModel, gamma: float) -> list:
     e0[0] = en[n] = 1.0
     cols, vals = _row(d1, 0)
     j = np.concatenate([[1.0, 2.0 * alpha2], -2.0 * alpha1 * m.tension0 * vals]) / np.sqrt(2.0)
-    j = sparse.csr_array((j, (np.zeros(len(j), dtype=int), np.concatenate([[npts, 0], cols]))),
-                         shape=(1, 2 * npts))  # the coupling row j / sqrt(2)
+    # the coupling row j / sqrt(2): D1's first row, w(0)'s weight summed into it, then psi
+    j = sparse.csr_array((np.concatenate([[j[1] + j[2]], j[3:], j[:1]]), np.append(cols, npts),
+                          [0, len(cols) + 1]), shape=(1, 2 * npts))
     return [(0, alpha1 * gamma * q, (d1, pd1)),
             (0, alpha1 * (p * q + gamma * m.tensionL * en), (d1,)),
             (0, alpha2 * e0, ()),
@@ -329,7 +341,7 @@ def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float
     return np.sqrt(_form(_weighted_terms(grid, m, gamma), states))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSystem:
     """Sparse generator on one grid and the free weight gamma of its energy.
 
@@ -372,7 +384,7 @@ def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> 
     pass it explicitly to probe non-admissible coefficient sets.
     """
     if gamma is None:
-        rep = check_admissibility(m)
+        rep = m.admissibility
         if not rep.admissible:
             raise ValueError(
                 "model not admissible (%s); pass gamma explicitly" % "; ".join(rep.violations)
@@ -432,43 +444,31 @@ def sample_states(sys: GeneratorSystem, count: int, seed: int = 0) -> np.ndarray
     free mode combinations corrected by two end-localised quintics so that
     (P w')'(L) = -w'(L) and (P w')'(0) equals the feedback functional.
     """
-    m = sys.model
-    grid = sys.grid
-    ell = grid.length
-    x = grid.x
+    m, grid = sys.model, sys.grid
     P = m.tension
-    slope = P.slope
     rng = np.random.default_rng(seed)
-    modes = _mode_table(ell)
-    n_modes = len(modes)
-    bumps = _bump_profiles(ell, x)
-    u = x / ell
-    # quintics with zero value and slope at both ends and unit second
-    # x-derivative at x = 0 (p0) or at x = L (pL)
-    p0_vals = 0.5 * ell**2 * u**2 * (1.0 - u) ** 3
-    pL_vals = 0.5 * ell**2 * u**3 * (1.0 - u) ** 2
+    # basis rows: bumps, modes, the two quintics (Grid.sample_basis)
+    basis, trace0, traceL = grid.sample_basis
+    n_modes = len(trace0)
+    nb = len(basis) - n_modes - 2
 
     n_neutral = int(round(0.25 * count))
     # one state's draws: real and imaginary w coefficients, then those of v;
     # all bump states come first, then all mode states
-    nb = len(bumps)
     bump_c = rng.standard_normal((n_neutral, 4, nb))
     mode_c = rng.standard_normal((count - n_neutral, 4, n_modes))
     bw, bv = (bump_c[:, k] + 1j * bump_c[:, k + 1] for k in (0, 2))
     cw, cv = (mode_c[:, k] + 1j * mode_c[:, k + 1] for k in (0, 2))
-    trace0 = np.array([mode[1] for mode in modes])
-    traceL = np.array([mode[2] for mode in modes])
     # analytic end traces of the uncorrected combinations
     w0, dw0, ddw0 = (cw @ trace0).T
     wL, dwL, ddwL = (cw @ traceL).T
     v0, dv0 = (cv @ trace0[:, :2]).T
-    P0, PL = float(P(0.0)), float(P(ell))
-    div0 = slope * dw0 + P0 * ddw0
-    divL = slope * dwL + PL * ddwL
+    P0, PL = float(P(0.0)), float(P(grid.length))
+    div0 = P.slope * dw0 + P0 * ddw0
+    divL = P.slope * dwL + PL * ddwL
     force = m.theta1 * v0 + m.theta2 * dv0 + m.theta3 * w0 + m.theta4 * dw0
 
-    # basis rows: bumps, modes, the two quintics; coefficients (state, w|v, row)
-    basis = np.vstack([bumps, [mode[0](x) for mode in modes], p0_vals, pL_vals])
+    # coefficients (state, w|v, basis row)
     coef = np.zeros((count, 2, len(basis)), dtype=complex)
     coef[:n_neutral, 0, :nb], coef[:n_neutral, 1, :nb] = bw, bv
     mc = coef[n_neutral:]
@@ -515,7 +515,7 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
     numerator, denominator = _forms(sys.energy, (sys.A @ states.T).T, states)
     resid = numerator / denominator
     max_r = float(resid.max())
-    admissible = check_admissibility(sys.model).admissible
+    admissible = sys.model.admissibility.admissible
     bound = KAPPA_DISSIPATIVITY * sys.grid.dx
     return DissipativityReport(
         max_residual=max_r,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +154,11 @@ class RescaledModel:
     def tensionL(self) -> float:
         return self.params.tension_payload
 
+    @cached_property
+    def admissibility(self) -> "AdmissibilityReport":
+        """check_admissibility's report, computed on first use and kept."""
+        return _admissibility(self)
+
 
 def derive_physical_thetas(params: PhysicalParams, gains: ControllerGains) -> PhysicalFeedback:
     """Force-law coefficients induced by the tuning gains."""
@@ -226,8 +232,13 @@ def check_admissibility(m: RescaledModel) -> AdmissibilityReport:
     Writes theta1 = theta3/b - a and theta2 = theta4/b, i.e. b = theta4/theta2
     and a = theta3/b - theta1, and requires a, b > 0 with (a+b-1)^2 < 4ab
     together with theta1, theta3 < 0 and theta2, theta4 > 0.  On success the
-    report carries the energy-product weights and a certified gamma.
+    report carries the energy-product weights and a certified gamma, computed
+    once per (frozen) model and kept as m.admissibility.
     """
+    return m.admissibility
+
+
+def _admissibility(m: RescaledModel) -> AdmissibilityReport:
     t1, t2, t3, t4 = m.thetas
     violations = []
     if not (t1 < 0.0):

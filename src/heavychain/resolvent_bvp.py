@@ -49,7 +49,6 @@ from heavychain.model import (
     AdmissibilityReport,
     AffineTension,
     RescaledModel,
-    check_admissibility,
 )
 from heavychain.spectral import ResolventSample, resolvent_apply_discrete
 
@@ -304,7 +303,7 @@ def injectivity_check(tau: float, m: RescaledModel) -> float:
     at this frequency; the admissibility hypotheses keep Im(c0) away from
     zero, which is what makes the certificate meaningful.
     """
-    rep = check_admissibility(m)
+    rep = m.admissibility
     if not rep.admissible:
         raise ValueError(
             "injectivity margin needs an admissible coefficient set "
@@ -422,7 +421,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
     |tau| < 0.1 falls back to a direct collocation solve; negative tau is
     handled by conjugation symmetry.
     """
-    rep = check_admissibility(m)
+    rep = m.admissibility
     if not rep.admissible:
         raise ValueError("resolvent pipeline needs an admissible model: %s"
                          % "; ".join(rep.violations))

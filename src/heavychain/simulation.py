@@ -56,7 +56,7 @@ __all__ = [
 C_LYAPUNOV = 1200.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Stored Crank-Nicolson states on one grid, rescaled time axis.
 
@@ -169,25 +169,25 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
 
     steps = max(1, int(round(t_final / dt)))
     strides = steps // store_every
-    z = z0.astype(dtype)
-    stored = [z]
-    stored_t = [0.0]
-    first = 1
+    # step numbers of the stored states; each is written into its row
+    ks = np.unique(np.append(np.arange(0, steps + 1, store_every), steps))
+    states = np.empty((len(ks), n), dtype=dtype)
+    states[0] = z0
+    row = first = 1
     if _jump_pays(n, lu.L.nnz + lu.U.nnz, store_every, strides):
         jump = np.eye(n, dtype=dtype)
         for _ in range(store_every):
             jump = 2.0 * lu.solve(jump) - jump
-        for k in range(store_every, steps + 1, store_every):
-            z = jump @ z
-            stored.append(z)
-            stored_t.append(k * dt)
-        first = strides * store_every + 1
+        for row in range(1, strides + 1):
+            np.dot(jump, states[row - 1], out=states[row])
+        row, first = strides + 1, strides * store_every + 1
+    z = states[row - 1]
     for k in range(first, steps + 1):
         z = 2.0 * lu.solve(z) - z
         if k % store_every == 0 or k == steps:
-            stored.append(z)
-            stored_t.append(k * dt)
-    return Trajectory(system=sys, times=np.array(stored_t), states=np.array(stored), dt=dt)
+            states[row] = z
+            row += 1
+    return Trajectory(system=sys, times=ks * dt, states=states, dt=dt)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from heavychain import discretization, operator, simulation
+from heavychain import discretization, model, operator, simulation
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
     Grid,
@@ -13,6 +13,8 @@ from heavychain.discretization import (
     _forms,
     _mode_table,
     _natural_terms,
+    _row,
+    _weighted_terms,
     assemble_generator,
     dissipativity_check,
     generator_matrix,
@@ -21,8 +23,11 @@ from heavychain.discretization import (
     sobolev_norms,
     weighted_norm,
 )
-from heavychain.model import RescaledModel, check_admissibility
+from heavychain.model import RescaledModel, check_admissibility, derive_physical_thetas, rescale
+from heavychain.resolvent_bvp import injectivity_check, solve_resolvent_bvp
 from heavychain.simulation import Trajectory, energies, simulate
+from heavychain.spectral import spectrum
+from tests.conftest import admissible_gain_models
 
 
 # --- quadrature reference: np.gradient stencils and the trapezoid rule ---
@@ -96,10 +101,69 @@ def test_grid_make():
         Grid.make(3, 1.0)
 
 
+def test_grid_make_shares_one_read_only_grid(ref_model):
+    g = Grid.make(10, 1.0)
+    # equality is identity, so both are defined (a field-wise == and hash
+    # over the ndarray x raised)
+    assert Grid.make(10, 1.0) is g and Grid.make(10, 1.0) == g
+    assert hash(Grid.make(10, 1.0)) == hash(g)
+    assert Grid.make(11, 1.0) != g and Grid.make(10, 2.0) is not g
+    for a in (g.x, *g.sample_basis):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # every system and run on one (N, length) shares the grid, and systems
+    # and trajectories compare by identity too
+    sys, other = (assemble_generator(ref_model, 10) for _ in range(2))
+    assert other.grid is sys.grid and sys == sys and sys != other
+    tr = simulate(np.zeros(sys.grid.size), sys, 0.1, dt=0.05)
+    assert tr == tr and len({sys, other, tr}) == 3
+
+
+def test_mode_table_evaluated_once_per_grid(ref_model, ref_params, monkeypatch):
+    calls = []
+    build = discretization._mode_table
+    monkeypatch.setattr(discretization, "_mode_table", lambda ell: calls.append(ell) or build(ell))
+    Grid.make.cache_clear()  # the grid memo is process-wide
+    sys = assemble_generator(ref_model, 50)
+    dissipativity_check(sys, samples=20, seed=1)
+    sample_states(sys, 1, seed=1)
+    # another gain draw: the same physics, so the same length and grid
+    other = assemble_generator(admissible_gain_models(ref_params, 1, seed=5)[0], 50)
+    assert other.grid is sys.grid
+    sample_states(other, 3, seed=2)
+    assert calls == [sys.grid.length]
+
+
+def test_admissibility_computed_once_per_model(ref_params, ref_gains, monkeypatch):
+    # one draw's chain, as a gain scan runs it, reads one report
+    calls = []
+    compute = model._admissibility
+    monkeypatch.setattr(model, "_admissibility", lambda m: calls.append(m) or compute(m))
+    m = rescale(ref_params, derive_physical_thetas(ref_params, ref_gains))
+    assert check_admissibility(m).admissible
+    sys = assemble_generator(m, 50)
+    spectrum(sys)
+    dissipativity_check(sys, samples=20, seed=1)
+    simulate(sample_states(sys, 1, seed=1)[0].real, sys, 20 * sys.grid.dx)
+    for tau in (0.5, 2.0, 8.0):
+        injectivity_check(tau, m)
+    solve_resolvent_bvp(np.sin, np.cos, 1.0, m)
+    assert check_admissibility(m) is m.admissibility
+    assert len(calls) == 1
+    # a refused draw computes its report once as well
+    bad = bad_model(m)
+    assert not check_admissibility(bad).admissible
+    for call in (lambda: assemble_generator(bad, 50), lambda: injectivity_check(1.0, bad)):
+        with pytest.raises(ValueError, match="parabola region"):
+            call()
+    assert len(calls) == 2
+
+
 def test_grid_stencils_built_once_per_system(ref_model, ref_params, ref_gains, monkeypatch):
     # one draw's chain, as a gain scan runs it: the generator, the energy
     # of the dissipativity probe, a run and its ledger all read the
     # grid's one D1 and one set of trapezoid weights
+    Grid.make.cache_clear()  # the grid memo is process-wide: start from an empty one
     calls = {"diff_matrix": 0, "trapezoid_weights": 0}
     for name in calls:
         build = getattr(operator, name)
@@ -183,6 +247,52 @@ def test_generator_is_sparse_with_stencil_entries(ref_model):
     assert sys.A.nnz == 4 * 100 + 7
     # same arithmetic as the row loop, so equal to the last bit
     assert np.array_equal(sys.A.toarray(), loop_generator(ref_model, sys.grid))
+
+
+def coo_generator(m, grid):
+    """Reference: the generator by a COO build, whose conversion to CSR
+    sorts each row and sums the cart row's duplicate entries."""
+    n, dx, x = grid.n, grid.dx, grid.x
+    npts = n + 1
+    P_half = m.tension(0.5 * (x[:-1] + x[1:]))
+    lo, hi = P_half[:-1], P_half[1:]
+    k = np.arange(1, n)
+    (c0, d0), (cn, dn) = _row(grid.d1, 0), _row(grid.d1, n)
+    pieces = [
+        (np.arange(npts), npts + np.arange(npts), np.ones(npts)),
+        (np.repeat(npts + k, 3), (k[:, None] + [-1, 0, 1]).ravel(),
+         np.column_stack([lo, -(lo + hi), hi]).ravel() / dx**2),
+        (np.full(len(cn), npts + n), cn, -dn),
+        (np.full(2 * len(c0) + 2, npts), np.concatenate([[npts, 0], npts + c0, c0]),
+         np.concatenate([[m.theta1, m.theta3], m.theta2 * d0, m.theta4 * d0])),
+    ]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
+    return sparse.csr_array((vals, (rows, cols)), shape=(2 * npts, 2 * npts))
+
+
+def coo_coupling_row(grid, m):
+    """Reference: the energy's coupling row j / sqrt(2) by a COO build."""
+    rep = check_admissibility(m)
+    npts = grid.n + 1
+    cols, vals = _row(grid.d1, 0)
+    j = np.concatenate([[1.0, 2.0 * rep.alpha2],
+                        -2.0 * rep.alpha1 * m.tension0 * vals]) / np.sqrt(2.0)
+    return sparse.csr_array((j, (np.zeros(len(j), dtype=int),
+                                 np.concatenate([[npts, 0], cols]))), shape=(1, 2 * npts))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 50, 800])
+def test_generator_csr_equals_coo_build(ref_model, ref_params, n):
+    # the closed-form CSR arrays are those of the COO build, bit for bit
+    for m in [ref_model, *admissible_gain_models(ref_params, 3, seed=n)]:
+        grid = Grid.make(n, m.length)
+        coupling = _weighted_terms(grid, m, check_admissibility(m).gamma)[-1][2][0]
+        for got, ref in ((generator_matrix(m, grid), coo_generator(m, grid)),
+                         (coupling, coo_coupling_row(grid, m))):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert generator_matrix(m, grid).nnz == 4 * n + 7
 
 
 def system_gram(energy_gram, sys):

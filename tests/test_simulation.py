@@ -378,6 +378,38 @@ def test_simulate_matches_dense_cn_reference(ref_model, kind, n, every, marks, j
     assert np.max(err) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("every, steps", [(1, 200), (20, 803)])
+def test_jump_route_states_equal_explicit_products(ref_model, kind, every, steps):
+    # the jump route writes each stride's product into its row of one
+    # array; the states must be the floats of z = J @ z taken stride by
+    # stride, J = R^every formed as simulate forms it, and of the stepped
+    # partial stride that follows
+    sys = assemble_generator(ref_model, 50)
+    dt = sys.grid.dx / (8.0 * np.sqrt(ref_model.tension0))
+    assert _jump_pays(sys.grid.size, factor_nnz(sys, dt), every, steps // every)
+    z0 = np.real(sample_states(sys, 2, seed=21)[-1])
+    if kind == "complex":
+        z0 = z0 + 1j * np.real(sample_states(sys, 2, seed=22)[-1])
+    tr = simulate(z0, sys, steps * dt, dt=dt, store_every=every)
+
+    lu = splu(_step_matrix(sys.A, dt, z0.dtype))
+    jump = np.eye(sys.grid.size, dtype=z0.dtype)
+    for _ in range(every):
+        jump = 2.0 * lu.solve(jump) - jump
+    z, ref = z0, [z0]
+    for _ in range(steps // every):
+        z = jump @ z
+        ref.append(z)
+    for _ in range(steps % every):
+        z = 2.0 * lu.solve(z) - z
+    if steps % every:
+        ref.append(z)
+    assert tr.states.dtype == z0.dtype and tr.states.shape == (len(ref), sys.grid.size)
+    assert np.array_equal(tr.states, np.array(ref))
+    assert np.array_equal(tr.times, np.append(np.arange(0, steps + 1, every), steps)[:len(ref)] * dt)
+
+
 def test_jump_route_rule(ref_model):
     # (N, steps per stride, strides, jumps) at dt = dx / (8 c)
     cases = [
