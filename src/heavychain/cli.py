@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -280,17 +280,8 @@ def _write_plot(out_dir: Path, stem: str, x, y) -> str:
 
 def _admissibility_dict(rep, m) -> dict:
     return {
-        "a": rep.a,
-        "b": rep.b,
-        "parabola_lhs": rep.parabola_lhs,
-        "parabola_rhs": rep.parabola_rhs,
+        **asdict(rep),
         "parabola_margin": rep.parabola_margin,
-        "admissible": rep.admissible,
-        "violations": list(rep.violations),
-        "gamma": rep.gamma,
-        "alpha1": rep.alpha1,
-        "alpha2": rep.alpha2,
-        "chi3_threshold": rep.chi3_threshold,
         "thetas_rescaled": list(m.thetas),
         "length_rescaled": m.length,
         "tension_endpoints": [m.tension0, m.tensionL],
@@ -349,14 +340,7 @@ def _run_simulate(cfg: Config, report: dict, out_dir: Path, fmt: str):
     ident = verify_energy_identity(energies(tr_ident, cfg.physical, cfg.gains))
     norms = tr.norm_history()
     energy = {
-        "identity": {
-            "residual": ident.residual,
-            "bound": ident.bound,
-            "constant": ident.constant,
-            "satisfied": ident.satisfied,
-            "dt": ident.dt,
-            "dx": ident.dx,
-        },
+        "identity": {k: v for k, v in asdict(ident).items() if k != "scale"},
         "initial_norm": float(norms[0]),
         "final_norm": float(norms[-1]),
         "steps_stored": int(len(tr.times)),
@@ -368,8 +352,7 @@ def _run_simulate(cfg: Config, report: dict, out_dir: Path, fmt: str):
     ))
     try:
         fit = decay_fit(tr)
-        energy["decay"] = {"omega": fit.omega, "prefactor": fit.prefactor,
-                           "t_start": fit.t_start, "t_end": fit.t_end}
+        energy["decay"] = asdict(fit)
         report["verdicts"].append(_verdict(
             "norm-decay-fit", f"omega={fit.omega:.6g}",
             "heavychain.simulation.decay_fit"))
@@ -399,12 +382,7 @@ def _run_sweep(cfg: Config, report: dict, out_dir: Path, fmt: str):
     verdict = huang_verdict(pooled, spec)
     report["sweep"] = {
         "n": cfg.grid_n,
-        "abscissa": spec.abscissa,
-        "verdict": verdict.verdict,
-        "max_norm": verdict.max_norm,
-        "tau_at_max": verdict.tau_at_max,
-        "tail_slope": verdict.tail_slope,
-        "reasons": list(verdict.reasons),
+        **asdict(verdict),
         "samples_discrete": len(discrete),
         "samples_continuous": len(continuous),
     }

@@ -50,15 +50,16 @@ class AffineTension:
     value0: float
     slope: float
 
-    def value(self, x):
+    def __call__(self, x):
         return self.value0 + self.slope * np.asarray(x, dtype=float)
-
-    __call__ = value
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Chain density rho, length L, payload mass m_p, cart mass m_c, gravity g."""
+    """Chain density rho, length L, payload mass m_p, cart mass m_c, gravity g.
+
+    The tension P(x) = g (rho (L - x) + m_p) falls from the cart to the payload.
+    """
 
     rho: float
     L: float
@@ -70,11 +71,6 @@ class PhysicalParams:
         for name in ("rho", "L", "m_p", "m_c", "g"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-
-    @property
-    def tension(self) -> AffineTension:
-        # P(x) = g*(rho*(L - x) + m_p), decreasing from cart to payload
-        return AffineTension(self.g * (self.rho * self.L + self.m_p), -self.g * self.rho)
 
     @property
     def tension_cart(self) -> float:

@@ -9,10 +9,9 @@ The generator acts as
 
 subject to the domain conditions (P w')'(length) = -w'(length) and
 (P w')'(0) = feedback(z).  This module holds the sparse second-order
-difference stencils (central in the interior, one-sided at the ends),
-the trapezoid weights, and the closed-form inverse of the generator that
-serves as a discretization oracle.  The two discrete energies are defined once, from
-these stencils, in :mod:`heavychain.discretization`.
+difference stencils (central in the interior, one-sided at the ends)
+and the trapezoid weights.  The two discrete energies are defined once,
+from these stencils, in :mod:`heavychain.discretization`.
 """
 
 from __future__ import annotations

@@ -34,9 +34,7 @@ grid x.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import groupby
@@ -587,23 +585,11 @@ class KernelDecayStudy:
     slope_i1: float
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the machine's count on platforms,
-    such as macOS, that have no affinity call)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _block_pair(tau: float, tension: AffineTension, x: np.ndarray,
-                helper: Executor | None):
-    """_pair_values at x; with a helper, the first half of x runs on it
-    while the calling thread runs the second.  The pair is computed node
-    by node, so the joined halves are the same floats."""
+def _block_pair(tau: float, tension: AffineTension, x: np.ndarray, helper: Executor):
+    """_pair_values at x: the first half of x runs on the helper while the
+    calling thread runs the second.  The pair is computed node by node,
+    so the joined halves are the same floats as one call on all of x."""
     pair = partial(_pair_values, tau, tension.value0, tension.slope)
-    if helper is None:
-        return pair(x)
     mid = len(x) // 2
     future = helper.submit(pair, x[:mid])
     try:
@@ -614,20 +600,19 @@ def _block_pair(tau: float, tension: AffineTension, x: np.ndarray,
 
 
 def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
-                   points_per_wavelength: int, helper: Executor | None = None):
+                   points_per_wavelength: int, helper: Executor):
     """greens_apply of f on fundamental_pair's grid at tau, block by block.
 
     Each block of _BLOCK nodes evaluates the pair and f on itself plus
     the stencil reach of _fd4 (two nodes each side, the six end nodes at
     the ends of the grid), and the running quadratures carry their sums
     and y'(0) from block to block, so only the grid is held in full.
-    With a helper (a one-thread executor), the closed-form pair of each
-    block runs in two halves, the first on the helper and the second on
-    the calling thread; f, the drift, the nonzero flag and the
-    quadratures run on the calling thread in block order.  Yields, per
-    block, I0 and I1 on its nodes (the same floats as on the whole grid,
-    with or without a helper), the pair's Wronskian drift there, and
-    whether f is nonzero anywhere on the block's window.
+    The closed-form pair of each block runs in two halves, the first on
+    the helper (a one-thread executor) and the second on the calling
+    thread; f, the drift, the nonzero flag and the quadratures run on the
+    calling thread in block order.  Yields, per block, I0 and I1 on its
+    nodes (the same floats as on the whole grid), the pair's Wronskian
+    drift there, and whether f is nonzero anywhere on the block's window.
     """
     x = _pair_grid(tau, tension, length, points_per_wavelength)
     dx = float(x[1] - x[0])
@@ -645,8 +630,7 @@ def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
 
 
 def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
-                 points_per_wavelength: int,
-                 helper: Executor | None = None) -> tuple[float, float]:
+                 points_per_wavelength: int, helper: Executor) -> tuple[float, float]:
     """sup |I0| and sup |I1| of f at tau, from _kernel_blocks.  Refuses as
     fundamental_pair does (the drift is the largest over all blocks), and
     f that vanishes on the whole grid."""
@@ -673,17 +657,17 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
     blocks of a fixed number of nodes (see _kernel_blocks), so beside the
     grid itself the study's memory is O(block), not O(grid): about 17
     arrays of a block's length at the peak (17.2 measured on the
-    13-frequency default).  When the process may use two or more CPUs,
-    each block's closed-form Bessel pair runs in two halves on two
-    threads, the caller's and one helper thread that lives as long as
-    the call.  On one usable CPU no helper is opened: there it made the
-    default study 3-4 ms slower (about 3%), not faster.  The sups are
-    the same floats on one thread or two.
+    13-frequency default).  Each block's closed-form Bessel pair runs in
+    two halves on two threads, the caller's and one helper thread that
+    lives as long as the call; the sups are the same floats as on the
+    whole grid on one thread.  On a process pinned to one CPU the helper
+    costs a little: the default study measured 110 ms there against 105 ms
+    on one thread, and the CLI's default run +1.9% (within its noise).
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.min() < 10.0 or taus.max() / taus.min() < 99.0:
         raise ValueError("grid must span at least two decades starting at tau >= 10")
-    with (ThreadPoolExecutor(1) if _usable_cpus() >= 2 else nullcontext()) as helper:
+    with ThreadPoolExecutor(1) as helper:
         sup0, sup1 = np.array([
             _kernel_sups(tau, f, tension, length, int(max(160, 1.2 * tau)), helper)
             for tau in taus]).T.copy()

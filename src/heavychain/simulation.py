@@ -137,7 +137,7 @@ def _step_matrix(a: sparse.csr_array, dt: float, dtype) -> sparse.csc_array:
 
 
 def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
-             dt: float | None = None, store_every: int = 1) -> Trajectory:
+             dt: float, store_every: int = 1) -> Trajectory:
     """Crank-Nicolson run z_{n+1} = R z_n, R = 2 (I - dt/2 A)^{-1} - I.
 
     R is (I - dt/2 A)^{-1} (I + dt/2 A): one solve with the sparse step
@@ -146,13 +146,11 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
     costs favour it (see ``_jump_pays``), the full strides are taken as
     one dense product each with R^store_every, formed by stepping the
     identity block through one stride; the final partial stride is
-    stepped.  dt defaults to dx over the largest wave speed.  Complex
-    initial data is propagated as such (useful for eigenmode tracking).
+    stepped.  Complex initial data is propagated as such (useful for
+    eigenmode tracking).
     """
     if not (np.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final must be finite and positive, got {t_final!r}")
-    if dt is None:
-        dt = sys.grid.dx / float(np.sqrt(sys.model.tension0))
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if not isinstance(store_every, Integral) or store_every < 1:

@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from heavychain import cli
 from heavychain.cli import ConfigError, load_config, parse_config, run
-from heavychain.model import derive_physical_thetas
+from heavychain.model import check_admissibility, derive_physical_thetas
 
 LIGHT = {
     "physical": {"rho": 1.0, "L": 1.0, "m_p": 1.0, "m_c": 1.0, "g": 9.81},
@@ -183,6 +185,37 @@ def test_sweep_pools_both_sources(tmp_path):
     assert taus == sorted(taus)
     plot = np.loadtxt(out / "sweep.dat")
     assert np.all(np.diff(plot[:, 0]) >= 0.0)
+
+
+def test_report_blocks_are_the_result_records(tmp_path, monkeypatch):
+    # each report block carries every field of its result record, so a
+    # field added to a record reaches the report with no CLI edit
+    records = {}
+    for name in ("huang_verdict", "decay_fit", "verify_energy_identity"):
+        def capture(*args, fun=getattr(cli, name), name=name):
+            records[name] = fun(*args)
+            return records[name]
+        monkeypatch.setattr(cli, name, capture)
+    cfg = write_config(tmp_path)
+    reports = {}
+    for sub in ("sweep", "simulate"):
+        assert run(sub, cfg, tmp_path / sub) == 0
+        reports[sub] = json.loads((tmp_path / sub / "report.json").read_text(encoding="utf-8"))
+
+    def as_json(record, drop=()):
+        fields = {k: v for k, v in asdict(record).items() if k not in drop}
+        return json.loads(json.dumps(cli._jsonify(fields)))
+
+    def block_has(block, fields):
+        assert {k: block[k] for k in fields} == fields
+
+    adm = as_json(check_admissibility(load_config(cfg).model()))
+    for report in reports.values():
+        block_has(report["admissibility"], adm)
+    block_has(reports["sweep"]["sweep"], as_json(records["huang_verdict"]))
+    energy = reports["simulate"]["energy"]
+    assert energy["decay"] == as_json(records["decay_fit"])
+    assert energy["identity"] == as_json(records["verify_energy_identity"], drop=("scale",))
 
 
 def test_sweep_linear_spacing(tmp_path):

@@ -144,7 +144,8 @@ def test_admissibility_computed_once_per_model(ref_params, ref_gains, monkeypatc
     sys = assemble_generator(m, 50)
     spectrum(sys)
     dissipativity_check(sys, samples=20, seed=1)
-    simulate(sample_states(sys, 1, seed=1)[0].real, sys, 20 * sys.grid.dx)
+    simulate(sample_states(sys, 1, seed=1)[0].real, sys, 20 * sys.grid.dx,
+             dt=sys.grid.dx / np.sqrt(m.tension0))
     for tau in (0.5, 2.0, 8.0):
         injectivity_check(tau, m)
     solve_resolvent_bvp(np.sin, np.cos, 1.0, m)
@@ -177,7 +178,8 @@ def test_grid_stencils_built_once_per_system(ref_model, ref_params, ref_gains, m
     sys = assemble_generator(ref_model, 50)
     dissipativity_check(sys, samples=20, seed=1)
     z0 = sample_states(sys, 1, seed=1)[0].real
-    energies(simulate(z0, sys, 20 * sys.grid.dx), ref_params, ref_gains)
+    energies(simulate(z0, sys, 20 * sys.grid.dx, dt=sys.grid.dx / np.sqrt(ref_model.tension0)),
+             ref_params, ref_gains)
     assert calls == {"diff_matrix": 1, "trapezoid_weights": 1}
     grid = sys.grid
     assert grid.d1 is sys.grid.d1 and grid.q is sys.grid.q

@@ -36,8 +36,6 @@ REF_GAMMA_MAX = 2.34101714286
 def test_tension_profile_endpoints(ref_params):
     assert ref_params.tension_cart == pytest.approx(19.62)
     assert ref_params.tension_payload == pytest.approx(9.81)
-    # affine in between
-    assert ref_params.tension(0.5) == pytest.approx(0.5 * (19.62 + 9.81))
 
 
 def test_physical_feedback_reference(ref_params, ref_gains):

@@ -3,6 +3,7 @@
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -426,44 +427,53 @@ def _kernel_tau(ref_model, block, residue):
                 % block == residue)
 
 
-def _whole_grid(tau, f, ref_model, ppw=160, tol=1e-8):
-    pair = fundamental_pair(tau, ref_model.tension, ref_model.length, tol=tol,
+def _whole_grid(tau, f, chain, ppw=160, tol=1e-8):
+    """fundamental_pair and greens_apply of f on the whole grid of the
+    chain's tension and length: the blockwise walk's reference."""
+    pair = fundamental_pair(tau, chain.tension, chain.length, tol=tol,
                             points_per_wavelength=ppw)
     return pair, *greens_apply(f(pair.x), pair)
+
+
+@pytest.fixture
+def helper():
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
 
 
 def _kernel_data(ref_model):
     return lambda x: np.cos(np.pi * x / ref_model.length) + 0.5
 
 
-def _assert_blockwise_is_whole_grid(ref_model, tau):
+def _assert_blockwise_is_whole_grid(ref_model, tau, helper):
     # the blocks run the same floating-point operations as the whole grid
     # (a wrong halo would only move a seam row's end correction, far
     # below any relative tolerance on the sups)
     f = _kernel_data(ref_model)
     _, i0, i1 = _whole_grid(tau, f, ref_model)
-    blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, 160))
+    blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, 160, helper))
     np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i0)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), i1)
     np.testing.assert_allclose(
-        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160),
+        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper),
         (np.max(np.abs(i0)), np.max(np.abs(i1))), rtol=1e-12, atol=0.0)
     return blocks
 
 
 @pytest.mark.parametrize("residue", [1, 2, 3])
 def test_blockwise_kernel_integrals_match_whole_grid_across_seams(ref_model, monkeypatch,
-                                                                  residue):
+                                                                  helper, residue):
     # 64-node blocks: the last block holds 1, 2 or 3 nodes, so the seam
     # halo and the one-sided end rows of _fd4 at the far end both act
     monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
-    blocks = _assert_blockwise_is_whole_grid(ref_model, _kernel_tau(ref_model, 64, residue))
+    blocks = _assert_blockwise_is_whole_grid(ref_model, _kernel_tau(ref_model, 64, residue),
+                                             helper)
     assert len(blocks[-1][0]) == residue
 
 
-def test_blockwise_kernel_integrals_single_block(ref_model):
+def test_blockwise_kernel_integrals_single_block(ref_model, helper):
     assert MIN_GRID + 1 <= resolvent_bvp._BLOCK
-    blocks = _assert_blockwise_is_whole_grid(ref_model, 10.0)
+    blocks = _assert_blockwise_is_whole_grid(ref_model, 10.0, helper)
     assert len(blocks) == 1 and len(blocks[0][0]) == MIN_GRID + 1
 
 
@@ -480,7 +490,7 @@ def test_kernel_decay_study_matches_whole_grid_reference(ref_model, monkeypatch)
     np.testing.assert_allclose(study.sup_i1, ref[:, 1], rtol=1e-12, atol=0.0)
 
 
-def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatch):
+def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatch, helper):
     # the refusal reads the largest drift over all blocks, as
     # fundamental_pair reads it over the whole grid
     monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
@@ -489,26 +499,26 @@ def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatc
     drift = _whole_grid(tau, f, ref_model)[0].wronskian_drift / tau
     monkeypatch.setattr(resolvent_bvp, "DRIFT_TOL", 0.999 * drift)
     with pytest.raises(RuntimeError, match="Wronskian drift"):
-        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160)
+        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper)
     monkeypatch.setattr(resolvent_bvp, "DRIFT_TOL", 1.001 * drift)
-    _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160)
+    _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper)
 
 
-def test_blockwise_degenerate_data_is_judged_on_the_whole_grid(ref_model, monkeypatch):
+def test_blockwise_degenerate_data_is_judged_on_the_whole_grid(ref_model, monkeypatch, helper):
     monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
     length = ref_model.length
     # zero on every block but a few in the middle, so neither the first
     # nor the last block alone decides
     bump = lambda x: np.where(np.abs(np.asarray(x) - 0.5 * length) < 0.05 * length, 1.0, 0.0)
-    assert min(_kernel_sups(30.0, bump, ref_model.tension, length, 160)) > 0.0
+    assert min(_kernel_sups(30.0, bump, ref_model.tension, length, 160, helper)) > 0.0
     with pytest.raises(ValueError, match="degenerate"):
-        _kernel_sups(30.0, zero_fun, ref_model.tension, length, 160)
+        _kernel_sups(30.0, zero_fun, ref_model.tension, length, 160, helper)
 
 
 def test_kernel_decay_study_memory_is_o_block(ref_model):
     # beside the one grid at TAU_CAP (598 187 floats), a block step holds
     # about seventeen float arrays of a window's length (17.2 measured,
-    # with the helper thread's halves or without; the block and its 2 + 2
+    # with the helper thread's halves; the block and its 2 + 2
     # halo nodes): the pair with its Bessel basis and temporaries, f, the
     # two integrands with their stencils and running sums, I0 and I1, and
     # the previous block's results.  The bound allows 32.  The
@@ -527,10 +537,6 @@ def test_kernel_decay_study_memory_is_o_block(ref_model):
     assert peak < grid_bytes + 32 * window_bytes
 
 
-def _helper_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(resolvent_bvp, "_usable_cpus", lambda: cpus)
-
-
 def _record_pair(monkeypatch, threads, drift_on_helper=False):
     # note the threads that evaluate the pair; optionally make the pair
     # drift only where the helper thread evaluates it
@@ -545,45 +551,39 @@ def _record_pair(monkeypatch, threads, drift_on_helper=False):
 
 
 @pytest.mark.parametrize("block", [None, 64])
-def test_kernel_helper_changes_no_float(ref_model, monkeypatch, block):
+def test_kernel_helper_changes_no_float(ref_model, monkeypatch, helper, block):
     # the helper thread evaluates half of each block's pair; the
-    # quadratures read the same floats as on one thread.  64-node blocks
-    # end in 1, 2 and 3 nodes (6-node end windows, split 3 + 3)
-    tension, length = ref_model.tension, ref_model.length
+    # quadratures read the same floats as fundamental_pair and
+    # greens_apply on the whole grid.  64-node blocks end in 1, 2 and 3
+    # nodes (6-node end windows, split 3 + 3)
     if block is None:
         taus, ppw = [10.0, 1000.0], 1200
     else:
         monkeypatch.setattr(resolvent_bvp, "_BLOCK", block)
         taus, ppw = [_kernel_tau(ref_model, block, r) for r in (1, 2, 3)], 160
     f = _kernel_data(ref_model)
-    with ThreadPoolExecutor(1) as helper:
-        for tau in taus:
-            alone = list(_kernel_blocks(tau, f, tension, length, ppw))
-            halves = list(_kernel_blocks(tau, f, tension, length, ppw, helper))
-            assert len(halves) == len(alone) > (block is not None)
-            for a, h in zip(alone, halves):
-                np.testing.assert_array_equal(h[0], a[0])
-                np.testing.assert_array_equal(h[1], a[1])
-                assert h[2:] == a[2:]
-    # the study's own grids; a stiff tension keeps the 64-node walk short
-    if block is not None:
-        tension, length = AffineTension(400.0, -1.0), 1.0
-    studies, threads = {}, {}
-    for cpus in (1, 2):
-        _helper_cpus(monkeypatch, cpus)
-        threads[cpus] = set()
-        _record_pair(monkeypatch, threads[cpus])
-        studies[cpus] = kernel_decay_study(np.geomspace(10.0, 1000.0, 3), f, tension, length)
-    assert [len(t) for t in threads.values()] == [1, 2]
-    np.testing.assert_array_equal(studies[2].sup_i0, studies[1].sup_i0)
-    np.testing.assert_array_equal(studies[2].sup_i1, studies[1].sup_i1)
-    assert (studies[2].slope_i0, studies[2].slope_i1) == (studies[1].slope_i0,
-                                                          studies[1].slope_i1)
+    for tau in taus:
+        _, i0, i1 = _whole_grid(tau, f, ref_model, ppw=ppw)
+        blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, ppw, helper))
+        assert len(blocks) > (block is not None)
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i0)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), i1)
+    # the study's own grids and helper; a stiff tension keeps the 64-node
+    # walk short
+    chain = (ref_model if block is None
+             else SimpleNamespace(tension=AffineTension(400.0, -1.0), length=1.0))
+    taus = np.geomspace(10.0, 1000.0, 3)
+    threads = set()
+    _record_pair(monkeypatch, threads)
+    study = kernel_decay_study(taus, f, chain.tension, chain.length)
+    assert len(threads) == 2
+    ref = [[np.max(np.abs(i)) for i in
+            _whole_grid(tau, f, chain, ppw=int(max(160, 1.2 * tau)))[1:]] for tau in taus]
+    np.testing.assert_array_equal(np.column_stack([study.sup_i0, study.sup_i1]), ref)
 
 
 @pytest.mark.parametrize("refusal", [None, "drift", "degenerate"])
 def test_no_helper_thread_outlives_a_kernel_study(ref_model, monkeypatch, refusal):
-    _helper_cpus(monkeypatch, 2)
     threads = set()
     _record_pair(monkeypatch, threads, drift_on_helper=refusal == "drift")
     f, match = _kernel_data(ref_model), {"drift": "Wronskian drift",

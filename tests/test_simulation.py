@@ -45,12 +45,6 @@ def test_zero_state_stays_zero(ref_model, ref_params, ref_gains):
     assert rep.residual == 0.0 and rep.satisfied
 
 
-def test_default_step_is_dx_over_wave_speed(ref_model):
-    sys = assemble_generator(ref_model, 40)
-    tr = simulate(np.zeros(sys.grid.size), sys, 0.5)
-    assert tr.dt == pytest.approx(sys.grid.dx / np.sqrt(ref_model.tension0))
-
-
 def test_contraction_along_reference_run(ref_model):
     sys = assemble_generator(ref_model, 100)
     z0 = np.zeros(sys.grid.size)
