@@ -21,15 +21,15 @@ is solved by sqrt(P) Z1(u), Z in {J, Y}, whose slope is sign(P') tau Z0(u)
 (the classical hanging-chain solution; sines and cosines when P' = 0).
 The fields are then recovered through
 
-    w = (g + i tau f - y~') / tau^2,      v = f + i tau w,
+    w = (g + i tau f - y~') / tau^2,      v = f + i tau w.
 
-and every accepted solve reports the defect of all four lines of the
-original system, measured with fourth-order finite differences that are
-independent of the reconstruction.  Frequencies below |tau| = 0.1 skip
-the tau^{-2} division and solve the coupled system directly by
-collocation on a fine grid.  Data f, g (and their optional derivatives)
-are callables on [0, L]; a solution comes back as the arrays w, v on its
-grid x.
+solve_resolvent_bvp reports the defect of all four lines of the original
+system, measured with fourth-order finite differences independent of the
+reconstruction; the sweep keeps only the gains.  Frequencies below
+|tau| = 0.1 skip the tau^{-2} division and solve the coupled system
+directly by collocation on a fine grid.  Data f, g (and their optional
+derivatives) are callables on [0, L]; a solution comes back as the
+arrays w, v on its grid x.
 """
 
 from __future__ import annotations
@@ -42,12 +42,9 @@ from itertools import groupby
 import numpy as np
 from scipy.special import factorial, j0, j1, y0, y1
 
-from heavychain.discretization import Grid, assemble_generator, sobolev_norms, weighted_norm
-from heavychain.model import (
-    AdmissibilityReport,
-    AffineTension,
-    RescaledModel,
-)
+from heavychain.discretization import (Grid, _form, _read_only, _weighted_terms,
+                                       assemble_generator, sobolev_norms, weighted_norm)
+from heavychain.model import AdmissibilityReport, AffineTension, RescaledModel
 from heavychain.spectral import ResolventSample, resolvent_apply_discrete
 
 __all__ = [
@@ -210,6 +207,14 @@ def _check_drift(drift: float, tau: float, tol: float) -> None:
         )
 
 
+def _pair_on(tau: float, tension: AffineTension, x: np.ndarray, tol: float) -> FundamentalPair:
+    """The pair at tau on the grid x, refused beyond a drift of tol (see _check_drift)."""
+    phis = _pair_values(tau, tension.value0, tension.slope, x)
+    drift = _wronskian_drift(tau, *phis)
+    _check_drift(drift, tau, tol)
+    return FundamentalPair(float(tau), x, *phis, wronskian_drift=drift)
+
+
 def fundamental_pair(tau: float, tension: AffineTension, length: float,
                      tol: float = DRIFT_TOL,
                      points_per_wavelength: int = 400) -> FundamentalPair:
@@ -218,14 +223,7 @@ def fundamental_pair(tau: float, tension: AffineTension, length: float,
     The affine tension P(x) = value0 + slope*x must be positive on
     [0, length].  tol bounds the accepted Wronskian drift (relative to tau).
     """
-    x = _pair_grid(tau, tension, length, points_per_wavelength)
-    phi1, phi1p, phi2, phi2p = _pair_values(tau, tension.value0, tension.slope, x)
-    drift = _wronskian_drift(tau, phi1, phi1p, phi2, phi2p)
-    _check_drift(drift, tau, tol)
-    return FundamentalPair(
-        tau=float(tau), x=x, phi1=phi1, phi1p=phi1p,
-        phi2=phi2, phi2p=phi2p, wronskian_drift=drift,
-    )
+    return _pair_on(tau, tension, _pair_grid(tau, tension, length, points_per_wavelength), tol)
 
 
 def _cumulative(y: np.ndarray, dx: float, rows: slice = slice(None),
@@ -289,6 +287,13 @@ def c0_coefficient(tau: float, m: RescaledModel) -> complex:
     return -gamma2 / gamma1
 
 
+def _admitted(m: RescaledModel, need: str = "resolvent pipeline needs an admissible model"):
+    """m's admissibility report; refuses, citing need, a model that is not admissible."""
+    if not m.admissibility.admissible:
+        raise ValueError("%s: %s" % (need, "; ".join(m.admissibility.violations)))
+    return m.admissibility
+
+
 def injectivity_check(tau: float, m: RescaledModel) -> float:
     """Closed-form certificate that i*tau is not an eigenvalue.
 
@@ -301,12 +306,8 @@ def injectivity_check(tau: float, m: RescaledModel) -> float:
     at this frequency; the admissibility hypotheses keep Im(c0) away from
     zero, which is what makes the certificate meaningful.
     """
-    rep = m.admissibility
-    if not rep.admissible:
-        raise ValueError(
-            "injectivity margin needs an admissible coefficient set "
-            "(otherwise the forced slope can be real): %s" % "; ".join(rep.violations)
-        )
+    _admitted(m, "injectivity margin needs an admissible coefficient set "
+                 "(otherwise the forced slope can be real)")
     tau = abs(float(tau))
     if tau == 0.0:
         # at zero frequency invertibility is the closed-form inverse's
@@ -379,10 +380,10 @@ def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
     )
 
 
-def _derivative_values(x, fv, explicit):
-    if explicit is not None:
-        return np.asarray(explicit(x))
-    return _fd4(fv, float(x[1] - x[0]))
+def _sample(x, fun, derivative):
+    """fun on x, and its derivative: the callable's, or finite differences if None."""
+    fv = np.asarray(fun(x))
+    return fv, (_fd4(fv, float(x[1] - x[0])) if derivative is None else np.asarray(derivative(x)))
 
 
 def _solve_collocation(f, g, tau, m, rep):
@@ -412,17 +413,14 @@ def _boundary_determinant(tau, m, phi1, phi1p, phi2, phi2p):
 def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
                         pair: FundamentalPair | None = None,
                         f_prime=None, g_prime=None) -> ResolventSolution:
-    """Solve (A - i tau)(w, v) = (f, g) at the continuous level.
+    """Solve (A - i tau)(w, v) = (f, g) at the continuous level, audited.
 
     Data are callables on [0, length]; optional f_prime/g_prime callables
     supply analytic derivatives (finite differences otherwise).
     |tau| < 0.1 falls back to a direct collocation solve; negative tau is
     handled by conjugation symmetry.
     """
-    rep = m.admissibility
-    if not rep.admissible:
-        raise ValueError("resolvent pipeline needs an admissible model: %s"
-                         % "; ".join(rep.violations))
+    rep = _admitted(m)
     if tau < 0.0:
         conj = solve_resolvent_bvp(
             _conjugate_data(f), _conjugate_data(g), -tau, m, pair=pair,
@@ -442,15 +440,18 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
         pair = fundamental_pair(tau, m.tension, m.length)
     elif abs(pair.tau - tau) > 1e-12 * max(1.0, tau):
         raise ValueError("supplied fundamental pair was built for another tau")
-    x = pair.x
-    fv = np.asarray(f(x))
-    gv = np.asarray(g(x))
-    fpv = _derivative_values(x, fv, f_prime)
-    gpv = _derivative_values(x, gv, g_prime)
+    (fv, fpv), (gv, gpv) = _sample(pair.x, f, f_prime), _sample(pair.x, g, g_prime)
+    wv, vv, *coefficients = _pipeline(tau, pair, fv, gv, fpv, gpv, m)
+    return _package(pair.x, wv, vv, fv, gv, tau, m, rep, *coefficients, "pipeline")
 
+
+def _pipeline(tau: float, pair: FundamentalPair, fv, gv, fpv, gpv, m: RescaledModel):
+    """solve_resolvent_bvp's pipeline, unaudited, from the samples of f, g, f'
+    and g' on the pair's grid: (w, v, c1, c2, a0, a1, N).  Refuses as it does."""
+    _admitted(m)
     theta1, theta2, theta3, theta4 = m.thetas
     p0, pl, length = float(m.tension0), float(m.tensionL), m.length
-    pv = m.tension(x)
+    pv = m.tension(pair.x)
     tau2 = tau * tau
     gamma1 = theta4 + 1j * tau * theta2
     gamma2 = theta3 + tau2 + 1j * tau * theta1
@@ -462,8 +463,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
           - (1j * theta3 / tau) * fv[0] - theta2 * fpv[0])
     a1 = -tau2 * p0 * r1 / (gamma1 * tau2 * (length + pl) + p0 * gamma2)
     a0 = -(length + pl) * a1
-    h = a1 * x + a0
-    rhs_h = big_gp - (tau2 / pv) * h
+    rhs_h = big_gp - (tau2 / pv) * (a1 * pair.x + a0)  # the lift h = a1 x + a0
 
     i0, i1 = greens_apply(rhs_h, pair)
     ratio, den, den_scale = _boundary_determinant(
@@ -474,11 +474,8 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
         )
     c1 = -(i0[-1] + pl * i1[-1]) / den
     c2 = ratio * c1
-    yp = c1 * pair.phi1p + c2 * pair.phi2p + i1
-    ytilp = yp + a1
-    wv = (big_g - ytilp) / tau2
-    vv = fv + 1j * tau * wv
-    return _package(x, wv, vv, fv, gv, tau, m, rep, c1, c2, a0, a1, den, "pipeline")
+    wv = (big_g - (c1 * pair.phi1p + c2 * pair.phi2p + i1 + a1)) / tau2  # y~' = y' + a1
+    return wv, fv + 1j * tau * wv, c1, c2, a0, a1, den
 
 
 def _conjugate_data(f):
@@ -500,44 +497,46 @@ def random_smooth_data(rng, length: float):
     Returns (f, g, f_prime, g_prime), each a callable on [0, length].
     Band-limited on purpose: solves against such data are resolvable by
     every grid used here, so they make fair cross-solver test material.
+    The four share the harmonics' sines and cosines on an x that owns its
+    data read-only until each has read them (6 arrays per grid, not 24).
     """
     cf = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     cg = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     af = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     ag = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    wks = [(k + 1) * np.pi / length for k in range(3)]
+    table = [None, None, set()]  # x, the (sin, cos) of each harmonic on x, who read them
 
-    def make(c, a):
+    def harmonics(x, reader):
+        x = np.asarray(x, dtype=float)
+        x0, trig, readers = table
+        if x0 is not x or x.flags.writeable:
+            trig, readers = [(np.sin(wk * x), np.cos(wk * x)) for wk in wks], set()
+        readers.add(reader)
+        keep = not x.flags.writeable and x.base is None and len(readers) < 4
+        table[:] = [x, trig, readers] if keep else [None, None, set()]
+        return x, trig
+
+    def make(c, a, reader):
         def fun(x):
-            x = np.asarray(x, dtype=float)
+            x, trig = harmonics(x, reader)
             out = a[0] + a[1] * x / length
-            for k in range(len(c)):
-                wk = (k + 1) * np.pi / length
-                out = out + c[k, 0] * np.sin(wk * x) + c[k, 1] * np.cos(wk * x)
+            for ck, (sin, cos) in zip(c, trig):
+                out = out + ck[0] * sin + ck[1] * cos
             return out
 
         def dfun(x):
-            x = np.asarray(x, dtype=float)
+            x, trig = harmonics(x, reader + 1)
             out = np.full_like(x, a[1] / length, dtype=complex)
-            for k in range(len(c)):
-                wk = (k + 1) * np.pi / length
-                out = out + wk * (c[k, 0] * np.cos(wk * x) - c[k, 1] * np.sin(wk * x))
+            for wk, ck, (sin, cos) in zip(wks, c, trig):
+                out = out + wk * (ck[0] * cos - ck[1] * sin)
             return out
 
         return fun, dfun
 
-    f, fp = make(cf, af)
-    g, gp = make(cg, ag)
+    f, fp = make(cf, af, 0)
+    g, gp = make(cg, ag, 2)
     return f, g, fp, gp
-
-
-def _sampled_on(fun, x: np.ndarray):
-    """fun, or None, as its samples on the grid x, read-only so that no
-    solve can change another's data: for solves whose pairs all sit on x."""
-    if fun is None:
-        return None
-    values = np.asarray(fun(x)).view()
-    values.flags.writeable = False
-    return lambda _: values
 
 
 def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSample]:
@@ -545,34 +544,35 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
 
     data is a sequence of (f, g, f_prime, g_prime) tuples; the reported
     norm at each tau is the largest gain over the family, a lower
-    envelope of the true operator norm that shares its shape.  One pair
-    per tau, on a coarser grid (40 points per wavelength, drift 1e-6)
-    than a single solve uses, serves every datum.  A pair grid is fixed
-    by its cell count, so every frequency below the one that outgrows
-    MIN_GRID shares the smallest: successive frequencies on one grid
-    share each datum's samples there, so along increasing taus each
-    datum is sampled once per distinct grid.  A grid that serves one
-    frequency keeps no samples.
+    envelope of the true operator norm that shares its shape: the gains
+    of solve_resolvent_bvp, to the bit, without its audit, on coarser
+    pair grids (40 points per wavelength, drift 1e-6).  Every tau below
+    the one that outgrows MIN_GRID has the smallest; successive taus on
+    a grid share it, its energy terms and each datum's samples on it.
     """
     def cells(tau):
         return _grid_cells(tau, m.tension, m.length, 40) if tau >= SMALL_TAU else 0
 
     samples = []
     for n, run in groupby(taus, key=cells):
-        run = list(run)
-        if n and len(run) > 1:
-            x = _pair_grid(run[0], m.tension, m.length, 40)
-            shared = [tuple(_sampled_on(fun, x) for fun in datum) for datum in data]
-        else:
-            shared = data
-        for tau in run:
-            pair = (fundamental_pair(tau, m.tension, m.length, tol=1e-6, points_per_wavelength=40)
-                    if n else None)
-            best = 0.0
-            for f, g, fp, gp in shared:
-                sol = solve_resolvent_bvp(f, g, tau, m, pair=pair, f_prime=fp, g_prime=gp)
-                best = max(best, sol.gain)
-            samples.append(ResolventSample(tau=float(tau), norm=best, source="continuous"))
+        if not n:  # below SMALL_TAU: the collocation solve
+            samples += [ResolventSample(float(tau), max(0.0, *(solve_resolvent_bvp(
+                f, g, tau, m, f_prime=fp, g_prime=gp).gain for f, g, fp, gp in data)),
+                "continuous") for tau in run]
+            continue
+        x = _read_only(np.linspace(0.0, m.length, n + 1).copy())  # owned, never written
+        terms = _weighted_terms(Grid(n, m.length, x, float(x[1] - x[0])), m, _admitted(m).gamma)
+        pairs = [(tau, _pair_on(tau, m.tension, x, 1e-6)) for tau in run]
+        best = [0.0] * len(pairs)
+        for f, g, fp, gp in data:  # one datum's samples at a time, read-only
+            (fv, fpv), (gv, gpv) = _sample(x, f, fp), _sample(x, g, gp)
+            fv, fpv, gv, gpv = (_read_only(v.view()) for v in (fv, fpv, gv, gpv))
+            for k, (tau, pair) in enumerate(pairs):
+                wv, vv = _pipeline(tau, pair, fv, gv, fpv, gpv, m)[:2]
+                states = np.stack([np.concatenate([wv, vv]), np.concatenate([fv, gv])])
+                sol, dat = np.sqrt(_form(terms, states))
+                best[k] = max(best[k], float(sol / dat) if dat > 0.0 else 0.0)  # weighted_norm's
+        samples += [ResolventSample(float(t), b, "continuous") for (t, _), b in zip(pairs, best)]
     return samples
 
 

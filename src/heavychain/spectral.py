@@ -22,9 +22,12 @@ operator norm of the resolvent is an ordinary spectral norm,
 
 lambda_max comes from ARPACK (Arnoldi, which on the Hermitian B^H B is
 Lanczos) applied through one banded LU of S per shift (LAPACK zgbtrf)
-and banded triangular products and solves with R (ztbmv, ztbsv), O(n) per
+and banded products and solves with R (zgbmv, ztbsv), O(n) per
 application and never a dense or sparse matrix: the inverse-Lanczos route
 of Trefethen, "Computation of pseudospectra", Acta Numerica 1999.  The
+product is zgbmv, not ztbmv: OpenBLAS 0.3.31 runs ztbmv on two threads at
+n = 202, and its worker spins for 80 ms after the last call on a CPU the
+next thread wants; zgbmv takes 2% longer on one thread.  The
 Krylov space is sized for that one well-separated eigenvalue: 8 vectors,
 not ARPACK's default 20, which it builds in full before its first
 convergence test.  A shift then costs about 12 applications of B^H B
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cython_lapack
-from scipy.linalg.blas import ztbmv, ztbsv
+from scipy.linalg.blas import zgbmv, ztbsv
 from scipy.linalg.lapack import dgebal, dgehrd, zgbtrf, zgbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
 
@@ -209,15 +212,13 @@ def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample
 
     In the node-interleaved order both the energy factor R (chol_H) and
     S = i tau - Pi A Pi^T are banded, so B = R S^{-1} R^{-1} is applied
-    through one banded LU of S (zgbtrf) and banded triangular products and
-    solves with R, O(n) per application.  The Krylov space is sized for
-    the one eigenvalue wanted (ncv = 8): on the default 200-point sweep at
-    N = 100 a shift takes about 12.3 applications of B^H B where ARPACK's
-    default ncv = 20 takes 21, at the same machine-precision tolerance.  An
-    exactly singular shift (a zero pivot in the LU) has norm inf.
+    through one banded LU of S (zgbtrf), banded products and triangular
+    solves with R (zgbmv, ztbsv), O(n) per application, in an 8-vector
+    Krylov space.  An exactly singular shift (a zero pivot in the LU) has
+    norm inf.
     """
     r = np.asfortranarray(sys.chol_H, dtype=complex)
-    kb = len(r) - 1
+    kb, n = len(r) - 1, sys.grid.size
     ab, kl, ku = _shifted_band(sys.A, tau)
     lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
@@ -226,11 +227,10 @@ def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample
     def normal_op(x):  # B^H B x = R^{-T} S^{-H} R^T R S^{-1} R^{-1} x
         y = ztbsv(kb, r, np.ravel(x))
         y = zgbtrs(lu, kl, ku, y, piv)[0]
-        y = ztbmv(kb, r, ztbmv(kb, r, y), trans=1)
+        y = zgbmv(n, n, 0, kb, 1.0, r, zgbmv(n, n, 0, kb, 1.0, r, y), trans=1)
         y = zgbtrs(lu, kl, ku, y, piv, trans=2)[0]
         return ztbsv(kb, r, y, trans=1)
 
-    n = sys.grid.size
     op = LinearOperator((n, n), matvec=normal_op, dtype=complex)
     # fixed start vector: the same floats on every run; an 8-vector Krylov
     # space (n >= 10 on every grid) instead of ARPACK's default 20

@@ -3,6 +3,8 @@
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -324,7 +326,7 @@ def test_sweep_samples_each_datum_once_per_grid(ref_model):
     # the sweep's norms are the same floats as one solve per datum and
     # tau, while each datum is sampled once per distinct pair grid: the
     # four from 0.5 to 80 share MIN_GRID's 1 601 nodes
-    taus = [0.05, 0.5, 2.0, 30.0, 80.0, 300.0, 600.0]
+    taus = [0.05, 0.5, 2.0, 30.0, 80.0, 300.0, 600.0, TAU_CAP]
     rng = np.random.default_rng(11)
     (f, g, fp, gp), (f2, g2, _, _) = (random_smooth_data(rng, ref_model.length)
                                       for _ in range(2))
@@ -346,29 +348,122 @@ def test_sweep_samples_each_datum_once_per_grid(ref_model):
                                 g_prime=bp).gain for a, b, ap, bp in data)
     grids = [len(_pair_grid(tau, ref_model.tension, ref_model.length, 40))
              for tau in taus[1:]]
-    assert grids[:4] == [MIN_GRID + 1] * 4 and len(set(grids)) == 3
+    assert grids[:4] == [MIN_GRID + 1] * 4 and len(set(grids)) == 4
     # one call for the collocation solve at 0.05, one per distinct grid
     assert sweep_calls == [COLLOCATION_CELLS + 1, *sorted(set(grids))]
 
 
 def test_sweep_shares_read_only_samples(ref_model, monkeypatch):
-    # 0.5 and 2.0 share MIN_GRID's grid; 300 has a grid of its own, on
-    # which the sweep keeps no samples
+    # 0.5 and 2.0 share MIN_GRID's grid, and the pipeline receives the
+    # same read-only samples of the datum at both; 300 has a grid and
+    # samples of its own
     seen = []
-    solve = resolvent_bvp.solve_resolvent_bvp
+    pipeline = resolvent_bvp._pipeline
 
-    def recording(f, g, tau, m, *, pair, f_prime, g_prime):
-        funs = (f, g, f_prime, g_prime)
-        seen.append((funs, tuple(fun(pair.x) for fun in funs)))
-        return solve(f, g, tau, m, pair=pair, f_prime=f_prime, g_prime=g_prime)
+    def recording(tau, pair, *sampled):
+        seen.append((pair.x, sampled[:4]))
+        return pipeline(tau, pair, *sampled)
 
-    monkeypatch.setattr(resolvent_bvp, "solve_resolvent_bvp", recording)
+    monkeypatch.setattr(resolvent_bvp, "_pipeline", recording)
     data = [random_smooth_data(np.random.default_rng(12), ref_model.length)]
     continuous_resolvent_sweep(ref_model, [0.5, 2.0, 300.0], data)
-    (_, low), (_, high), (own, _) = seen
+    (x_low, low), (x_high, high), (x_own, own) = seen
+    assert x_low is x_high and x_own is not x_low
     assert all(a is b for a, b in zip(low, high))
-    assert not any(a.flags.writeable for a in low)
-    assert own == data[0]
+    assert not any(a is b for a, b in zip(low, own))
+    assert not any(a.flags.writeable for a in (*low, *own, x_low, x_own))
+
+
+def test_sweep_computes_no_audit(ref_model, monkeypatch):
+    # the sweep computes gains alone: neither the line residuals nor the
+    # Sobolev norms of solve_resolvent_bvp's audit run, and the gains are
+    # still its floats
+    taus = [0.5, 2.0, 300.0, TAU_CAP]
+    data = [random_smooth_data(np.random.default_rng(13), ref_model.length) for _ in range(2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran a part of the audit")
+
+    monkeypatch.setattr(resolvent_bvp, "_line_residuals", refuse)
+    monkeypatch.setattr(resolvent_bvp, "sobolev_norms", refuse)
+    samples = continuous_resolvent_sweep(ref_model, taus, data)
+    monkeypatch.undo()
+    for tau, sample in zip(taus, samples):
+        pair = fundamental_pair(tau, ref_model.tension, ref_model.length, tol=1e-6,
+                                points_per_wavelength=40)
+        assert sample.norm == max(
+            solve_resolvent_bvp(f, g, tau, ref_model, pair=pair, f_prime=fp, g_prime=gp).gain
+            for f, g, fp, gp in data)
+
+
+def _closed_form_data(rng, length):
+    """random_smooth_data's (f, g, f', g') written out term by term, each
+    harmonic's sine and cosine evaluated where it is used."""
+    cf = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    cg = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    af = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    ag = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+    def fun(c, a, x):
+        out = a[0] + a[1] * x / length
+        for k in range(3):
+            wk = (k + 1) * np.pi / length
+            out = out + c[k, 0] * np.sin(wk * x) + c[k, 1] * np.cos(wk * x)
+        return out
+
+    def dfun(c, a, x):
+        out = np.full_like(x, a[1] / length, dtype=complex)
+        for k in range(3):
+            wk = (k + 1) * np.pi / length
+            out = out + wk * (c[k, 0] * np.cos(wk * x) - c[k, 1] * np.sin(wk * x))
+        return out
+
+    return (partial(fun, cf, af), partial(fun, cg, ag),
+            partial(dfun, cf, af), partial(dfun, cg, ag))
+
+
+def _frozen_grid(length, cells):
+    """A grid that owns its read-only data, as the sweep's are."""
+    x = np.linspace(0.0, length, cells + 1).copy()
+    x.flags.writeable = False
+    return x
+
+
+def test_random_smooth_data_is_its_closed_form(ref_model, monkeypatch):
+    length = ref_model.length
+    funs = random_smooth_data(np.random.default_rng(21), length)
+    ref = _closed_form_data(np.random.default_rng(21), length)
+    frozen, other = _frozen_grid(length, 1600), _frozen_grid(length, 700)
+    view = np.linspace(0.0, length, 1601)  # read-only, but a view of a writable array
+    view.flags.writeable = False
+    writable = np.linspace(0.0, length, 1601)
+    expected = {id(x): [r(np.array(x)) for r in ref] for x in (frozen, other, view)}
+
+    def check(x, k, want=None):
+        got = funs[k](x)
+        np.testing.assert_array_equal(got, ref[k](np.array(x)) if want is None else want[k])
+
+    for order in permutations(range(4)):  # any call order on a shared table
+        for k in order:
+            check(frozen, k, expected[id(frozen)])
+    for k in (0, 2, 1, 3):  # a table interrupted by other grids
+        for x in (frozen, other, view):
+            check(x, k, expected[id(x)])
+    for k in (0, 1, 3, 2):  # changed in place between calls, directly or through a view
+        writable *= 1.0 + 1e-3
+        check(writable, k)
+        view.base[:] = writable
+        check(view, k)
+    # one sine per harmonic for the four callables on a read-only grid of
+    # their own, none kept after each has read it, and one per call anywhere else
+    sines = []
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda z: sines.append(1) or sin(z))
+    for x, per_round in ((frozen, 3), (frozen, 3), (view, 12), (writable, 12)):
+        sines.clear()
+        for fun in funs:
+            fun(x)
+        assert len(sines) == per_round
 
 
 # ------------------------------------------------------- uniform estimates
@@ -554,20 +649,18 @@ def _record_pair(monkeypatch, threads, drift_on_helper=False):
 def test_kernel_helper_changes_no_float(ref_model, monkeypatch, helper, block):
     # the helper thread evaluates half of each block's pair; the
     # quadratures read the same floats as fundamental_pair and
-    # greens_apply on the whole grid.  64-node blocks end in 1, 2 and 3
-    # nodes (6-node end windows, split 3 + 3)
+    # greens_apply on the whole grid (64-node blocks, whose last windows
+    # split 3 + 3: test_blockwise_kernel_integrals_match_whole_grid_across_seams)
+    f = _kernel_data(ref_model)
     if block is None:
-        taus, ppw = [10.0, 1000.0], 1200
+        for tau in (10.0, 1000.0):
+            _, i0, i1 = _whole_grid(tau, f, ref_model, ppw=1200)
+            blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, 1200,
+                                         helper))
+            np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i0)
+            np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), i1)
     else:
         monkeypatch.setattr(resolvent_bvp, "_BLOCK", block)
-        taus, ppw = [_kernel_tau(ref_model, block, r) for r in (1, 2, 3)], 160
-    f = _kernel_data(ref_model)
-    for tau in taus:
-        _, i0, i1 = _whole_grid(tau, f, ref_model, ppw=ppw)
-        blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, ppw, helper))
-        assert len(blocks) > (block is not None)
-        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i0)
-        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), i1)
     # the study's own grids and helper; a stiff tension keeps the 64-node
     # walk short
     chain = (ref_model if block is None

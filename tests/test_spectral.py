@@ -320,6 +320,31 @@ def test_resolvent_norm_application_count(ref_sys, monkeypatch):
     assert np.mean(applications) <= 15.0
 
 
+@pytest.mark.parametrize("n", [50, 800])
+def test_band_products_are_the_dense_products_with_r(ref_model, monkeypatch, n):
+    # the products with R run zgbmv on R's upper band (kl = 0), which
+    # OpenBLAS keeps on one thread; each equals R y or R^T y with the
+    # dense R unpacked from that band, to 1e-14 of |R| |y| entry by entry
+    # (R's entries of size 1/dx^2 cancel in R y, so no bound relative to
+    # |R y| holds for any rounding order)
+    sys = assemble_generator(ref_model, n)
+    r, size = sys.chol_H, sys.grid.size
+    dense = sparse.dia_array((r, len(r) - 1 - np.arange(len(r))), shape=(size, size)).toarray()
+    calls, product = [], spectral.zgbmv
+
+    def recording(*args, trans=0):
+        y = product(*args, trans=trans)
+        calls.append((np.array(args[-1]), trans, y))
+        return y
+
+    monkeypatch.setattr(spectral, "zgbmv", recording)
+    resolvent_norm_discrete(sys, 1.0)
+    assert {trans for _, trans, _ in calls} == {0, 1}
+    for x, trans, y in calls:
+        r_op = dense.T if trans else dense
+        assert np.all(np.abs(y - r_op @ x) <= 1e-14 * (np.abs(r_op) @ np.abs(x)))
+
+
 def test_resolvent_norm_follows_replaced_gram(ref_model):
     sys = assemble_generator(ref_model, 50)
     before = resolvent_norm_discrete(sys, 1.0).norm  # factors M_H
