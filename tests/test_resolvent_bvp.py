@@ -434,9 +434,9 @@ def test_random_smooth_data_is_its_closed_form(ref_model, monkeypatch):
     funs = random_smooth_data(np.random.default_rng(21), length)
     ref = _closed_form_data(np.random.default_rng(21), length)
     frozen, other = _frozen_grid(length, 1600), _frozen_grid(length, 700)
-    view = np.linspace(0.0, length, 1601)  # read-only, but a view of a writable array
+    base, writable = np.linspace(0.0, length, 1601), np.linspace(0.0, length, 1601)
+    view = base.view()  # read-only, but a view of a writable array
     view.flags.writeable = False
-    writable = np.linspace(0.0, length, 1601)
     expected = {id(x): [r(np.array(x)) for r in ref] for x in (frozen, other, view)}
 
     def check(x, k, want=None):
@@ -452,8 +452,14 @@ def test_random_smooth_data_is_its_closed_form(ref_model, monkeypatch):
     for k in (0, 1, 3, 2):  # changed in place between calls, directly or through a view
         writable *= 1.0 + 1e-3
         check(writable, k)
-        view.base[:] = writable
+        base[:] = writable
         check(view, k)
+    flipped = _frozen_grid(length, 1600)  # made writable and changed after a first read
+    check(flipped, 0)
+    flipped.flags.writeable = True
+    flipped *= 1.0 + 1e-3
+    for k in (1, 2, 3):
+        check(flipped, k)
     # one sine per harmonic for the four callables on a read-only grid of
     # their own, none kept after each has read it, and one per call anywhere else
     sines = []
