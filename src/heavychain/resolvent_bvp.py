@@ -570,8 +570,8 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
             for k, (tau, pair) in enumerate(pairs):
                 wv, vv = _pipeline(tau, pair, fv, gv, fpv, gpv, m)[:2]
                 states = np.stack([np.concatenate([wv, vv]), np.concatenate([fv, gv])])
-                sol, dat = np.sqrt(_form(terms, states))
-                best[k] = max(best[k], float(sol / dat) if dat > 0.0 else 0.0)  # weighted_norm's
+                sol, dat = np.sqrt(_form(terms, states))  # weighted_norm, terms built once
+                best[k] = max(best[k], float(sol / dat) if dat > 0.0 else 0.0)
         samples += [ResolventSample(float(t), b, "continuous") for (t, _), b in zip(pairs, best)]
     return samples
 
