@@ -254,6 +254,11 @@ def _interleaved(k: np.ndarray, npts: int) -> np.ndarray:
     return 2 * k - (2 * npts - 1) * (k >= npts)
 
 
+def _permuted_entries(a: sparse.csr_array, perm: np.ndarray):
+    """Row and column of each stored entry of the CSR a in the order perm."""
+    return perm[np.repeat(np.arange(len(perm)), np.diff(a.indptr))], perm[a.indices]
+
+
 # Width of the sliding panel of _energy_factor: each dense QR sees about
 # twice as many rows as columns, plus the band it carries forward.
 _PANEL = 64
@@ -370,6 +375,19 @@ class GeneratorSystem:
         upper band layout (kb + 1, n), see _energy_factor.  Built in O(n) on
         first use."""
         return _energy_factor(self.energy, self.grid.n + 1)
+
+    @cached_property
+    def _resolvent_bands(self):
+        """(R, ab, kl, ku), complex, read-only: chol_H, and -Pi A Pi^T from A's
+        entries in zgbtrf's band layout ([i, j] at ab[kl + ku + i - j, j],
+        under kl rows for the pivoting fill); a norm adds i tau to a copy."""
+        n = self.grid.size
+        i, j = _permuted_entries(self.A, _interleaved(np.arange(n), n // 2))
+        kl, ku = int(max(0, (i - j).max())), int(max(0, (j - i).max()))
+        ab = np.bincount((kl + ku + i - j) * n + j, weights=-self.A.data,
+                         minlength=(2 * kl + ku + 1) * n).reshape(-1, n)
+        return _read_only(self.chol_H.astype(complex, order="F")), \
+            _read_only(ab.astype(complex, order="F")), kl, ku
 
     def weighted_norm(self, states: np.ndarray):
         """Energy norm sqrt(z^H M_H z) of a state, or of each row of

@@ -282,6 +282,7 @@ def greens_apply(fv: np.ndarray, pair: FundamentalPair) -> tuple[np.ndarray, np.
 
 def c0_coefficient(tau: float, m: RescaledModel) -> complex:
     """Slope-to-value ratio forced on a square-integrable eigencandidate."""
+    tau = float(tau)  # a NumPy scalar would divide complex numbers otherwise
     gamma1 = m.theta4 + 1j * tau * m.theta2
     gamma2 = m.theta3 + tau * tau + 1j * tau * m.theta1
     return -gamma2 / gamma1
@@ -420,7 +421,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
     |tau| < 0.1 falls back to a direct collocation solve; negative tau is
     handled by conjugation symmetry.
     """
-    rep = _admitted(m)
+    rep, tau = _admitted(m), float(tau)  # the floats of the sweep's samples
     if tau < 0.0:
         conj = solve_resolvent_bvp(
             _conjugate_data(f), _conjugate_data(g), -tau, m, pair=pair,
@@ -484,11 +485,9 @@ def _conjugate_data(f):
 
 def denominator_values(m: RescaledModel, taus) -> np.ndarray:
     """|N(tau)| along a frequency grid; grows at least linearly in tau."""
-    out = np.empty(len(taus))
-    for k, tau in enumerate(taus):
-        end = _pair_values(tau, m.tension.value0, m.tension.slope, m.length)
-        out[k] = abs(_boundary_determinant(tau, m, *end)[1])
-    return out
+    ends = ((tau, _pair_values(tau, m.tension.value0, m.tension.slope, m.length))
+            for tau in map(float, taus))
+    return np.array([abs(_boundary_determinant(tau, m, *end)[1]) for tau, end in ends], float)
 
 
 def random_smooth_data(rng, length: float):
@@ -554,7 +553,7 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
         return _grid_cells(tau, m.tension, m.length, 40) if tau >= SMALL_TAU else 0
 
     samples = []
-    for n, run in groupby(taus, key=cells):
+    for n, run in groupby(map(float, taus), key=cells):  # the floats a sample stores
         if not n:  # below SMALL_TAU: the collocation solve
             samples += [ResolventSample(float(tau), max(0.0, *(solve_resolvent_bvp(
                 f, g, tau, m, f_prime=fp, g_prime=gp).gain for f, g, fp, gp in data)),

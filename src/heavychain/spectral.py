@@ -1,16 +1,10 @@
 """Eigenvalue reports and resolvent-norm sweeps for the discrete generator.
 
-The spectrum is the one dense computation.  In the order (v_0, w_0, v_1,
-w_1, ...) the generator is upper Hessenberg except for the payload row
-v_N, whose one-sided stencil reaches w_{N-2}, so LAPACK's Hessenberg
-reduction (dgehrd) runs on the last five columns only, a scaling-only
-balance (dgebal) keeps the form, and a Hessenberg QR gives the
-eigenvalues; dgeev would spend about a quarter of its time reducing the
-whole matrix.  Which QR runs depends on the size: below a measured
-crossover the double-shift QR of Francis (dlahqr), whose few calls and
-no workspace win on small matrices, and above it the multishift QR with
-aggressive early deflation of Braman, Byers and Mathias (dhseqr, SIAM J.
-Matrix Anal. Appl. 2002), whose blocked sweeps win on large ones.
+The spectrum is the one dense computation: a Hessenberg QR of A in its
+own near-Hessenberg order (see spectrum), Francis's double-shift QR
+(dlahqr) on small matrices and the multishift QR with aggressive early
+deflation of Braman, Byers and Mathias (dhseqr, SIAM J. Matrix Anal.
+Appl. 2002) on large ones.
 
 All norms here are taken in the energy inner product.  In the
 node-interleaved order (w_0, v_0, w_1, v_1, ...), given by the permutation
@@ -20,18 +14,20 @@ operator norm of the resolvent is an ordinary spectral norm,
 
     |(i tau - A)^{-1}|_H = sqrt(lambda_max(B^H B)),  B = R S^{-1} R^{-1}.
 
-lambda_max comes from ARPACK (Arnoldi, which on the Hermitian B^H B is
-Lanczos) applied through one banded LU of S per shift (LAPACK zgbtrf)
-and banded products and solves with R (zgbmv, ztbsv), O(n) per
-application and never a dense or sparse matrix: the inverse-Lanczos route
-of Trefethen, "Computation of pseudospectra", Acta Numerica 1999.  The
-product is zgbmv, not ztbmv: OpenBLAS 0.3.31 runs ztbmv on two threads at
-n = 202, and its worker spins for 80 ms after the last call on a CPU the
-next thread wants; zgbmv takes 2% longer on one thread.  The
-Krylov space is sized for that one well-separated eigenvalue: 8 vectors,
-not ARPACK's default 20, which it builds in full before its first
-convergence test.  A shift then costs about 12 applications of B^H B
-instead of 21 (12.3 on the default sweep at N = 100, 11.2 at N = 400).
+lambda_max comes from a short Lanczos loop on the Hermitian B^H B, applied
+through one banded LU of S per shift (LAPACK zgbtrf) and banded products
+and solves with R (zgbmv, ztbsv), O(n) per application: the inverse-Lanczos
+route of Trefethen, "Computation of pseudospectra", Acta Numerica 1999.
+The product is zgbmv, not ztbmv: OpenBLAS 0.3.31 runs ztbmv on two threads
+at n = 202 and then spins its worker for 80 ms on a CPU the next thread
+wants; zgbmv takes 2% longer on one thread.  The loop starts from
+ones / sqrt(n), so every run gives the same floats, reorthogonalizes fully
+(two classical Gram-Schmidt passes, zgemv), takes the tridiagonal's top
+eigenpair (theta_k, s) from LAPACK dstev at every step, and stops once
+beta_k |s_k| <= 1e-12 theta_k: for a Hermitian operator that bounds
+|theta_k - lambda_max| below the energy factor's own rounding (about 1e-11
+of the norm at tau = 0, N = 800).  A shift costs 9.0 applications on the
+default sweep at N = 100, 8.2 at N = 400 (ARPACK's loop: 12.3 and 11.2).
 
 A finite sweep cannot certify a supremum over the whole axis, so the
 verdict helper only ever reports "consistent-with-exponential-stability"
@@ -46,11 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cython_lapack
-from scipy.linalg.blas import zgbmv, ztbsv
-from scipy.linalg.lapack import dgebal, dgehrd, zgbtrf, zgbtrs
-from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
+from scipy.linalg.blas import dznrm2, zgbmv, zgemv, ztbsv
+from scipy.linalg.lapack import dgebal, dgehrd, dstev, zgbtrf, zgbtrs
+from scipy.sparse.linalg import spsolve
 
-from heavychain.discretization import GeneratorSystem, _interleaved
+from heavychain.discretization import GeneratorSystem, _interleaved, _permuted_entries
 
 __all__ = [
     "VERDICT_CONSISTENT",
@@ -141,11 +137,6 @@ def _hessenberg_eigenvalues(h: np.ndarray):
     return wr, wi, "dhseqr", info.value
 
 
-def _permuted_entries(a: sparse.csr_array, perm: np.ndarray):
-    """Row and column of each stored entry of the CSR a in the order perm."""
-    return perm[np.repeat(np.arange(len(perm)), np.diff(a.indptr))], perm[a.indices]
-
-
 def spectrum(sys: GeneratorSystem) -> SpectrumReport:
     """Dense spectrum of the semi-discrete generator, without a dense
     Hessenberg reduction.
@@ -192,50 +183,57 @@ class ResolventSample:
     source: str  # "discrete" or "continuous"
 
 
-def _shifted_band(a: sparse.csr_array, tau: float):
-    """S = i tau - Pi A Pi^T in LAPACK general band layout for zgbtrf, with
-    Pi the node-interleaved order (w_0, v_0, w_1, v_1, ...): (ab, kl, ku)
-    with S[i, j] at ab[kl + ku + i - j, j] below kl spare rows for the
-    pivoting fill.  Written from the stored entries of A, O(nnz)."""
-    n = a.shape[0]
-    i, j = _permuted_entries(a, _interleaved(np.arange(n), n // 2))
-    kl, ku = int(max(0, (i - j).max())), int(max(0, (j - i).max()))
-    rows = 2 * kl + ku + 1
-    ab = np.bincount((kl + ku + i - j) * n + j, weights=-a.data, minlength=rows * n)
-    ab = ab.reshape(rows, n).astype(complex, order="F")  # LAPACK reads columns
-    ab[kl + ku] += 1j * tau
-    return ab, kl, ku
+_KRYLOV_CAP, _RITZ_TOL = 60, 1e-12  # of _lanczos_top: Krylov dimension cap, stopping rule
+
+
+def _lanczos_top(apply, n: int, tau: float) -> float:
+    """lambda_max of the Hermitian operator apply on C^n by Lanczos (see the
+    module docstring) until beta_k |s_k| <= _RITZ_TOL theta_k or beta_k = 0;
+    past min(n, _KRYLOV_CAP) vectors a RuntimeError names tau."""
+    cap = min(n, _KRYLOV_CAP)
+    q, alpha, beta = np.empty((n, cap + 1), complex, order="F"), np.zeros(cap), np.empty(cap)
+    q[:, 0] = 1.0 / np.sqrt(n)
+    for k in range(cap):
+        w, basis = apply(q[:, k]), q[:, :k + 1]
+        for _ in range(2):  # two classical Gram-Schmidt passes
+            h = zgemv(1.0, basis, w, trans=2)
+            w = zgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
+            alpha[k] += h[k].real
+        beta[k] = dznrm2(w)
+        theta, s, _ = dstev(alpha[:k + 1], beta[:max(k, 1)])  # the top pair is last
+        if beta[k] * abs(s[k, -1]) <= _RITZ_TOL * theta[-1] or beta[k] == 0.0:
+            return float(theta[-1])
+        q[:, k + 1] = w / beta[k]
+    raise RuntimeError("Lanczos did not converge in %d vectors at tau=%g" % (cap, tau))
 
 
 def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample:
     """Weighted resolvent norm at i*tau by Lanczos on the factored resolvent.
 
-    In the node-interleaved order both the energy factor R (chol_H) and
-    S = i tau - Pi A Pi^T are banded, so B = R S^{-1} R^{-1} is applied
-    through one banded LU of S (zgbtrf), banded products and triangular
-    solves with R (zgbmv, ztbsv), O(n) per application, in an 8-vector
-    Krylov space.  An exactly singular shift (a zero pivot in the LU) has
-    norm inf.
+    B = R S^{-1} R^{-1} is applied through one banded LU of S (a copy of
+    the system's shift-free band plus i tau) and banded products and solves
+    with R, O(n) per application.  _lanczos_top stops once beta_k |s_k| <=
+    1e-12 theta_k, an error bound below the energy factor's own rounding,
+    after about 9 applications (8.8 on 60 shifts from 0.1 to 1000 at
+    N = 100).  A zero pivot in the LU (an exactly singular shift) gives inf.
     """
-    r = np.asfortranarray(sys.chol_H, dtype=complex)
+    r, band, kl, ku = sys._resolvent_bands
     kb, n = len(r) - 1, sys.grid.size
-    ab, kl, ku = _shifted_band(sys.A, tau)
+    ab = band.copy(order="F")
+    ab[kl + ku] += 1j * tau
     lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         return ResolventSample(tau=float(tau), norm=float("inf"), source="discrete")
 
     def normal_op(x):  # B^H B x = R^{-T} S^{-H} R^T R S^{-1} R^{-1} x
-        y = ztbsv(kb, r, np.ravel(x))
+        y = ztbsv(kb, r, x)
         y = zgbtrs(lu, kl, ku, y, piv)[0]
         y = zgbmv(n, n, 0, kb, 1.0, r, zgbmv(n, n, 0, kb, 1.0, r, y), trans=1)
         y = zgbtrs(lu, kl, ku, y, piv, trans=2)[0]
         return ztbsv(kb, r, y, trans=1)
 
-    op = LinearOperator((n, n), matvec=normal_op, dtype=complex)
-    # fixed start vector: the same floats on every run; an 8-vector Krylov
-    # space (n >= 10 on every grid) instead of ARPACK's default 20
-    lam = eigsh(op, k=1, which="LA", v0=np.ones(n), ncv=8, return_eigenvectors=False)
-    return ResolventSample(tau=float(tau), norm=float(np.sqrt(lam[0])), source="discrete")
+    lam = _lanczos_top(normal_op, n, tau)
+    return ResolventSample(tau=float(tau), norm=float(np.sqrt(lam)), source="discrete")
 
 
 def resolvent_apply_discrete(sys: GeneratorSystem, tau: float,

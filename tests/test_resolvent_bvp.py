@@ -396,6 +396,24 @@ def test_sweep_computes_no_audit(ref_model, monkeypatch):
             for f, g, fp, gp in data)
 
 
+def test_numpy_and_python_tau_give_the_same_floats(ref_model):
+    # NumPy and Python divide complex numbers differently, so each entry
+    # point takes tau as a float: a sample re-solved at its stored tau
+    # (a float) reproduces the sweep's gain, which was taken at a NumPy tau
+    taus = np.geomspace(SMALL_TAU, 1000.0, 25)  # the CLI's continuous sweep
+    assert [c0_coefficient(t, ref_model) for t in taus] == [
+        c0_coefficient(float(t), ref_model) for t in taus]
+    assert np.array_equal(denominator_values(ref_model, taus),
+                          denominator_values(ref_model, taus.tolist()))
+    data = [random_smooth_data(np.random.default_rng(0), ref_model.length) for _ in range(2)]
+    for sample in continuous_resolvent_sweep(ref_model, taus, data):
+        pair = fundamental_pair(sample.tau, ref_model.tension, ref_model.length, tol=1e-6,
+                                points_per_wavelength=40)
+        assert sample.norm == max(solve_resolvent_bvp(
+            f, g, sample.tau, ref_model, pair=pair, f_prime=fp, g_prime=gp).gain
+            for f, g, fp, gp in data)
+
+
 def _closed_form_data(rng, length):
     """random_smooth_data's (f, g, f', g') written out term by term, each
     harmonic's sine and cosine evaluated where it is used."""

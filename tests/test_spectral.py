@@ -12,6 +12,7 @@ from heavychain import spectral
 from heavychain.discretization import (
     _energy_factor,
     _form,
+    _interleaved,
     _natural_terms,
     _weighted_terms,
     assemble_generator,
@@ -279,7 +280,7 @@ def test_resolvent_norm_matches_dense_svd_to_sweep_top(ref_sys):
 
 
 def test_resolvent_norm_matches_dense_across_gains(ref_params):
-    # the 8-vector Krylov space against the dense reference on other models;
+    # the Lanczos loop against the dense reference on other models;
     # singular values cluster at the high-tau end of the range
     taus = np.geomspace(0.1, 1e3, 30)
     for m in admissible_gain_models(ref_params, 8, seed=11):
@@ -301,23 +302,40 @@ def test_resolvent_norm_on_tiny_grids(ref_model):
 
 
 def test_resolvent_norm_application_count(ref_sys, monkeypatch):
-    # ARPACK's default 20-vector Krylov space costs 21 applications of B^H B
-    # per shift; the one-eigenvalue space averages about 12
-    applications = []
-    operator = spectral.LinearOperator
+    # each application of B^H B makes one forward banded solve with the LU
+    # of S; ARPACK's loop took 12.3 per shift, the Lanczos loop stops once
+    # beta_k |s_k| <= 1e-12 theta_k, after about 9
+    forward, solve = [], spectral.zgbtrs
 
-    def counted(shape, matvec, dtype):
-        def apply(x):
-            applications[-1] += 1
-            return matvec(x)
-        applications.append(0)
-        return operator(shape, matvec=apply, dtype=dtype)
+    def counted(*args, trans=0):
+        forward[-1] += trans == 0
+        return solve(*args, trans=trans)
 
-    monkeypatch.setattr(spectral, "LinearOperator", counted)
+    monkeypatch.setattr(spectral, "zgbtrs", counted)
     for tau in np.geomspace(0.1, 1e3, 60):
+        forward.append(0)
         resolvent_norm_discrete(ref_sys, tau)
-    assert len(applications) == 60
-    assert np.mean(applications) <= 15.0
+    assert min(forward) >= 2
+    assert np.mean(forward) <= 10.0
+
+
+def test_resolvent_norm_refuses_an_unconverged_lanczos(ref_sys, monkeypatch):
+    # a Krylov space too small to converge is an error that names the shift
+    monkeypatch.setattr(spectral, "_KRYLOV_CAP", 2)
+    with pytest.raises(RuntimeError, match="tau=3.25"):
+        resolvent_norm_discrete(ref_sys, 3.25)
+
+
+def test_sweep_norms_are_single_calls(ref_model):
+    # a norm depends on its system and shift alone: the same floats in a
+    # sweep, in reverse order, and as the first call on a fresh system
+    sys = assemble_generator(ref_model, 50)
+    taus = np.geomspace(0.1, 1e3, 25)
+    sweep = [resolvent_norm_discrete(sys, t).norm for t in taus]
+    assert [resolvent_norm_discrete(sys, t).norm for t in taus[::-1]] == sweep[::-1]
+    for k in (0, 12, 24):
+        fresh = dataclasses.replace(sys)
+        assert resolvent_norm_discrete(fresh, taus[k]).norm == sweep[k]
 
 
 @pytest.mark.parametrize("n", [50, 800])
@@ -381,6 +399,23 @@ def test_energy_and_factor_built_once(ref_model):
     assert sys.chol_H is sys.chol_H
     assert sys.energy is sys.energy
     assert "energy" not in vars(dataclasses.replace(sys, gamma=sys.gamma))
+    # the shift-free band of S and the complex R: once per system, read-only,
+    # and a system with another A builds its own
+    r, band, kl, ku = bands = sys._resolvent_bands
+    resolvent_norm_discrete(sys, 2.0)
+    assert sys._resolvent_bands is bands
+    assert not r.flags.writeable and not band.flags.writeable
+    assert np.array_equal(r, sys.chol_H)
+    n, perm = sys.grid.size, _interleaved(np.arange(sys.grid.size), sys.grid.n + 1)
+    shifted = np.zeros((n, n))
+    shifted[np.ix_(perm, perm)] = -sys.A.toarray()  # -Pi A Pi^T
+    offsets = kl + ku - np.arange(len(band))  # entry [i, j] at band[kl + ku + i - j, j]
+    assert np.array_equal(sparse.dia_array((band, offsets), shape=(n, n)).toarray(), shifted)
+    assert not band[:kl].any()  # the spare rows of the pivoting fill
+    other = dataclasses.replace(sys, A=(2.0 * sys.A).tocsr())
+    assert "_resolvent_bands" not in vars(other)
+    resolvent_norm_discrete(other, 1.0)
+    assert np.array_equal(other._resolvent_bands[1], 2.0 * band)
 
 
 def banded_form(r, states):
