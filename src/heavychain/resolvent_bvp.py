@@ -421,7 +421,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
     |tau| < 0.1 falls back to a direct collocation solve; negative tau is
     handled by conjugation symmetry.
     """
-    rep, tau = _admitted(m), float(tau)  # the floats of the sweep's samples
+    rep, tau = _admitted(m), float(tau)  # as a ResolventSample stores it
     if tau < 0.0:
         conj = solve_resolvent_bvp(
             _conjugate_data(f), _conjugate_data(g), -tau, m, pair=pair,
