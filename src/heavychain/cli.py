@@ -366,7 +366,15 @@ def _run_simulate(cfg: Config, report: dict, out_dir: Path, fmt: str):
         _write_plot(out_dir, "decay", et.t[keep], norms[keep])]
 
 
+def _check_tau_cap(cfg: Config):
+    """Refuse, before any work, a tau_max the continuous solver would refuse."""
+    if cfg.tau_max > TAU_CAP:
+        raise ConfigError("sweep.tau_max", f"must not exceed {TAU_CAP} for the "
+                                           "continuous solver")
+
+
 def _run_sweep(cfg: Config, report: dict, out_dir: Path, fmt: str):
+    _check_tau_cap(cfg)
     m = cfg.model()
     sys_h = assemble_generator(m, cfg.grid_n)
     spec = spectrum(sys_h)
@@ -375,9 +383,9 @@ def _run_sweep(cfg: Config, report: dict, out_dir: Path, fmt: str):
                 for t in space(cfg.tau_min, cfg.tau_max, cfg.sweep_points)]
     rng = np.random.default_rng(cfg.seed)
     data = [random_smooth_data(rng, m.length) for _ in range(2)]
-    lo = max(cfg.tau_min, SMALL_TAU)
-    continuous = continuous_resolvent_sweep(
-        m, space(lo, cfg.tau_max, min(25, cfg.sweep_points)), data)
+    lo = max(cfg.tau_min, SMALL_TAU)  # the continuous sweep starts at SMALL_TAU
+    taus = space(lo, cfg.tau_max, min(25, cfg.sweep_points)) if lo < cfg.tau_max else []
+    continuous = continuous_resolvent_sweep(m, taus, data)
     pooled = list(discrete) + list(continuous)
     verdict = huang_verdict(pooled, spec)
     report["sweep"] = {
@@ -435,6 +443,7 @@ def _run_bvp(cfg: Config, report: dict, out_dir: Path, fmt: str):
 
 
 def _run_kernel(cfg: Config, report: dict, out_dir: Path, fmt: str):
+    _check_tau_cap(cfg)
     m = cfg.model()
     lo = max(cfg.tau_min, 10.0)
     hi = cfg.tau_max

@@ -25,11 +25,12 @@ The fields are then recovered through
 
 solve_resolvent_bvp reports the defect of all four lines of the original
 system, measured with fourth-order finite differences independent of the
-reconstruction; the sweep keeps only the gains.  Frequencies below
-|tau| = 0.1 skip the tau^{-2} division and solve the coupled system
-directly by collocation on a fine grid.  Data f, g (and their optional
-derivatives) are callables on [0, L]; a solution comes back as the
-arrays w, v on its grid x.
+reconstruction; the sweep keeps only the gains and starts at
+SMALL_TAU.  Below |tau| = SMALL_TAU a solve skips the tau^{-2} division
+and solves the coupled system directly by collocation on a fine grid.
+Data f, g and their derivatives are callables on [0, L] (the sweep takes
+each datum as one sampler x -> (f, g, f', g')); a solution comes back
+as the arrays w, v on its grid x.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.special import factorial, j0, j1, y0, y1
 
 from heavychain.discretization import (Grid, _form, _read_only, _weighted_terms,
-                                       assemble_generator, sobolev_norms, weighted_norm)
+                                       assemble_generator, sobolev_norms)
 from heavychain.model import AdmissibilityReport, AffineTension, RescaledModel
 from heavychain.spectral import ResolventSample, resolvent_apply_discrete
 
@@ -70,7 +71,8 @@ __all__ = [
 TAU_CAP = 1.0e3
 
 # Below this frequency the tau^{-2} division in the reconstruction is
-# ill-conditioned; a direct collocation solve takes over.
+# ill-conditioned: a solve takes a direct collocation route, and the sweep
+# refuses.
 SMALL_TAU = 0.1
 
 # Smallest output grid: keeps fourth-order residual audits meaningful at
@@ -355,36 +357,31 @@ def _line_residuals(x, wv, vv, fv, gv, tau, m):
     return r_a, r_b, r_c, r_d
 
 
+def _gain(terms: list, states: np.ndarray) -> float:
+    """|(w, v)| / |(f, g)| for states = ((w, v), (f, g)) in the energy norm
+    of the terms (see _weighted_terms), 0 for zero data: the norm of the
+    matrix side's operator norms, so the two sweeps compare directly."""
+    sol, dat = np.sqrt(_form(terms, states))
+    return float(sol / dat) if dat > 0.0 else 0.0
+
+
 def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
              c1, c2, a0, a1, den, method):
     lines = _line_residuals(x, wv, vv, fv, gv, tau, m)
     grid = Grid(n=len(x) - 1, length=float(x[-1]), x=x, dx=float(x[1] - x[0]))
     states = np.stack([np.concatenate([wv, vv]), np.concatenate([fv, gv])])
+    # the Sobolev norms only scale the residual; the gain is in the energy norm
     sol_norm, data_norms = (tuple(map(float, pair)) for pair in sobolev_norms(grid, states))
     data_norm = sum(data_norms)
-    # The gain is measured in the same weighted energy norm the matrix
-    # side uses for its operator norms, so the two sweeps are directly
-    # comparable; the Sobolev norms above only scale the residual.
-    sol_energy, data_energy = weighted_norm(grid, states, m, rep.gamma)
-    if data_norm > 0.0:
-        residual = max(lines) / data_norm
-        gain = sol_energy / data_energy
-    else:
-        residual = max(lines)
-        gain = 0.0
+    residual = max(lines) / data_norm if data_norm > 0.0 else max(lines)
     return ResolventSolution(
         tau=float(tau), x=x, w=wv, v=vv,
         c1=complex(c1), c2=complex(c2), a0=complex(a0), a1=complex(a1),
         denominator=complex(den), norms=sol_norm, data_norms=data_norms,
-        residual=float(residual), residual_lines=lines, gain=float(gain),
+        residual=float(residual), residual_lines=lines,
+        gain=_gain(_weighted_terms(grid, m, rep.gamma), states),
         method=method,
     )
-
-
-def _sample(x, fun, derivative):
-    """fun on x, and its derivative: the callable's, or finite differences if None."""
-    fv = np.asarray(fun(x))
-    return fv, (_fd4(fv, float(x[1] - x[0])) if derivative is None else np.asarray(derivative(x)))
 
 
 def _solve_collocation(f, g, tau, m, rep):
@@ -411,15 +408,13 @@ def _boundary_determinant(tau, m, phi1, phi1p, phi2, phi2p):
     return ratio, den, scale
 
 
-def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
-                        pair: FundamentalPair | None = None,
-                        f_prime=None, g_prime=None) -> ResolventSolution:
+def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *, f_prime, g_prime,
+                        pair: FundamentalPair | None = None) -> ResolventSolution:
     """Solve (A - i tau)(w, v) = (f, g) at the continuous level, audited.
 
-    Data are callables on [0, length]; optional f_prime/g_prime callables
-    supply analytic derivatives (finite differences otherwise).
-    |tau| < 0.1 falls back to a direct collocation solve; negative tau is
-    handled by conjugation symmetry.
+    The data f, g and their derivatives f_prime, g_prime are callables on
+    [0, length].  |tau| < SMALL_TAU falls back to a direct collocation
+    solve; negative tau is handled by conjugation symmetry.
     """
     rep, tau = _admitted(m), float(tau)  # as a ResolventSample stores it
     if tau < 0.0:
@@ -441,7 +436,7 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *,
         pair = fundamental_pair(tau, m.tension, m.length)
     elif abs(pair.tau - tau) > 1e-12 * max(1.0, tau):
         raise ValueError("supplied fundamental pair was built for another tau")
-    (fv, fpv), (gv, gpv) = _sample(pair.x, f, f_prime), _sample(pair.x, g, g_prime)
+    fv, gv, fpv, gpv = (np.asarray(h(pair.x)) for h in (f, g, f_prime, g_prime))
     wv, vv, *coefficients = _pipeline(tau, pair, fv, gv, fpv, gpv, m)
     return _package(pair.x, wv, vv, fv, gv, tau, m, rep, *coefficients, "pipeline")
 
@@ -480,7 +475,7 @@ def _pipeline(tau: float, pair: FundamentalPair, fv, gv, fpv, gpv, m: RescaledMo
 
 
 def _conjugate_data(f):
-    return None if f is None else lambda x: np.conj(f(x))
+    return lambda x: np.conj(f(x))
 
 
 def denominator_values(m: RescaledModel, taus) -> np.ndarray:
@@ -493,85 +488,69 @@ def denominator_values(m: RescaledModel, taus) -> np.ndarray:
 def random_smooth_data(rng, length: float):
     """Random trig (three harmonics) + affine complex data with exact derivatives.
 
-    Returns (f, g, f_prime, g_prime), each a callable on [0, length].
-    Band-limited on purpose: solves against such data are resolvable by
-    every grid used here, so they make fair cross-solver test material.
-    The four share the harmonics' sines and cosines on an x that owns its
-    data read-only until each has read them (6 arrays per grid, not 24).
+    Returns a sampler x -> (f, g, f', g'): the four sampled on x, from one
+    sine and one cosine of each harmonic per call (6 transcendental arrays),
+    with nothing kept between calls.  Band-limited on purpose: solves
+    against such data are resolvable by every grid used here, so they make
+    fair cross-solver test material.
     """
     cf = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     cg = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     af = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     ag = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     wks = [(k + 1) * np.pi / length for k in range(3)]
-    table = [None, None, set()]  # x, the (sin, cos) of each harmonic on x, who read them
 
-    def harmonics(x, reader):
+    def values(c, a, x, trig):
+        out = a[0] + a[1] * x / length
+        for ck, (sin, cos) in zip(c, trig):
+            out = out + ck[0] * sin + ck[1] * cos
+        return out
+
+    def slopes(c, a, x, trig):
+        out = np.full_like(x, a[1] / length, dtype=complex)
+        for wk, ck, (sin, cos) in zip(wks, c, trig):
+            out = out + wk * (ck[0] * cos - ck[1] * sin)
+        return out
+
+    def sample(x):
         x = np.asarray(x, dtype=float)
-        x0, trig, readers = table
-        if x0 is not x or x.flags.writeable:
-            trig, readers = [(np.sin(wk * x), np.cos(wk * x)) for wk in wks], set()
-        readers.add(reader)
-        keep = not x.flags.writeable and x.base is None and len(readers) < 4
-        table[:] = [x, trig, readers] if keep else [None, None, set()]
-        return x, trig
+        trig = [(np.sin(wk * x), np.cos(wk * x)) for wk in wks]
+        return (values(cf, af, x, trig), values(cg, ag, x, trig),
+                slopes(cf, af, x, trig), slopes(cg, ag, x, trig))
 
-    def make(c, a, reader):
-        def fun(x):
-            x, trig = harmonics(x, reader)
-            out = a[0] + a[1] * x / length
-            for ck, (sin, cos) in zip(c, trig):
-                out = out + ck[0] * sin + ck[1] * cos
-            return out
-
-        def dfun(x):
-            x, trig = harmonics(x, reader + 1)
-            out = np.full_like(x, a[1] / length, dtype=complex)
-            for wk, ck, (sin, cos) in zip(wks, c, trig):
-                out = out + wk * (ck[0] * cos - ck[1] * sin)
-            return out
-
-        return fun, dfun
-
-    f, fp = make(cf, af, 0)
-    g, gp = make(cg, ag, 2)
-    return f, g, fp, gp
+    return sample
 
 
 def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSample]:
     """Data-induced resolvent gain sweep at the continuous level.
 
-    data is a sequence of (f, g, f_prime, g_prime) tuples; the reported
-    norm at each tau is the largest gain over the family, a lower
-    envelope of the true operator norm that shares its shape: the gains
-    of solve_resolvent_bvp, to the bit, without its audit, on coarser
-    pair grids (40 points per wavelength, drift 1e-6).  Every tau below
-    the one that outgrows MIN_GRID has the smallest; successive taus on
-    a grid share it, its energy terms and each datum's samples on it.
+    data is a sequence of samplers x -> (f, g, f', g') (see
+    random_smooth_data); the reported norm at each tau is the largest gain
+    over the family, a lower envelope of the true operator norm that
+    shares its shape: the gains of solve_resolvent_bvp, to the bit,
+    without its audit, on coarser pair grids (40 points per wavelength,
+    drift 1e-6).  Every tau below the one that outgrows MIN_GRID has the
+    smallest; successive taus on a grid share it, its energy terms and one
+    call of each sampler there.  Refuses tau < SMALL_TAU, where the
+    pipeline's tau^{-2} division is ill-conditioned.
     """
-    def cells(tau):
-        return _grid_cells(tau, m.tension, m.length, 40) if tau >= SMALL_TAU else 0
-
+    taus = list(map(float, taus))  # the floats a sample stores
+    if taus and min(taus) < SMALL_TAU:
+        raise ValueError("tau=%g below SMALL_TAU=%g: the sweep's pipeline divides "
+                         "by tau^2" % (min(taus), SMALL_TAU))
     samples = []
-    for n, run in groupby(map(float, taus), key=cells):  # the floats a sample stores
-        if not n:  # below SMALL_TAU: the collocation solve
-            samples += [ResolventSample(float(tau), max(0.0, *(solve_resolvent_bvp(
-                f, g, tau, m, f_prime=fp, g_prime=gp).gain for f, g, fp, gp in data)),
-                "continuous") for tau in run]
-            continue
-        x = _read_only(np.linspace(0.0, m.length, n + 1).copy())  # owned, never written
+    for n, run in groupby(taus, key=lambda tau: _grid_cells(tau, m.tension, m.length, 40)):
+        x = _read_only(np.linspace(0.0, m.length, n + 1))
         terms = _weighted_terms(Grid(n, m.length, x, float(x[1] - x[0])), m, _admitted(m).gamma)
         pairs = [(tau, _pair_on(tau, m.tension, x, 1e-6)) for tau in run]
         best = [0.0] * len(pairs)
-        for f, g, fp, gp in data:  # one datum's samples at a time, read-only
-            (fv, fpv), (gv, gpv) = _sample(x, f, fp), _sample(x, g, gp)
-            fv, fpv, gv, gpv = (_read_only(v.view()) for v in (fv, fpv, gv, gpv))
+        for sample in data:  # one datum's samples at a time, read-only
+            fv, gv, fpv, gpv = (_read_only(v.view()) for v in sample(x))
             for k, (tau, pair) in enumerate(pairs):
                 wv, vv = _pipeline(tau, pair, fv, gv, fpv, gpv, m)[:2]
                 states = np.stack([np.concatenate([wv, vv]), np.concatenate([fv, gv])])
-                sol, dat = np.sqrt(_form(terms, states))  # weighted_norm, terms built once
-                best[k] = max(best[k], float(sol / dat) if dat > 0.0 else 0.0)
-        samples += [ResolventSample(float(t), b, "continuous") for (t, _), b in zip(pairs, best)]
+                best[k] = max(best[k], _gain(terms, states))
+        samples += [ResolventSample(t, b, "continuous") for (t, _), b in zip(pairs, best)]
     return samples
 
 

@@ -77,6 +77,12 @@ def energy_gram():
     return assemble
 
 
+def four_callables(sample):
+    """A sampler x -> (f, g, f', g'), such as random_smooth_data's, as the
+    four callables f, g, f', g' that solve_resolvent_bvp takes."""
+    return tuple(lambda x, k=k: sample(x)[k] for k in range(4))
+
+
 def _running_integral(y: np.ndarray, dx: float) -> np.ndarray:
     """Trapezoid running integral int_0^x y on a uniform grid."""
     return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * dx)))

@@ -43,7 +43,7 @@ from heavychain.spectral import (
     resolvent_norm_discrete,
     spectrum,
 )
-from tests.conftest import invert_generator
+from tests.conftest import four_callables, invert_generator
 
 
 def report_line(name: str, ok: bool, detail: str):
@@ -189,7 +189,7 @@ def pipeline_battery(ref_model, ref_sys400):
     sys_h = ref_sys400
     x = sys_h.grid.x
     rng = np.random.default_rng(6)
-    data = [random_smooth_data(rng, m.length) for _ in range(10)]
+    data = [four_callables(random_smooth_data(rng, m.length)) for _ in range(10)]
     out = {}
     t0 = time.perf_counter()
     for tau in (1.0, 5.0, 20.0, 100.0):

@@ -230,6 +230,33 @@ def test_sweep_linear_spacing(tmp_path):
     assert taus == pytest.approx(np.linspace(0.5, 20.0, 7).tolist())
 
 
+def test_sweep_below_small_tau_has_no_continuous_sample(tmp_path):
+    # the continuous sweep starts at SMALL_TAU = 0.1, so a range below it
+    # gets none, rather than samples above tau_max that decide the verdict
+    cfg = write_config(tmp_path, grid={"N": 20},
+                       sweep={"tau_min": 0.01, "tau_max": 0.05, "points": 5})
+    out = tmp_path / "out"
+    assert run("sweep", cfg, out) == 0
+    rep = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert (rep["sweep"]["samples_discrete"], rep["sweep"]["samples_continuous"]) == (5, 0)
+    assert rep["sweep"]["verdict"] == "inconclusive"
+    assert rep["sweep"]["tau_at_max"] == 0.05
+    rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["discrete"] * 5
+
+
+@pytest.mark.parametrize("sub", ["sweep", "kernel"])
+def test_tau_max_beyond_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch, sub):
+    # refused before any work, naming the key, and no report is written
+    monkeypatch.setattr(cli, "assemble_generator", None)
+    monkeypatch.setattr(cli, "kernel_decay_study", None)
+    cfg = write_config(tmp_path, sweep={"tau_min": 10.0, "tau_max": 2000.0, "points": 5})
+    out = tmp_path / "out"
+    assert run(sub, cfg, out) == 1
+    assert "config error: sweep.tau_max" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_bvp_summary_and_solution(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -4,7 +4,6 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +23,6 @@ from heavychain.model import (
     rescale,
 )
 from heavychain.resolvent_bvp import (
-    COLLOCATION_CELLS,
     MIN_GRID,
     SMALL_TAU,
     TAU_CAP,
@@ -45,6 +43,7 @@ from heavychain.resolvent_bvp import (
     random_smooth_data,
     solve_resolvent_bvp,
 )
+from tests.conftest import four_callables
 
 # Frozen reference values at the standard configuration.
 MARGIN_ZERO = 0.025977777569955555
@@ -197,7 +196,7 @@ def test_injectivity_rejects_non_admissible(ref_params):
     with pytest.raises(ValueError):
         injectivity_check(1.0, weak)
     with pytest.raises(ValueError):
-        solve_resolvent_bvp(unit_fun, zero_fun, 1.0, weak)
+        solve_resolvent_bvp(unit_fun, zero_fun, 1.0, weak, f_prime=zero_fun, g_prime=zero_fun)
 
 
 @settings(max_examples=10, deadline=None)
@@ -237,7 +236,7 @@ def test_reference_solve_smooth_datum(ref_model):
 
 def test_random_data_residuals(ref_model):
     rng = np.random.default_rng(7)
-    data = [random_smooth_data(rng, ref_model.length) for _ in range(2)]
+    data = [four_callables(random_smooth_data(rng, ref_model.length)) for _ in range(2)]
     for tau in (1.0, 5.0, 20.0, 100.0):
         for f, g, fp, gp in data:
             sol = solve_resolvent_bvp(f, g, tau, ref_model, f_prime=fp, g_prime=gp)
@@ -251,7 +250,7 @@ def test_agreement_with_matrix_solver_low_frequency(ref_model):
     sys = assemble_generator(m, 400)
     x = sys.grid.x
     rng = np.random.default_rng(3)
-    f, g, fp, gp = random_smooth_data(rng, m.length)
+    f, g, fp, gp = four_callables(random_smooth_data(rng, m.length))
     tau = 1.0
     sol = solve_resolvent_bvp(f, g, tau, m, f_prime=fp, g_prime=gp)
     r = np.concatenate([f(x), g(x)])
@@ -277,7 +276,8 @@ def test_negative_frequency_solves_by_conjugation(ref_model):
 
 
 def test_zero_data_gives_zero_solution(ref_model):
-    sol = solve_resolvent_bvp(zero_fun, zero_fun, 2.0, ref_model)
+    sol = solve_resolvent_bvp(zero_fun, zero_fun, 2.0, ref_model,
+                              f_prime=zero_fun, g_prime=zero_fun)
     assert sol.gain == 0.0
     assert sol.residual == 0.0
     assert np.max(np.abs(sol.w)) == 0.0
@@ -324,33 +324,32 @@ def test_sweep_produces_labelled_samples(ref_model):
 
 def test_sweep_samples_each_datum_once_per_grid(ref_model):
     # the sweep's norms are the same floats as one solve per datum and
-    # tau, while each datum is sampled once per distinct pair grid: the
+    # tau, while each sampler is called once per distinct pair grid: the
     # four from 0.5 to 80 share MIN_GRID's 1 601 nodes
-    taus = [0.05, 0.5, 2.0, 30.0, 80.0, 300.0, 600.0, TAU_CAP]
+    taus = [0.5, 2.0, 30.0, 80.0, 300.0, 600.0, TAU_CAP]
     rng = np.random.default_rng(11)
-    (f, g, fp, gp), (f2, g2, _, _) = (random_smooth_data(rng, ref_model.length)
-                                      for _ in range(2))
+    first, second = (random_smooth_data(rng, ref_model.length) for _ in range(2))
     calls = []
 
     def counted(x):
         calls.append(len(x))
-        return f(x)
+        return first(x)
 
-    # the second datum leaves f' and g' to finite differences
-    data = [(counted, g, fp, gp), (f2, g2, None, None)]
-    samples = continuous_resolvent_sweep(ref_model, taus, data)
-    sweep_calls = list(calls)
+    samples = continuous_resolvent_sweep(ref_model, taus, [counted, second])
     for tau, sample in zip(taus, samples):
-        pair = (fundamental_pair(tau, ref_model.tension, ref_model.length, tol=1e-6,
-                                 points_per_wavelength=40) if tau >= SMALL_TAU else None)
+        pair = fundamental_pair(tau, ref_model.tension, ref_model.length, tol=1e-6,
+                                points_per_wavelength=40)
         assert sample.norm == max(
-            solve_resolvent_bvp(a, b, tau, ref_model, pair=pair, f_prime=ap,
-                                g_prime=bp).gain for a, b, ap, bp in data)
-    grids = [len(_pair_grid(tau, ref_model.tension, ref_model.length, 40))
-             for tau in taus[1:]]
+            solve_resolvent_bvp(f, g, tau, ref_model, pair=pair, f_prime=fp, g_prime=gp).gain
+            for f, g, fp, gp in map(four_callables, (first, second)))
+    grids = [len(_pair_grid(tau, ref_model.tension, ref_model.length, 40)) for tau in taus]
     assert grids[:4] == [MIN_GRID + 1] * 4 and len(set(grids)) == 4
-    # one call for the collocation solve at 0.05, one per distinct grid
-    assert sweep_calls == [COLLOCATION_CELLS + 1, *sorted(set(grids))]
+    assert calls == sorted(set(grids))
+    # below SMALL_TAU the sweep refuses, before it samples anything
+    calls.clear()
+    with pytest.raises(ValueError, match="SMALL_TAU"):
+        continuous_resolvent_sweep(ref_model, [0.5, 0.05], [counted])
+    assert calls == []
 
 
 def test_sweep_shares_read_only_samples(ref_model, monkeypatch):
@@ -393,7 +392,7 @@ def test_sweep_computes_no_audit(ref_model, monkeypatch):
                                 points_per_wavelength=40)
         assert sample.norm == max(
             solve_resolvent_bvp(f, g, tau, ref_model, pair=pair, f_prime=fp, g_prime=gp).gain
-            for f, g, fp, gp in data)
+            for f, g, fp, gp in map(four_callables, data))
 
 
 def test_numpy_and_python_tau_give_the_same_floats(ref_model):
@@ -411,7 +410,7 @@ def test_numpy_and_python_tau_give_the_same_floats(ref_model):
                                 points_per_wavelength=40)
         assert sample.norm == max(solve_resolvent_bvp(
             f, g, sample.tau, ref_model, pair=pair, f_prime=fp, g_prime=gp).gain
-            for f, g, fp, gp in data)
+            for f, g, fp, gp in map(four_callables, data))
 
 
 def _closed_form_data(rng, length):
@@ -440,54 +439,38 @@ def _closed_form_data(rng, length):
             partial(dfun, cf, af), partial(dfun, cg, ag))
 
 
-def _frozen_grid(length, cells):
-    """A grid that owns its read-only data, as the sweep's are."""
-    x = np.linspace(0.0, length, cells + 1).copy()
-    x.flags.writeable = False
-    return x
-
-
 def test_random_smooth_data_is_its_closed_form(ref_model, monkeypatch):
+    # the sampler keeps nothing between calls: every call gives the closed
+    # form's floats from three sines, one per harmonic, on an owned
+    # read-only grid, on a read-only view, and on a writable grid changed
+    # in place between calls (which changes the view too)
     length = ref_model.length
-    funs = random_smooth_data(np.random.default_rng(21), length)
+    sample = random_smooth_data(np.random.default_rng(21), length)
     ref = _closed_form_data(np.random.default_rng(21), length)
-    frozen, other = _frozen_grid(length, 1600), _frozen_grid(length, 700)
-    base, writable = np.linspace(0.0, length, 1601), np.linspace(0.0, length, 1601)
-    view = base.view()  # read-only, but a view of a writable array
+    owned, other = np.linspace(0.0, length, 1601).copy(), np.linspace(0.0, length, 701)
+    owned.flags.writeable = other.flags.writeable = False
+    writable = np.linspace(0.0, length, 1601)
+    view = writable.view()
     view.flags.writeable = False
-    expected = {id(x): [r(np.array(x)) for r in ref] for x in (frozen, other, view)}
+    sines, sin = [], np.sin
+    monkeypatch.setattr(np, "sin", lambda x: sines.append(x) or sin(x))
 
-    def check(x, k, want=None):
-        got = funs[k](x)
-        np.testing.assert_array_equal(got, ref[k](np.array(x)) if want is None else want[k])
+    def check(x):
+        before = len(sines)
+        got = sample(x)
+        assert len(sines) - before == 3
+        for value, closed in zip(got, ref):
+            np.testing.assert_array_equal(value, closed(np.array(x)))
 
-    for order in permutations(range(4)):  # any call order on a shared table
-        for k in order:
-            check(frozen, k, expected[id(frozen)])
-    for k in (0, 2, 1, 3):  # a table interrupted by other grids
-        for x in (frozen, other, view):
-            check(x, k, expected[id(x)])
-    for k in (0, 1, 3, 2):  # changed in place between calls, directly or through a view
+    for x in (owned, owned, other, view, owned, view):
+        check(x)
+    for _ in range(3):
+        check(writable)
+        check(view)
         writable *= 1.0 + 1e-3
-        check(writable, k)
-        base[:] = writable
-        check(view, k)
-    flipped = _frozen_grid(length, 1600)  # made writable and changed after a first read
-    check(flipped, 0)
-    flipped.flags.writeable = True
-    flipped *= 1.0 + 1e-3
-    for k in (1, 2, 3):
-        check(flipped, k)
-    # one sine per harmonic for the four callables on a read-only grid of
-    # their own, none kept after each has read it, and one per call anywhere else
-    sines = []
-    sin = np.sin
-    monkeypatch.setattr(np, "sin", lambda z: sines.append(1) or sin(z))
-    for x, per_round in ((frozen, 3), (frozen, 3), (view, 12), (writable, 12)):
-        sines.clear()
-        for fun in funs:
-            fun(x)
-        assert len(sines) == per_round
+    owned.flags.writeable = True  # a grid read once, then made writable and changed
+    owned *= 1.0 + 1e-3
+    check(owned)
 
 
 # ------------------------------------------------------- uniform estimates
