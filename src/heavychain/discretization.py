@@ -46,6 +46,7 @@ __all__ = [
     "assemble_generator",
     "generator_matrix",
     "sobolev_norms",
+    "weighted_norm",
     "sample_states",
     "dissipativity_check",
     "norm_ratio_interval",
@@ -334,6 +335,15 @@ def sobolev_norms(grid: Grid, states: np.ndarray) -> np.ndarray:
     terms = _sobolev_terms(grid)
     parts = [_form([t for t in terms if t[0] == block], states) for block in (0, 1)]
     return np.sqrt(np.stack(parts, axis=-1))
+
+
+def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float):
+    """Energy norm of a state, or of each row of states, matrix-free.
+
+    Equals sqrt(y^H M_H y) on grids where M_H can be formed; on long grids
+    the assembled form loses digits like eps / dx^4, the stencils do not.
+    """
+    return np.sqrt(_form(_weighted_terms(grid, m, gamma), states))
 
 
 @dataclass(frozen=True, eq=False)

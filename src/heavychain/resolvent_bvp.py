@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import factorial, j0, j1, y0, y1
 
 from heavychain.discretization import (Grid, _form, _read_only, _weighted_terms,
-                                       assemble_generator, sobolev_norms)
+                                       assemble_generator, sobolev_norms, weighted_norm)
 from heavychain.model import AdmissibilityReport, AffineTension, RescaledModel
 from heavychain.spectral import ResolventSample, resolvent_apply_discrete
 
@@ -357,11 +357,11 @@ def _line_residuals(x, wv, vv, fv, gv, tau, m):
     return r_a, r_b, r_c, r_d
 
 
-def _gain(terms: list, states: np.ndarray) -> float:
-    """|(w, v)| / |(f, g)| for states = ((w, v), (f, g)) in the energy norm
-    of the terms (see _weighted_terms), 0 for zero data: the norm of the
-    matrix side's operator norms, so the two sweeps compare directly."""
-    sol, dat = np.sqrt(_form(terms, states))
+def _gain(norms) -> float:
+    """|(w, v)| / |(f, g)| from the energy norms of states = ((w, v), (f, g)),
+    0 for zero data: the norm of the matrix side's operator norms, so the
+    two sweeps compare directly."""
+    sol, dat = norms
     return float(sol / dat) if dat > 0.0 else 0.0
 
 
@@ -379,7 +379,7 @@ def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
         c1=complex(c1), c2=complex(c2), a0=complex(a0), a1=complex(a1),
         denominator=complex(den), norms=sol_norm, data_norms=data_norms,
         residual=float(residual), residual_lines=lines,
-        gain=_gain(_weighted_terms(grid, m, rep.gamma), states),
+        gain=_gain(weighted_norm(grid, states, m, rep.gamma)),
         method=method,
     )
 
@@ -418,10 +418,8 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *, f_prime, g_prime,
     """
     rep, tau = _admitted(m), float(tau)  # as a ResolventSample stores it
     if tau < 0.0:
-        conj = solve_resolvent_bvp(
-            _conjugate_data(f), _conjugate_data(g), -tau, m, pair=pair,
-            f_prime=_conjugate_data(f_prime), g_prime=_conjugate_data(g_prime),
-        )
+        cf, cg, cfp, cgp = (lambda x, h=h: np.conj(h(x)) for h in (f, g, f_prime, g_prime))
+        conj = solve_resolvent_bvp(cf, cg, -tau, m, pair=pair, f_prime=cfp, g_prime=cgp)
         return replace(
             conj, tau=float(tau),
             w=np.conj(conj.w), v=np.conj(conj.v),
@@ -472,10 +470,6 @@ def _pipeline(tau: float, pair: FundamentalPair, fv, gv, fpv, gpv, m: RescaledMo
     c2 = ratio * c1
     wv = (big_g - (c1 * pair.phi1p + c2 * pair.phi2p + i1 + a1)) / tau2  # y~' = y' + a1
     return wv, fv + 1j * tau * wv, c1, c2, a0, a1, den
-
-
-def _conjugate_data(f):
-    return lambda x: np.conj(f(x))
 
 
 def denominator_values(m: RescaledModel, taus) -> np.ndarray:
@@ -531,13 +525,15 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
     without its audit, on coarser pair grids (40 points per wavelength,
     drift 1e-6).  Every tau below the one that outgrows MIN_GRID has the
     smallest; successive taus on a grid share it, its energy terms and one
-    call of each sampler there.  Refuses tau < SMALL_TAU, where the
-    pipeline's tau^{-2} division is ill-conditioned.
+    call of each sampler there.  Refuses, before any work, tau < SMALL_TAU,
+    where the pipeline's tau^{-2} division is ill-conditioned, and
+    tau > TAU_CAP.
     """
     taus = list(map(float, taus))  # the floats a sample stores
-    if taus and min(taus) < SMALL_TAU:
-        raise ValueError("tau=%g below SMALL_TAU=%g: the sweep's pipeline divides "
-                         "by tau^2" % (min(taus), SMALL_TAU))
+    if taus and not SMALL_TAU <= min(taus) <= max(taus) <= TAU_CAP:
+        raise ValueError("taus from %g to %g leave [SMALL_TAU, TAU_CAP]=[%g, %g]: the "
+                         "pipeline divides by tau^2, and its cost grows with tau"
+                         % (min(taus), max(taus), SMALL_TAU, TAU_CAP))
     samples = []
     for n, run in groupby(taus, key=lambda tau: _grid_cells(tau, m.tension, m.length, 40)):
         x = _read_only(np.linspace(0.0, m.length, n + 1))
@@ -549,7 +545,8 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
             for k, (tau, pair) in enumerate(pairs):
                 wv, vv = _pipeline(tau, pair, fv, gv, fpv, gpv, m)[:2]
                 states = np.stack([np.concatenate([wv, vv]), np.concatenate([fv, gv])])
-                best[k] = max(best[k], _gain(terms, states))
+                # weighted_norm, with the terms built once per grid
+                best[k] = max(best[k], _gain(np.sqrt(_form(terms, states))))
         samples += [ResolventSample(t, b, "continuous") for (t, _), b in zip(pairs, best)]
     return samples
 

@@ -7,6 +7,7 @@ from heavychain.discretization import (
     _natural_terms,
     _weighted_terms,
     sobolev_norms,
+    weighted_norm,
 )
 from heavychain.model import check_admissibility
 from heavychain.operator import diff2_matrix, diff_matrix, trapezoid_weights
@@ -39,9 +40,12 @@ def smooth_state(m, n, seed, complex_valued=True):
 
 
 def weighted_inner(grid, z1, z2, m):
-    """z2^H M_H z1 from the matrix-free form, by the polarization identity."""
-    terms = _weighted_terms(grid, m, check_admissibility(m).gamma)
-    return sum(1j**k * _form(terms, z1 + 1j**k * z2) for k in range(4)) / 4.0
+    """z2^H M_H z1 from the matrix-free norm, by the polarization identity."""
+    rep = check_admissibility(m)
+    return sum(
+        1j**k * weighted_norm(grid, z1 + 1j**k * z2, m, rep.gamma) ** 2
+        for k in range(4)
+    ) / 4.0
 
 
 def apply_generator(x, z, m):
@@ -117,7 +121,7 @@ def test_weighted_inner_term_isolation(ref_model):
         + alpha1 * gamma * m.tensionL * dw[-1] ** 2
         + alpha2 * w_vals[0] ** 2
     )
-    got = _form(_weighted_terms(grid, m, gamma), vec)
+    got = weighted_norm(grid, vec, m, gamma) ** 2
     assert got == pytest.approx(expected, rel=1e-7)
 
 

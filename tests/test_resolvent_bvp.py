@@ -345,10 +345,13 @@ def test_sweep_samples_each_datum_once_per_grid(ref_model):
     grids = [len(_pair_grid(tau, ref_model.tension, ref_model.length, 40)) for tau in taus]
     assert grids[:4] == [MIN_GRID + 1] * 4 and len(set(grids)) == 4
     assert calls == sorted(set(grids))
-    # below SMALL_TAU the sweep refuses, before it samples anything
+    # below SMALL_TAU and above TAU_CAP the sweep refuses, before it
+    # samples anything
     calls.clear()
     with pytest.raises(ValueError, match="SMALL_TAU"):
         continuous_resolvent_sweep(ref_model, [0.5, 0.05], [counted])
+    with pytest.raises(ValueError, match="TAU_CAP"):
+        continuous_resolvent_sweep(ref_model, [0.5, 2.0 * TAU_CAP], [counted])
     assert calls == []
 
 
