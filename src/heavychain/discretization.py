@@ -10,10 +10,11 @@ in the interior and replaces the two end rows by the boundary dynamics
 (payload: dv_N/dt = -w'(L); cart: dv_0/dt = feedback traces), both with
 one-sided second-order stencils.  The natural and the energy inner
 products are each defined once, as a list of weighted difference stencils
-(trapezoid rule over D1, D2 and D1 P D1, plus the boundary terms), and
-every norm, inner product and quadratic form applies these stencils
-matrix-free, from the small grids of the dissipativity probe to the long
-grids of :mod:`heavychain.resolvent_bvp`.  No Gram matrix is assembled:
+(trapezoid rule over D1, D2 and D1 P D1, plus the boundary terms).  Every
+norm is weighted_norm(terms, states) of such a list; it, the inner
+products and the quadratic forms apply these stencils matrix-free, from
+the small grids of the dissipativity probe to the long grids of
+:mod:`heavychain.resolvent_bvp`.  No Gram matrix is assembled:
 the energy factor of the resolvent norms is a banded QR of the same
 stencil rows (GeneratorSystem.chol_H).
 
@@ -330,20 +331,19 @@ def _energy_factor(terms: list, npts: int) -> np.ndarray:
     return band
 
 
+def weighted_norm(terms: list, states: np.ndarray):
+    """sqrt(z^H M z), M the form of a term list (clamped at 0), of a state
+    or of each row of states: the library's one norm.  Matrix-free: on long
+    grids an assembled M loses digits like eps / dx^4, the stencils do not.
+    """
+    return np.sqrt(np.maximum(_form(terms, states), 0.0))
+
+
 def sobolev_norms(grid: Grid, states: np.ndarray) -> np.ndarray:
     """(|w|_{H^2}, |v|_{H^1}) of a state, or of each row of states, matrix-free."""
     terms = _sobolev_terms(grid)
-    parts = [_form([t for t in terms if t[0] == block], states) for block in (0, 1)]
-    return np.sqrt(np.stack(parts, axis=-1))
-
-
-def weighted_norm(grid: Grid, states: np.ndarray, m: RescaledModel, gamma: float):
-    """Energy norm of a state, or of each row of states, matrix-free.
-
-    Equals sqrt(y^H M_H y) on grids where M_H can be formed; on long grids
-    the assembled form loses digits like eps / dx^4, the stencils do not.
-    """
-    return np.sqrt(_form(_weighted_terms(grid, m, gamma), states))
+    return np.stack([weighted_norm([t for t in terms if t[0] == block], states)
+                     for block in (0, 1)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,10 +352,11 @@ class GeneratorSystem:
 
     The energy form M_H follows from (grid, model, gamma): the model fixes
     its other weights.  Its one representation is the term list energy
-    (see _weighted_terms): weighted_norm reads it matrix-free and chol_H
-    factors it, and M_H itself is never assembled.  Both are built on first
-    use and kept; the system is frozen, so dataclasses.replace is the only
-    way to change a field, and the new system builds its own.
+    (see _weighted_terms): the method weighted_norm hands it to the
+    module's weighted_norm, chol_H factors it, and M_H itself is never
+    assembled.  Both are built on first use and kept; the system is frozen,
+    so dataclasses.replace is the only way to change a field, and the new
+    system builds its own.
     """
 
     grid: Grid
@@ -390,9 +391,8 @@ class GeneratorSystem:
             _read_only(ab.astype(complex, order="F")), kl, ku
 
     def weighted_norm(self, states: np.ndarray):
-        """Energy norm sqrt(z^H M_H z) of a state, or of each row of
-        states, matrix-free."""
-        return np.sqrt(np.maximum(_form(self.energy, states), 0.0))
+        """|z|_H of a state, or of each row of states: weighted_norm of energy."""
+        return weighted_norm(self.energy, states)
 
 
 def assemble_generator(m: RescaledModel, n: int, gamma: float | None = None) -> GeneratorSystem:
@@ -551,5 +551,5 @@ def norm_ratio_interval(sys: GeneratorSystem, samples: int = 1000, seed: int = 0
     """Range of |z|_H / |z|_natural over the smooth sample family."""
     _check_samples(samples)
     states = sample_states(sys, samples, seed=seed)
-    ratios = sys.weighted_norm(states) / np.sqrt(_form(_natural_terms(sys.grid), states))
+    ratios = sys.weighted_norm(states) / weighted_norm(_natural_terms(sys.grid), states)
     return float(ratios.min()), float(ratios.max())

@@ -39,7 +39,6 @@ __all__ = [
     "inner_product_weights",
     "select_gamma",
     "ternary_form_psd",
-    "quadratic_minorant_constants",
 ]
 
 
@@ -321,19 +320,3 @@ def ternary_form_psd(alpha: float, beta: float, delta: float, tol: float = 0.0) 
     if alpha**2 > 1.0 + tol or beta**2 > 1.0 + tol or delta**2 > 1.0 + tol:
         return False
     return alpha**2 + beta**2 + delta**2 <= 1.0 + 2.0 * alpha * beta * delta + tol
-
-
-def quadratic_minorant_constants(a0: float, b0: float, eps0: float) -> tuple:
-    """Constants (c, d) > 0 with (a*x1 + b*x2)^2 + eps*x1^2 >= c*x1^2 + d*x2^2.
-
-    Valid for every |a| <= a0, b >= b0 and eps >= eps0.  For a0 = 0 the
-    choice (eps0, b0^2) is sharp; otherwise d is backed off far enough from
-    b0^2 that the worst-case determinant condition still closes.
-    """
-    if a0 < 0.0 or b0 <= 0.0 or eps0 <= 0.0:
-        raise ValueError("need a0 >= 0, b0 > 0, eps0 > 0")
-    if a0 == 0.0:
-        return eps0, b0**2
-    d = b0**2 * eps0 / (2.0 * (a0**2 + eps0))
-    c = eps0 - a0**2 * d / (b0**2 - d)
-    return c, d

@@ -43,8 +43,8 @@ from itertools import groupby
 import numpy as np
 from scipy.special import factorial, j0, j1, y0, y1
 
-from heavychain.discretization import (Grid, _form, _read_only, _weighted_terms,
-                                       assemble_generator, sobolev_norms, weighted_norm)
+from heavychain.discretization import (Grid, _read_only, _weighted_terms, assemble_generator,
+                                       sobolev_norms, weighted_norm)
 from heavychain.model import AdmissibilityReport, AffineTension, RescaledModel
 from heavychain.spectral import ResolventSample, resolvent_apply_discrete
 
@@ -379,7 +379,7 @@ def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
         c1=complex(c1), c2=complex(c2), a0=complex(a0), a1=complex(a1),
         denominator=complex(den), norms=sol_norm, data_norms=data_norms,
         residual=float(residual), residual_lines=lines,
-        gain=_gain(weighted_norm(grid, states, m, rep.gamma)),
+        gain=_gain(weighted_norm(_weighted_terms(grid, m, rep.gamma), states)),
         method=method,
     )
 
@@ -545,8 +545,7 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
             for k, (tau, pair) in enumerate(pairs):
                 wv, vv = _pipeline(tau, pair, fv, gv, fpv, gpv, m)[:2]
                 states = np.stack([np.concatenate([wv, vv]), np.concatenate([fv, gv])])
-                # weighted_norm, with the terms built once per grid
-                best[k] = max(best[k], _gain(np.sqrt(_form(terms, states))))
+                best[k] = max(best[k], _gain(weighted_norm(terms, states)))
         samples += [ResolventSample(t, b, "continuous") for (t, _), b in zip(pairs, best)]
     return samples
 
@@ -574,25 +573,24 @@ def _block_pair(tau: float, tension: AffineTension, x: np.ndarray, helper: Execu
     return tuple(map(np.concatenate, zip(first, second)))
 
 
-def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
-                   points_per_wavelength: int, helper: Executor):
-    """greens_apply of f on fundamental_pair's grid at tau, block by block.
+def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
+                 points_per_wavelength: int, helper: Executor) -> tuple[float, float]:
+    """sup |I0| and sup |I1| of greens_apply of f on fundamental_pair's
+    grid at tau, in one walk over blocks of _BLOCK nodes.
 
-    Each block of _BLOCK nodes evaluates the pair and f on itself plus
-    the stencil reach of _fd4 (two nodes each side, the six end nodes at
-    the ends of the grid), and the running quadratures carry their sums
-    and y'(0) from block to block, so only the grid is held in full.
-    The closed-form pair of each block runs in two halves, the first on
-    the helper (a one-thread executor) and the second on the calling
-    thread; f, the drift, the nonzero flag and the quadratures run on the
-    calling thread in block order.  Yields, per block, I0 and I1 on its
-    nodes (the same floats as on the whole grid), the pair's Wronskian
-    drift there, and whether f is nonzero anywhere on the block's window.
+    A block evaluates the pair (_block_pair) and f on itself plus the
+    stencil reach of _fd4 (two nodes each side, the six end nodes at the
+    ends of the grid); the running quadratures carry their sums and y'(0)
+    from block to block, so a block's I0 and I1 are the whole grid's
+    floats, and beside the grid the walk keeps only running maxima.
+    Refuses as fundamental_pair does (the drift is the largest over all
+    blocks), and f that vanishes on the whole grid.
     """
     x = _pair_grid(tau, tension, length, points_per_wavelength)
     dx = float(x[1] - x[0])
     size = len(x)
     carry = (None, None)
+    peaks = np.zeros(4)  # running sup |I0|, sup |I1|, drift and sup |f|
     for s in range(0, size, _BLOCK):
         e = min(s + _BLOCK, size)
         lo, hi = max(0, min(s - 2, size - 6)), min(size, max(e + 2, 6))
@@ -600,23 +598,12 @@ def _kernel_blocks(tau: float, f, tension: AffineTension, length: float,
         phis = _block_pair(tau, tension, x[lo:hi], helper)
         fv = np.asarray(f(x[lo:hi]))
         i0, i1, carry = _kernel_integrals(fv, phis, tau, dx, rows, carry)
-        yield (i0, i1, _wronskian_drift(tau, *(p[rows] for p in phis)),
-               bool(np.any(np.abs(fv) > 0.0)))
-
-
-def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
-                 points_per_wavelength: int, helper: Executor) -> tuple[float, float]:
-    """sup |I0| and sup |I1| of f at tau, from _kernel_blocks.  Refuses as
-    fundamental_pair does (the drift is the largest over all blocks), and
-    f that vanishes on the whole grid."""
-    peaks, nonzero = [], False
-    for i0, i1, drift, nonzero_here in _kernel_blocks(tau, f, tension, length,
-                                                      points_per_wavelength, helper):
-        peaks.append((np.max(np.abs(i0)), np.max(np.abs(i1)), drift))
-        nonzero = nonzero or nonzero_here
-    sup0, sup1, drift = np.max(peaks, axis=0)
+        peaks = np.maximum(peaks, (np.max(np.abs(i0)), np.max(np.abs(i1)),
+                                   _wronskian_drift(tau, *(p[rows] for p in phis)),
+                                   np.max(np.abs(fv))))
+    sup0, sup1, drift, sup_f = peaks
     _check_drift(float(drift), tau, DRIFT_TOL)
-    if not nonzero:
+    if sup_f == 0.0:
         raise ValueError("degenerate study: data vanishes identically")
     return float(sup0), float(sup1)
 
@@ -629,9 +616,9 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
     the sup of I0 should fall like tau^-2 and the sup of I1 like tau^-1.
     Quadrature points per wavelength scale with tau so the measured sups
     stay above the integration noise floor.  Each grid is walked in
-    blocks of a fixed number of nodes (see _kernel_blocks), so beside the
+    blocks of a fixed number of nodes (see _kernel_sups), so beside the
     grid itself the study's memory is O(block), not O(grid): about 17
-    arrays of a block's length at the peak (17.2 measured on the
+    arrays of a block's length at the peak (17.1 measured on the
     13-frequency default).  Each block's closed-form Bessel pair runs in
     two halves on two threads, the caller's and one helper thread that
     lives as long as the call; the sups are the same floats as on the

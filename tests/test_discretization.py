@@ -14,6 +14,7 @@ from heavychain.discretization import (
     _mode_table,
     _natural_terms,
     _row,
+    _sobolev_terms,
     _weighted_terms,
     assemble_generator,
     dissipativity_check,
@@ -330,12 +331,13 @@ def test_matrix_free_norms_match_grams(ref_model, energy_gram):
     gram = system_gram(energy_gram, sys)
     npts = sys.grid.n + 1
     states = sample_states(sys, 12, seed=4)
-    energy = weighted_norm(sys.grid, states, ref_model, sys.gamma)
+    energy = weighted_norm(_weighted_terms(sys.grid, ref_model, sys.gamma), states)
     sobolev = sobolev_norms(sys.grid, states)
     for vec, e, (h2, h1) in zip(states, energy, sobolev):
         assert e == pytest.approx(np.sqrt(np.vdot(vec, gram @ vec).real), rel=5e-12)
         assert e == pytest.approx(sys.weighted_norm(vec), rel=1e-14)
-        assert e == pytest.approx(weighted_norm(sys.grid, vec, ref_model, sys.gamma), rel=1e-14)
+        assert e == pytest.approx(weighted_norm(_weighted_terms(sys.grid, ref_model, sys.gamma),
+                                                vec), rel=1e-14)
         w, v = vec[:npts], vec[npts:]
         zero = np.zeros(npts)
         assert h2 == pytest.approx(np.sqrt(natural_quadrature(sys.grid, np.concatenate([w, zero]))),
@@ -344,6 +346,23 @@ def test_matrix_free_norms_match_grams(ref_model, energy_gram):
         h1_ends = np.sqrt(h1**2 + abs(v[0]) ** 2 + abs(v[-1]) ** 2)
         assert h1_ends == pytest.approx(
             np.sqrt(natural_quadrature(sys.grid, np.concatenate([zero, v]))), rel=1e-12)
+
+
+def test_every_norm_is_weighted_norm_of_its_terms(ref_model):
+    # one norm computation: the system's energy norm, the two Sobolev norms
+    # and the ratios of norm_ratio_interval are weighted_norm of their term
+    # lists, bit for bit
+    sys = assemble_generator(ref_model, 80)
+    states = sample_states(sys, 12, seed=4)
+    energy = weighted_norm(sys.energy, states)
+    np.testing.assert_array_equal(sys.weighted_norm(states), energy)
+    sobolev = _sobolev_terms(sys.grid)
+    np.testing.assert_array_equal(
+        sobolev_norms(sys.grid, states),
+        np.column_stack([weighted_norm([t for t in sobolev if t[0] == block], states)
+                         for block in (0, 1)]))
+    ratios = energy / weighted_norm(_natural_terms(sys.grid), states)
+    assert norm_ratio_interval(sys, samples=12, seed=4) == (ratios.min(), ratios.max())
 
 
 def test_norm_history_matches_quadrature_on_fine_grid(ref_model):

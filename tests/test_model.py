@@ -13,7 +13,6 @@ from heavychain.model import (
     chi3_threshold,
     derive_physical_thetas,
     inner_product_weights,
-    quadratic_minorant_constants,
     rescale,
     select_gamma,
     ternary_form_psd,
@@ -244,26 +243,3 @@ def test_ternary_form_matches_eigenvalue_oracle(alpha, beta, delta):
     if abs(lam) < 1e-9:
         return  # too close to the psd boundary to classify robustly
     assert ternary_form_psd(alpha, beta, delta) == (lam > 0.0)
-
-
-def test_quadratic_minorant_zero_slope():
-    c, d = quadratic_minorant_constants(0.0, 2.0, 0.5)
-    assert (c, d) == (0.5, 4.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    a0=st.floats(0.0, 3.0),
-    b0=st.floats(0.1, 3.0),
-    eps0=st.floats(0.05, 3.0),
-)
-def test_quadratic_minorant_bruteforce(a0, b0, eps0):
-    c, d = quadratic_minorant_constants(a0, b0, eps0)
-    assert c > 0.0 and d > 0.0
-    grid = np.linspace(-3.0, 3.0, 13)
-    x1, x2 = np.meshgrid(grid, grid)
-    for a in (-a0, 0.0, a0):
-        for b in (b0, 2.0 * b0, 10.0 * b0):
-            for eps in (eps0, 3.0 * eps0):
-                form = (a * x1 + b * x2) ** 2 + eps * x1**2
-                assert np.all(form >= c * x1**2 + d * x2**2 - 1e-9)

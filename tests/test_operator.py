@@ -43,7 +43,7 @@ def weighted_inner(grid, z1, z2, m):
     """z2^H M_H z1 from the matrix-free norm, by the polarization identity."""
     rep = check_admissibility(m)
     return sum(
-        1j**k * weighted_norm(grid, z1 + 1j**k * z2, m, rep.gamma) ** 2
+        1j**k * weighted_norm(_weighted_terms(grid, m, rep.gamma), z1 + 1j**k * z2) ** 2
         for k in range(4)
     ) / 4.0
 
@@ -121,7 +121,7 @@ def test_weighted_inner_term_isolation(ref_model):
         + alpha1 * gamma * m.tensionL * dw[-1] ** 2
         + alpha2 * w_vals[0] ** 2
     )
-    got = weighted_norm(grid, vec, m, gamma) ** 2
+    got = weighted_norm(_weighted_terms(grid, m, gamma), vec) ** 2
     assert got == pytest.approx(expected, rel=1e-7)
 
 

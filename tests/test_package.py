@@ -22,8 +22,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # The library, the scripts and the benchmark harness; tests are not callers.
 CALLER_FILES = sorted(p for d in ("src/heavychain", "scripts", "perfbench")
                       for p in (ROOT / d).glob("*.py"))
-# ROADMAP item 1 (the SBP energy) gives these two their callers.
-AWAITING_CALLERS = {"ternary_form_psd", "quadratic_minorant_constants"}
+# ROADMAP item 1 (the SBP energy's exact dissipativity certificate) gives
+# this one its caller.
+AWAITING_CALLERS = {"ternary_form_psd"}
 
 
 @pytest.mark.parametrize("name", MODULES)

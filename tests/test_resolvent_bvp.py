@@ -28,7 +28,6 @@ from heavychain.resolvent_bvp import (
     TAU_CAP,
     _fd4,
     _fd4_weights,
-    _kernel_blocks,
     _kernel_sups,
     _pair_grid,
     _pair_values,
@@ -524,20 +523,20 @@ def test_kernel_decay_study_refuses_what_the_pair_refuses(ref_model):
                            AffineTension(1.0, -2.0), 1.0)
 
 
-def _kernel_tau(ref_model, block, residue):
-    """A frequency below 133 (160 points per wavelength) whose pair grid
-    has residue nodes modulo block."""
-    return next(tau for tau in np.arange(20.0, 40.0, 0.01)
-                if len(_pair_grid(tau, ref_model.tension, ref_model.length, 160))
-                % block == residue)
-
-
 def _whole_grid(tau, f, chain, ppw=160, tol=1e-8):
     """fundamental_pair and greens_apply of f on the whole grid of the
     chain's tension and length: the blockwise walk's reference."""
     pair = fundamental_pair(tau, chain.tension, chain.length, tol=tol,
                             points_per_wavelength=ppw)
     return pair, *greens_apply(f(pair.x), pair)
+
+
+def _whole_grid_sups(tau, f, chain, ppw=160):
+    """(sup |I0|, sup |I1|) on the whole grid, the rows where they peak,
+    and the grid's node count."""
+    pair, *integrals = _whole_grid(tau, f, chain, ppw)
+    return ([np.max(np.abs(i)) for i in integrals],
+            [int(np.argmax(np.abs(i))) for i in integrals], len(pair.x))
 
 
 @pytest.fixture
@@ -550,36 +549,38 @@ def _kernel_data(ref_model):
     return lambda x: np.cos(np.pi * x / ref_model.length) + 0.5
 
 
-def _assert_blockwise_is_whole_grid(ref_model, tau, helper):
-    # the blocks run the same floating-point operations as the whole grid
-    # (a wrong halo would only move a seam row's end correction, far
-    # below any relative tolerance on the sups)
-    f = _kernel_data(ref_model)
-    _, i0, i1 = _whole_grid(tau, f, ref_model)
-    blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, 160, helper))
-    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i0)
-    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), i1)
-    np.testing.assert_allclose(
-        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper),
-        (np.max(np.abs(i0)), np.max(np.abs(i1))), rtol=1e-12, atol=0.0)
-    return blocks
-
-
 @pytest.mark.parametrize("residue", [1, 2, 3])
 def test_blockwise_kernel_integrals_match_whole_grid_across_seams(ref_model, monkeypatch,
                                                                   helper, residue):
-    # 64-node blocks: the last block holds 1, 2 or 3 nodes, so the seam
-    # halo and the one-sided end rows of _fd4 at the far end both act
+    # 64-node blocks whose last window holds 1, 2 or 3 rows, where the seam
+    # halo and the one-sided end rows of _fd4 both act, and a datum whose
+    # whole-grid |I0| and |I1| both peak in that window: the sups are those
+    # rows' floats, so a wrong halo or end row would change them
     monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
-    blocks = _assert_blockwise_is_whole_grid(ref_model, _kernel_tau(ref_model, 64, residue),
-                                             helper)
-    assert len(blocks[-1][0]) == residue
+    f = lambda x: (np.asarray(x) / ref_model.length) ** 8  # noqa: E731
+    tau, sups = next(
+        (tau, sups) for tau in np.arange(20.0, 40.0, 0.05)
+        if len(_pair_grid(tau, ref_model.tension, ref_model.length, 160)) % 64 == residue
+        for sups, rows, size in [_whole_grid_sups(tau, f, ref_model)]
+        if min(rows) >= size - residue)
+    np.testing.assert_array_equal(
+        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper), sups)
 
 
-def test_blockwise_kernel_integrals_single_block(ref_model, helper):
-    assert MIN_GRID + 1 <= resolvent_bvp._BLOCK
-    blocks = _assert_blockwise_is_whole_grid(ref_model, 10.0, helper)
-    assert len(blocks) == 1 and len(blocks[0][0]) == MIN_GRID + 1
+def test_blockwise_kernel_sups_with_the_peak_on_a_seam(ref_model, monkeypatch, helper):
+    # the study's datum at tau = 30, where |I0| and |I1| peak inside the
+    # grid: blocks of row nodes put the peak's row first after a seam,
+    # where the running sums restart from the carry and the end correction
+    # reads the left halo; blocks of row + 1 nodes put it last before the
+    # seam, where the end correction reads the right halo
+    f = _kernel_data(ref_model)
+    sups, rows, size = _whole_grid_sups(30.0, f, ref_model)
+    for row in rows:
+        assert 64 < row < size - 3
+        for block in (row, row + 1):
+            monkeypatch.setattr(resolvent_bvp, "_BLOCK", block)
+            np.testing.assert_array_equal(
+                _kernel_sups(30.0, f, ref_model.tension, ref_model.length, 160, helper), sups)
 
 
 def test_kernel_decay_study_matches_whole_grid_reference(ref_model, monkeypatch):
@@ -591,8 +592,7 @@ def test_kernel_decay_study_matches_whole_grid_reference(ref_model, monkeypatch)
     ref = np.array([[np.max(np.abs(i)) for i in
                      _whole_grid(tau, f, ref_model, ppw=int(max(160, 1.2 * tau)))[1:]]
                     for tau in taus])
-    np.testing.assert_allclose(study.sup_i0, ref[:, 0], rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(study.sup_i1, ref[:, 1], rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(np.column_stack([study.sup_i0, study.sup_i1]), ref)
 
 
 def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatch, helper):
@@ -622,7 +622,7 @@ def test_blockwise_degenerate_data_is_judged_on_the_whole_grid(ref_model, monkey
 
 def test_kernel_decay_study_memory_is_o_block(ref_model):
     # beside the one grid at TAU_CAP (598 187 floats), a block step holds
-    # about seventeen float arrays of a window's length (17.2 measured,
+    # about seventeen float arrays of a window's length (17.1 measured,
     # with the helper thread's halves; the block and its 2 + 2
     # halo nodes): the pair with its Bessel basis and temporaries, f, the
     # two integrands with their stencils and running sums, I0 and I1, and
@@ -657,19 +657,12 @@ def _record_pair(monkeypatch, threads, drift_on_helper=False):
 
 @pytest.mark.parametrize("block", [None, 64])
 def test_kernel_helper_changes_no_float(ref_model, monkeypatch, helper, block):
-    # the helper thread evaluates half of each block's pair; the
-    # quadratures read the same floats as fundamental_pair and
-    # greens_apply on the whole grid (64-node blocks, whose last windows
-    # split 3 + 3: test_blockwise_kernel_integrals_match_whole_grid_across_seams)
+    # the helper thread evaluates half of each block's pair; the sups are
+    # the same floats as fundamental_pair and greens_apply give on the
+    # whole grid (64-node blocks, whose last windows split 3 + 3:
+    # test_blockwise_kernel_integrals_match_whole_grid_across_seams)
     f = _kernel_data(ref_model)
-    if block is None:
-        for tau in (10.0, 1000.0):
-            _, i0, i1 = _whole_grid(tau, f, ref_model, ppw=1200)
-            blocks = list(_kernel_blocks(tau, f, ref_model.tension, ref_model.length, 1200,
-                                         helper))
-            np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i0)
-            np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), i1)
-    else:
+    if block is not None:
         monkeypatch.setattr(resolvent_bvp, "_BLOCK", block)
     # the study's own grids and helper; a stiff tension keeps the 64-node
     # walk short
