@@ -35,6 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import get_lapack_funcs
 
 from heavychain.model import RescaledModel, inner_product_weights
 from heavychain.operator import diff2_matrix, diff_matrix, trapezoid_weights
@@ -378,17 +379,29 @@ class GeneratorSystem:
         return _energy_factor(self.energy, self.grid.n + 1)
 
     @cached_property
-    def _resolvent_bands(self):
-        """(R, ab, kl, ku), complex, read-only: chol_H, and -Pi A Pi^T from A's
-        entries in zgbtrf's band layout ([i, j] at ab[kl + ku + i - j, j],
-        under kl rows for the pivoting fill); a norm adds i tau to a copy."""
+    def _band(self):
+        """(ab, kl, ku), read-only: Pi A Pi^T, Pi the node-interleaved order, in
+        gbtrf's band layout ([i, j] at ab[kl + ku + i - j, j], under kl rows
+        for the pivoting fill), from A's entries; built on first use."""
         n = self.grid.size
         i, j = _permuted_entries(self.A, _interleaved(np.arange(n), n // 2))
-        kl, ku = int(max(0, (i - j).max())), int(max(0, (j - i).max()))
-        ab = np.bincount((kl + ku + i - j) * n + j, weights=-self.A.data,
+        kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+        ab = np.bincount((kl + ku + i - j) * n + j, weights=self.A.data,
                          minlength=(2 * kl + ku + 1) * n).reshape(-1, n)
-        return _read_only(self.chol_H.astype(complex, order="F")), \
-            _read_only(ab.astype(complex, order="F")), kl, ku
+        return _read_only(ab), kl, ku
+
+    def _shifted_solver(self, alpha, beta):
+        """solve(b, trans=0) with alpha I + beta Pi A Pi^T (trans 1: its
+        transpose, 2: its conjugate transpose), b in node-interleaved order, by
+        one banded LU (?gbtrf, complex if alpha or beta is); None if singular."""
+        band, kl, ku = self._band
+        ab = (beta * band).astype(np.result_type(alpha, beta, 1.0), order="F")
+        ab[kl + ku] += alpha
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            return None
+        return lambda b, trans=0: gbtrs(lu, kl, ku, b, piv, trans=trans)[0]
 
     def weighted_norm(self, states: np.ndarray):
         """|z|_H of a state, or of each row of states: weighted_norm of energy."""

@@ -329,11 +329,11 @@ class ResolventSolution:
     x: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    c1: complex
+    c1: complex  # c1, c2, a0, a1: NaN on the collocation route
     c2: complex
     a0: complex
     a1: complex
-    denominator: complex
+    denominator: complex  # N(tau), closed form; NaN at tau = 0
     norms: tuple[float, float]  # (|w|_H2, |v|_H1)
     data_norms: tuple[float, float]
     residual: float  # max line defect relative to the data norms
@@ -387,12 +387,12 @@ def _package(x, wv, vv, fv, gv, tau, m, rep: AdmissibilityReport,
 def _solve_collocation(f, g, tau, m, rep):
     sys = assemble_generator(m, COLLOCATION_CELLS)
     x = sys.grid.x
-    fv = np.asarray(f(x))
-    gv = np.asarray(g(x))
+    fv, gv = np.asarray(f(x)), np.asarray(g(x))
     z = -resolvent_apply_discrete(sys, tau, np.concatenate([fv, gv]))
     wv, vv = z[:sys.grid.n + 1], z[sys.grid.n + 1:]
-    return _package(x, wv, vv, fv, gv, tau, m, rep,
-                    0.0, 0.0, 0.0, 0.0, 0.0, "collocation")
+    nan = complex(float("nan"), float("nan"))  # N(tau)'s closed form divides by tau
+    return _package(x, wv, vv, fv, gv, tau, m, rep, nan, nan, nan, nan,
+                    _denominator(tau, m) if tau > 0.0 else nan, "collocation")
 
 
 def _boundary_determinant(tau, m, phi1, phi1p, phi2, phi2p):
@@ -420,13 +420,8 @@ def solve_resolvent_bvp(f, g, tau: float, m: RescaledModel, *, f_prime, g_prime,
     if tau < 0.0:
         cf, cg, cfp, cgp = (lambda x, h=h: np.conj(h(x)) for h in (f, g, f_prime, g_prime))
         conj = solve_resolvent_bvp(cf, cg, -tau, m, pair=pair, f_prime=cfp, g_prime=cgp)
-        return replace(
-            conj, tau=float(tau),
-            w=np.conj(conj.w), v=np.conj(conj.v),
-            c1=np.conj(conj.c1), c2=np.conj(conj.c2),
-            a0=np.conj(conj.a0), a1=np.conj(conj.a1),
-            denominator=np.conj(conj.denominator),
-        )
+        return replace(conj, tau=float(tau), **{k: np.conj(getattr(conj, k)) for k in
+                                                ("w", "v", "c1", "c2", "a0", "a1", "denominator")})
     if tau < SMALL_TAU:
         return _solve_collocation(f, g, tau, m, rep)
 
@@ -472,11 +467,15 @@ def _pipeline(tau: float, pair: FundamentalPair, fv, gv, fpv, gpv, m: RescaledMo
     return wv, fv + 1j * tau * wv, c1, c2, a0, a1, den
 
 
+def _denominator(tau: float, m: RescaledModel) -> complex:
+    """N(tau) from the closed-form pair at x = L, for tau > 0."""
+    end = _pair_values(tau, m.tension.value0, m.tension.slope, m.length)
+    return _boundary_determinant(tau, m, *end)[1]
+
+
 def denominator_values(m: RescaledModel, taus) -> np.ndarray:
     """|N(tau)| along a frequency grid; grows at least linearly in tau."""
-    ends = ((tau, _pair_values(tau, m.tension.value0, m.tension.slope, m.length))
-            for tau in map(float, taus))
-    return np.array([abs(_boundary_determinant(tau, m, *end)[1]) for tau, end in ends], float)
+    return np.array([abs(_denominator(tau, m)) for tau in map(float, taus)], float)
 
 
 def random_smooth_data(rng, length: float):
@@ -627,8 +626,10 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
     on one thread, and the CLI's default run +1.9% (within its noise).
     """
     taus = np.asarray(tau_grid, dtype=float)
-    if taus.min() < 10.0 or taus.max() / taus.min() < 99.0:
-        raise ValueError("grid must span at least two decades starting at tau >= 10")
+    if not (np.isfinite(taus).all() and 10.0 <= taus.min() <= taus.max() / 99.0
+            and taus.max() <= TAU_CAP):
+        raise ValueError("taus from %g to %g: the grid must span two decades of [10, TAU_CAP]"
+                         "=[10, %g]" % (taus.min(), taus.max(), TAU_CAP))
     with ThreadPoolExecutor(1) as helper:
         sup0, sup1 = np.array([
             _kernel_sups(tau, f, tension, length, int(max(160, 1.2 * tau)), helper)

@@ -11,17 +11,17 @@ fields through v = s_t * v~ and w_x = s_x * dw~/dx~, so the energy ledger
 and its balance dV/dt = -v(0)^2 - chi3 s^2 are evaluated in the original
 physical variables.  The time stepper is Crank-Nicolson, the Cayley
 transform of A; since (I - hA)^{-1} (I + hA) = 2 (I - hA)^{-1} - I =: R
-with h = dt/2, each step is one solve with the once-factored sparse
-I - hA plus one vector update.  A run that stores every s-th state only
-needs R^s, and can instead form it once and take one dense product per
-stored state (the jump route).  Forming R^s steps the n columns of the
-identity through one stride; the strides then cost one product with n^2
-entries each instead of s solves.  On small grids a step's time is mostly
-SuperLU's fixed cost per solve call, not its flops, so the choice
-compares measured times (see ``_jump_pays``): even a run that stores
-every step jumps on small grids.  The identity check compares one-step
-differences of V against midpoint averages of the right-hand side, which
-keeps both sides second-order consistent at t_{n+1/2}.
+with h = dt/2, each step is one solve with the once-factored banded
+I - hA (GeneratorSystem._shifted_solver) plus one vector update.  A run
+that stores every s-th state only needs R^s, and can instead form it once
+and take one dense product per stored state (the jump route): R from one
+solve with the n identity columns, R^s by np.linalg.matrix_power.  On
+small grids a step's time is mostly the fixed cost per solve call, not
+its flops, so the choice compares measured times (see ``_jump_pays``):
+even a run that stores every step jumps on small grids.  The identity
+check compares one-step differences of V against midpoint averages of
+the right-hand side, which keeps both sides second-order consistent at
+t_{n+1/2}.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from functools import cached_property
 from numbers import Integral
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
-from heavychain.discretization import GeneratorSystem, _read_only
+from heavychain.discretization import GeneratorSystem, _interleaved, _read_only
 from heavychain.model import ControllerGains, PhysicalParams
 
 __all__ = [
@@ -83,71 +81,57 @@ class Trajectory:
         return _read_only(self.system.weighted_norm(self.states))
 
 
-# Measured costs of the two routes, in ns: one SuperLU solve call and its
-# vector update, fixed; each LU factor entry, per right-hand side; each
-# entry of a dense product R^s z.  See _jump_pays.
-_SOLVE_CALL_NS = 3000.0
+# Measured costs, in ns, of a solve call, of a banded LU entry per right-hand
+# side, of an n^3 entry of a matrix_power product and of an entry of R^s z.
+_SOLVE_CALL_NS = 2000.0
 _FACTOR_ENTRY_NS = 2.0
-_DENSE_ENTRY_NS = 0.08
+_POWER_ENTRY_NS = 0.12
+_DENSE_ENTRY_NS = 0.15
 
 
 def _jump_pays(n: int, nnz: int, stride: int, strides: int) -> bool:
     """Whether forming R^stride and jumping takes less time than stepping.
 
     Stepping pays one solve call per step: strides * stride * (call +
-    nnz entry).  Jumping first steps the n identity columns through one
-    stride, stride * (call + n nnz entry), then pays strides * n^2 dense
+    nnz entry).  Jumping forms R by one solve with the n identity columns,
+    call + n nnz entry, and R^stride by matrix_power, whose products (7
+    for stride 72) cost n^3 entry each, then pays strides * n^2 dense
     entries.  The terms are timeit minima on the reference model at
-    dt = dx / (8 c) (2 vCPU, OpenBLAS 0.3.31), with nnz the entries of the
-    LU factors of I - dt/2 A:
+    dt = dx / (8 c) (2 vCPU Xeon, OpenBLAS 0.3.31), with nnz the
+    (2 kl + ku + 1) n = 15 n entries of the banded LU of I - dt/2 A:
 
         N                          5     50    100   200   400   800
         n                          12    102   202   402   802   1602
-        nnz                        58    515   1015  2015  4019  8019
-        2 lu.solve(z) - z, us      3.16  4.14  5.36  7.50  11.5  19.5
-        R @ z, us                  0.67  1.36  3.26  13.9  34.2  119
+        2 solve(z) - z, us         2.12  4.78  7.82  13.8  26.4  48.4
+        2 solve(I) - I, ms         .005  0.18  0.72  3.88  16.7  63.7
+        R @ R, ms                  .001  .053  1.00  17.1  74.0  254
+        R @ z, us                  0.85  2.06  6.11  68.6  173   681
 
-    A least-squares line through the step times gives 3.1 us + 2.05 ns per
-    factor entry; a product costs 0.080-0.086 ns per entry at n = 202-402,
-    where the choice for s = 1 falls, and 0.047-0.053 ns above.  Stepping
-    the identity block through one stride took 1.0-2.9 ns per factor entry
-    and column.  So 200 steps stored one by one jump at N = 50 (1.4 us a
-    product against 4.1 us a step) and are stepped at N = 100 and up.
+    A line through the step times gives 2.0 us + 1.95 ns per band entry;
+    the identity block takes 1.2-2.2 ns per entry and column, R @ R 0.12
+    ns per n^3 entry at n = 202 (where R's entries reach 1e-257 and their
+    products underflow; 0.05 at n = 102), R @ z 0.15 ns per entry.  So 200
+    steps stored one by one jump at N = 50 and are stepped from N = 100.
     """
     def solve(columns):
         return _SOLVE_CALL_NS + columns * nnz * _FACTOR_ENTRY_NS
-    return stride * solve(n) + strides * n * n * _DENSE_ENTRY_NS < strides * stride * solve(1)
-
-
-def _step_matrix(a: sparse.csr_array, dt: float, dtype) -> sparse.csc_array:
-    """I - dt/2 A in CSC, from A's stored entries and the unit diagonal.
-
-    One COO-to-CSC conversion sums the diagonal into A's entries; zero
-    sums are dropped, so indptr, indices and data equal those of
-    (eye - dt/2 A).tocsc().
-    """
-    n = a.shape[0]
-    diag = np.arange(n)
-    rows = np.concatenate([np.repeat(diag, np.diff(a.indptr)), diag])
-    cols = np.concatenate([a.indices, diag])
-    vals = np.concatenate([-(0.5 * dt * a.data), np.ones(n)]).astype(dtype, copy=False)
-    step = sparse.csc_array((vals, (rows, cols)), shape=(n, n))
-    step.eliminate_zeros()
-    return step
+    bits = bin(stride)[2:]  # matrix_power squares once per bit, multiplies per set bit
+    products = len(bits) + bits.count("1") - 2
+    return (solve(n) + products * n**3 * _POWER_ENTRY_NS + strides * n * n * _DENSE_ENTRY_NS
+            < strides * stride * solve(1))
 
 
 def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
              dt: float, store_every: int = 1) -> Trajectory:
     """Crank-Nicolson run z_{n+1} = R z_n, R = 2 (I - dt/2 A)^{-1} - I.
 
-    R is (I - dt/2 A)^{-1} (I + dt/2 A): one solve with the sparse step
-    matrix, factored once (SuperLU), plus one vector update per step.
+    R is (I - dt/2 A)^{-1} (I + dt/2 A): one solve with the banded LU of
+    the step matrix, factored once, plus one vector update per step.
     Every store_every-th state and the last are stored.  When measured
     costs favour it (see ``_jump_pays``), the full strides are taken as
-    one dense product each with R^store_every, formed by stepping the
-    identity block through one stride; the final partial stride is
+    one dense product each with R^store_every; the final partial stride is
     stepped.  Complex initial data is propagated as such (useful for
-    eigenmode tracking).
+    eigenmode tracking).  A singular step matrix raises LinAlgError.
     """
     if not (np.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final must be finite and positive, got {t_final!r}")
@@ -160,10 +144,10 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
     if z0.shape != (n,):
         raise ValueError("initial state does not match the grid")
     dtype = complex if np.iscomplexobj(z0) else float
-    try:
-        lu = splu(_step_matrix(sys.A, dt, dtype))
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise np.linalg.LinAlgError("singular time-step matrix") from exc
+    solve = sys._shifted_solver(dtype(1.0), -0.5 * dt)
+    if solve is None:
+        raise np.linalg.LinAlgError("singular time-step matrix")
+    perm = _interleaved(np.arange(n), n // 2)  # state index k sits at perm[k]
 
     steps = max(1, int(round(t_final / dt)))
     strides = steps // store_every
@@ -172,18 +156,18 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
     states = np.empty((len(ks), n), dtype=dtype)
     states[0] = z0
     row = first = 1
-    if _jump_pays(n, lu.L.nnz + lu.U.nnz, store_every, strides):
-        jump = np.eye(n, dtype=dtype)
-        for _ in range(store_every):
-            jump = 2.0 * lu.solve(jump) - jump
+    if _jump_pays(n, sys._band[0].size, store_every, strides):
+        eye = np.eye(n, dtype=dtype)
+        jump = np.linalg.matrix_power(2.0 * solve(eye) - eye, store_every)[np.ix_(perm, perm)]
         for row in range(1, strides + 1):
             np.dot(jump, states[row - 1], out=states[row])
         row, first = strides + 1, strides * store_every + 1
-    z = states[row - 1]
+    z = np.empty(n, dtype=dtype)
+    z[perm] = states[row - 1]
     for k in range(first, steps + 1):
-        z = 2.0 * lu.solve(z) - z
+        z = 2.0 * solve(z) - z
         if k % store_every == 0 or k == steps:
-            states[row] = z
+            states[row] = z[perm]
             row += 1
     return Trajectory(system=sys, times=ks * dt, states=states, dt=dt)
 

@@ -15,9 +15,10 @@ operator norm of the resolvent is an ordinary spectral norm,
     |(i tau - A)^{-1}|_H = sqrt(lambda_max(B^H B)),  B = R S^{-1} R^{-1}.
 
 lambda_max comes from a short Lanczos loop on the Hermitian B^H B, applied
-through one banded LU of S per shift (LAPACK zgbtrf) and banded products
-and solves with R (zgbmv, ztbsv), O(n) per application: the inverse-Lanczos
-route of Trefethen, "Computation of pseudospectra", Acta Numerica 1999.
+through one banded LU of S per shift (GeneratorSystem._shifted_solver) and
+banded products and solves with R (zgbmv, ztbsv), O(n) per application:
+the inverse-Lanczos route of Trefethen, "Computation of pseudospectra",
+Acta Numerica 1999.
 The product is zgbmv, not ztbmv: OpenBLAS 0.3.31 runs ztbmv on two threads
 at n = 202 and then spins its worker for 80 ms on a CPU the next thread
 wants; zgbmv takes 2% longer on one thread.  The loop starts from
@@ -40,11 +41,9 @@ import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cython_lapack
 from scipy.linalg.blas import dznrm2, zgbmv, zgemv, ztbsv
-from scipy.linalg.lapack import dgebal, dgehrd, dstev, zgbtrf, zgbtrs
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgebal, dgehrd, dstev
 
 from heavychain.discretization import GeneratorSystem, _interleaved, _permuted_entries
 
@@ -210,27 +209,23 @@ def _lanczos_top(apply, n: int, tau: float) -> float:
 def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample:
     """Weighted resolvent norm at i*tau by Lanczos on the factored resolvent.
 
-    B = R S^{-1} R^{-1} is applied through one banded LU of S (a copy of
-    the system's shift-free band plus i tau) and banded products and solves
-    with R, O(n) per application.  _lanczos_top stops once beta_k |s_k| <=
+    B = R S^{-1} R^{-1} is applied through one banded LU of S
+    (GeneratorSystem._shifted_solver) and banded products and solves with
+    R, O(n) per application.  _lanczos_top stops once beta_k |s_k| <=
     1e-12 theta_k, an error bound below the energy factor's own rounding,
     after about 9 applications (8.8 on 60 shifts from 0.1 to 1000 at
     N = 100).  A zero pivot in the LU (an exactly singular shift) gives inf.
     """
-    r, band, kl, ku = sys._resolvent_bands
-    kb, n = len(r) - 1, sys.grid.size
-    ab = band.copy(order="F")
-    ab[kl + ku] += 1j * tau
-    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
-    if info > 0:
+    r, n = sys.chol_H.astype(complex, order="F"), sys.grid.size
+    kb = len(r) - 1
+    solve = sys._shifted_solver(1j * tau, -1.0)
+    if solve is None:
         return ResolventSample(tau=float(tau), norm=float("inf"), source="discrete")
 
     def normal_op(x):  # B^H B x = R^{-T} S^{-H} R^T R S^{-1} R^{-1} x
-        y = ztbsv(kb, r, x)
-        y = zgbtrs(lu, kl, ku, y, piv)[0]
+        y = solve(ztbsv(kb, r, x))
         y = zgbmv(n, n, 0, kb, 1.0, r, zgbmv(n, n, 0, kb, 1.0, r, y), trans=1)
-        y = zgbtrs(lu, kl, ku, y, piv, trans=2)[0]
-        return ztbsv(kb, r, y, trans=1)
+        return ztbsv(kb, r, solve(y, trans=2), trans=1)
 
     lam = _lanczos_top(normal_op, n, tau)
     return ResolventSample(tau=float(tau), norm=float(np.sqrt(lam)), source="discrete")
@@ -238,9 +233,15 @@ def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample
 
 def resolvent_apply_discrete(sys: GeneratorSystem, tau: float,
                              rhs: np.ndarray) -> np.ndarray:
-    """Solve (i*tau*I - A_h) z = rhs by sparse LU; the discrete side of cross checks."""
-    shifted = 1j * tau * sparse.eye_array(sys.grid.size) - sys.A
-    return spsolve(shifted.tocsc(), np.asarray(rhs, dtype=complex))
+    """Solve (i*tau*I - A_h) z = rhs by the banded LU of the shift; the discrete
+    side of cross checks.  Raises LinAlgError, naming tau, if it is singular."""
+    solve, n = sys._shifted_solver(1j * tau, -1.0), sys.grid.size
+    if solve is None:
+        raise np.linalg.LinAlgError("i*tau - A is exactly singular at tau=%g" % tau)
+    perm = _interleaved(np.arange(n), n // 2)  # state index k sits at perm[k]
+    b = np.empty(n, complex)
+    b[perm] = rhs
+    return solve(b)[perm]
 
 
 @dataclass(frozen=True)

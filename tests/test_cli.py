@@ -272,6 +272,20 @@ def test_bvp_summary_and_solution(tmp_path):
     assert sol_header == "x,w_re,w_im,v_re,v_im"
 
 
+def test_bvp_collocation_reports_the_boundary_determinant(tmp_path):
+    # below SMALL_TAU the report carries N(tau) from the closed form (not
+    # 0.0, which reads as resonance) and the summary NaN for the pipeline
+    # coefficients the collocation route does not compute
+    cfg = write_config(tmp_path, bvp={"tau": 0.05})
+    out = tmp_path / "out"
+    assert run("bvp", cfg, out) == 0
+    rep = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert rep["bvp"]["method"] == "collocation"
+    assert rep["bvp"]["denominator_abs"] == pytest.approx(1.7346, abs=1e-4)
+    lines = (out / "bvp_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].split(",")[3:] == ["nan"] * 6
+
+
 def test_kernel_slopes_in_band(tmp_path):
     cfg = write_config(tmp_path,
                        sweep={"tau_min": 10.0, "tau_max": 1000.0, "points": 5})

@@ -63,7 +63,7 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # the CLI's setup cost: these subpackages are not needed by any subcommand
     code = ("import sys, heavychain.cli; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
-            "'scipy.spatial') if m in sys.modules))")
+            "'scipy.sparse.linalg', 'scipy.spatial') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -292,6 +292,16 @@ def test_collocation_branch_below_crossover(ref_model):
     assert sol.method == "collocation"
     assert sol.residual <= 5e-6
     assert np.isfinite(sol.gain) and sol.gain > 0.0
+    # N(tau) from the closed form, NaN for the pipeline's own coefficients
+    assert abs(sol.denominator) == denominator_values(ref_model, [0.05])[0]
+    assert abs(sol.denominator) == pytest.approx(1.7346, abs=1e-4)
+    for c in (sol.c1, sol.c2, sol.a0, sol.a1):
+        assert np.isnan(c.real) and np.isnan(c.imag)
+    mirrored = solve_resolvent_bvp(f, g, -0.05, ref_model, f_prime=fp, g_prime=gp)
+    assert mirrored.denominator == np.conj(sol.denominator)
+    # the closed form divides by tau
+    assert np.isnan(solve_resolvent_bvp(f, g, 0.0, ref_model, f_prime=fp,
+                                        g_prime=gp).denominator)
 
 
 def test_methods_agree_at_crossover(ref_model):
@@ -512,6 +522,17 @@ def test_kernel_decay_study_rejects_degenerate_input(ref_model):
             np.linspace(10.0, 20.0, 5), unit_fun, ref_model.tension,
             ref_model.length,
         )
+
+
+@pytest.mark.parametrize("taus", [np.geomspace(10.0, 2000.0, 13), [10.0, np.nan, 1000.0],
+                                  [10.0, 100.0, np.inf]], ids=["beyond-cap", "nan", "inf"])
+def test_kernel_decay_study_refuses_out_of_range_taus_up_front(ref_model, taus, monkeypatch):
+    # one ValueError naming the range, before any pair is evaluated
+    pairs = []
+    monkeypatch.setattr(resolvent_bvp, "_pair_values", lambda *args: pairs.append(args))
+    with pytest.raises(ValueError, match=r"two decades of \[10, TAU_CAP\]=\[10, 1000\]"):
+        kernel_decay_study(taus, unit_fun, ref_model.tension, ref_model.length)
+    assert pairs == []
 
 
 def test_kernel_decay_study_refuses_what_the_pair_refuses(ref_model):

@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from heavychain import discretization
 from heavychain.discretization import (
     KAPPA_DISSIPATIVITY,
+    _interleaved,
     assemble_generator,
     sample_states,
 )
@@ -17,13 +17,11 @@ from heavychain.model import ControllerGains, derive_physical_thetas, rescale
 from heavychain.simulation import (
     C_LYAPUNOV,
     _jump_pays,
-    _step_matrix,
     decay_fit,
     energies,
     simulate,
     verify_energy_identity,
 )
-from tests.conftest import admissible_gain_models
 
 REF_HBAR_TILT = 7.3575  # w = 1 - x/L, v = 0 on the reference parameters
 
@@ -289,42 +287,9 @@ def test_simulate_rejects_bad_arguments(ref_model, kwargs, name):
             simulate(z0, sys, **args)
 
 
-@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-@pytest.mark.parametrize("n, gains_seed", [(50, None), (100, None), (800, None), (50, 29)],
-                         ids=["50", "100", "800", "50-random-gains"])
-def test_step_matrix_is_eye_minus_half_dt_a(ref_model, ref_params, n, gains_seed, dtype):
-    # the step matrix SuperLU factors is the one the textbook expression
-    # builds, entry for entry and in the same storage order
-    m = ref_model if gains_seed is None else admissible_gain_models(ref_params, 1, gains_seed)[0]
-    sys = assemble_generator(m, n)
-    dt = sys.grid.dx / (8.0 * np.sqrt(m.tension0))
-    step = _step_matrix(sys.A, dt, dtype)
-    ref = (sparse.eye_array(sys.grid.size, dtype=dtype) - 0.5 * dt * sys.A).tocsc()
-    assert step.format == "csc" and step.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(step, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-
-
-def test_step_matrix_drops_zero_sums(ref_model):
-    # a stored zero of A and a diagonal entry with 1 - dt/2 a = 0 are not
-    # stored in I - dt/2 A, as the sparse difference drops them too
-    sys = assemble_generator(ref_model, 10)
-    a, dt, npts = sys.A.copy(), 0.01, sys.grid.n + 1
-    a.data[a.indptr[npts + 1] - 1] = 0.0
-    a.data[np.flatnonzero(a.indices[a.indptr[npts]:a.indptr[npts + 1]] == npts)
-           + a.indptr[npts]] = 2.0 / dt
-    step = _step_matrix(a, dt, float)
-    ref = (sparse.eye_array(sys.grid.size) - 0.5 * dt * a).tocsc()
-    assert step.nnz == a.nnz + sys.grid.size - 3
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(step, name), getattr(ref, name)), name
-
-
-def factor_nnz(sys, dt):
-    eye = sparse.eye_array(sys.grid.size)
-    lu = splu((eye - 0.5 * dt * sys.A).tocsc())
-    return lu.L.nnz + lu.U.nnz
+def factor_nnz(sys):
+    # entries of the banded LU of I - dt/2 A, (2 kl + ku + 1) n for any dt
+    return sys._band[0].size
 
 
 @pytest.mark.parametrize(
@@ -348,7 +313,7 @@ def test_simulate_matches_dense_cn_reference(ref_model, kind, n, every, marks, j
     # the reference rather than the stepper.
     sys = assemble_generator(ref_model, n)
     dt, steps = 0.005, marks[-1]
-    assert _jump_pays(sys.grid.size, factor_nnz(sys, dt), every,
+    assert _jump_pays(sys.grid.size, factor_nnz(sys), every,
                       steps // every) == jumps
     z0 = np.real(sample_states(sys, 2, seed=11)[-1])
     if kind == "complex":
@@ -377,28 +342,32 @@ def test_simulate_matches_dense_cn_reference(ref_model, kind, n, every, marks, j
 def test_jump_route_states_equal_explicit_products(ref_model, kind, every, steps):
     # the jump route writes each stride's product into its row of one
     # array; the states must be the floats of z = J @ z taken stride by
-    # stride, J = R^every formed as simulate forms it, and of the stepped
-    # partial stride that follows
+    # stride, J = R^every formed as simulate forms it (matrix_power of R
+    # from one banded solve with the identity, in node-interleaved order),
+    # and of the stepped partial stride that follows
     sys = assemble_generator(ref_model, 50)
     dt = sys.grid.dx / (8.0 * np.sqrt(ref_model.tension0))
-    assert _jump_pays(sys.grid.size, factor_nnz(sys, dt), every, steps // every)
+    assert _jump_pays(sys.grid.size, factor_nnz(sys), every, steps // every)
     z0 = np.real(sample_states(sys, 2, seed=21)[-1])
     if kind == "complex":
         z0 = z0 + 1j * np.real(sample_states(sys, 2, seed=22)[-1])
     tr = simulate(z0, sys, steps * dt, dt=dt, store_every=every)
 
-    lu = splu(_step_matrix(sys.A, dt, z0.dtype))
-    jump = np.eye(sys.grid.size, dtype=z0.dtype)
-    for _ in range(every):
-        jump = 2.0 * lu.solve(jump) - jump
+    n = sys.grid.size
+    solve = sys._shifted_solver(z0.dtype.type(1.0), -0.5 * dt)
+    perm = _interleaved(np.arange(n), n // 2)
+    eye = np.eye(n, dtype=z0.dtype)
+    jump = np.linalg.matrix_power(2.0 * solve(eye) - eye, every)[np.ix_(perm, perm)]
     z, ref = z0, [z0]
     for _ in range(steps // every):
         z = jump @ z
         ref.append(z)
+    y = np.empty(n, dtype=z0.dtype)
+    y[perm] = z
     for _ in range(steps % every):
-        z = 2.0 * lu.solve(z) - z
+        y = 2.0 * solve(y) - y
     if steps % every:
-        ref.append(z)
+        ref.append(y[perm])
     assert tr.states.dtype == z0.dtype and tr.states.shape == (len(ref), sys.grid.size)
     assert np.array_equal(tr.states, np.array(ref))
     assert np.array_equal(tr.times, np.append(np.arange(0, steps + 1, every), steps)[:len(ref)] * dt)
@@ -417,4 +386,4 @@ def test_jump_route_rule(ref_model):
     for n, stride, strides, jumps in cases:
         sys = assemble_generator(ref_model, n)
         dt = sys.grid.dx / (8.0 * np.sqrt(ref_model.tension0))
-        assert _jump_pays(sys.grid.size, factor_nnz(sys, dt), stride, strides) == jumps
+        assert _jump_pays(sys.grid.size, factor_nnz(sys), stride, strides) == jumps

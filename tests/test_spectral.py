@@ -10,6 +10,7 @@ from scipy.linalg import eigvals, svdvals
 
 from heavychain import spectral
 from heavychain.discretization import (
+    GeneratorSystem,
     _energy_factor,
     _form,
     _interleaved,
@@ -305,13 +306,17 @@ def test_resolvent_norm_application_count(ref_sys, monkeypatch):
     # each application of B^H B makes one forward banded solve with the LU
     # of S; ARPACK's loop took 12.3 per shift, the Lanczos loop stops once
     # beta_k |s_k| <= 1e-12 theta_k, after about 9
-    forward, solve = [], spectral.zgbtrs
+    forward, shifted_solver = [], GeneratorSystem._shifted_solver
 
-    def counted(*args, trans=0):
-        forward[-1] += trans == 0
-        return solve(*args, trans=trans)
+    def counting(system, alpha, beta):
+        solve = shifted_solver(system, alpha, beta)
 
-    monkeypatch.setattr(spectral, "zgbtrs", counted)
+        def counted(b, trans=0):
+            forward[-1] += trans == 0
+            return solve(b, trans)
+        return counted
+
+    monkeypatch.setattr(GeneratorSystem, "_shifted_solver", counting)
     for tau in np.geomspace(0.1, 1e3, 60):
         forward.append(0)
         resolvent_norm_discrete(ref_sys, tau)
@@ -399,23 +404,47 @@ def test_energy_and_factor_built_once(ref_model):
     assert sys.chol_H is sys.chol_H
     assert sys.energy is sys.energy
     assert "energy" not in vars(dataclasses.replace(sys, gamma=sys.gamma))
-    # the shift-free band of S and the complex R: once per system, read-only,
-    # and a system with another A builds its own
-    r, band, kl, ku = bands = sys._resolvent_bands
+    # the band of Pi A Pi^T: once per system, read-only, and a system with
+    # another A builds its own
+    band, kl, ku = bands = sys._band
     resolvent_norm_discrete(sys, 2.0)
-    assert sys._resolvent_bands is bands
-    assert not r.flags.writeable and not band.flags.writeable
-    assert np.array_equal(r, sys.chol_H)
+    assert sys._band is bands
+    assert not band.flags.writeable
     n, perm = sys.grid.size, _interleaved(np.arange(sys.grid.size), sys.grid.n + 1)
-    shifted = np.zeros((n, n))
-    shifted[np.ix_(perm, perm)] = -sys.A.toarray()  # -Pi A Pi^T
+    permuted = np.zeros((n, n))
+    permuted[np.ix_(perm, perm)] = sys.A.toarray()  # Pi A Pi^T
     offsets = kl + ku - np.arange(len(band))  # entry [i, j] at band[kl + ku + i - j, j]
-    assert np.array_equal(sparse.dia_array((band, offsets), shape=(n, n)).toarray(), shifted)
+    assert np.array_equal(sparse.dia_array((band, offsets), shape=(n, n)).toarray(), permuted)
     assert not band[:kl].any()  # the spare rows of the pivoting fill
     other = dataclasses.replace(sys, A=(2.0 * sys.A).tocsr())
-    assert "_resolvent_bands" not in vars(other)
+    assert "_band" not in vars(other)
     resolvent_norm_discrete(other, 1.0)
-    assert np.array_equal(other._resolvent_bands[1], 2.0 * band)
+    assert np.array_equal(other._band[0], 2.0 * band)
+
+
+@pytest.mark.parametrize("n", [5, 50])
+@pytest.mark.parametrize("alpha, beta", [(1.0, -0.01), (1j * 3.0, -1.0), (0.5 - 2j, 0.25 + 1j)],
+                         ids=["real", "resolvent-shift", "complex"])
+def test_shifted_solver_matches_dense_solve(ref_model, n, alpha, beta):
+    # (alpha I + beta Pi A Pi^T) x = b by the banded LU against a dense
+    # LAPACK solve of alpha I + beta A in the state order, every row of
+    # the state (the cart row v_0 and the payload row v_N included), and
+    # its transpose and conjugate transpose as the resolvent norm uses them
+    sys = assemble_generator(ref_model, n)
+    size, perm = sys.grid.size, _interleaved(np.arange(sys.grid.size), n + 1)
+    solve = sys._shifted_solver(alpha, beta)
+    dense = alpha * np.eye(size) + beta * sys.A.toarray()
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal(size)
+    if dense.dtype.kind == "c":  # a real LU solves real right-hand sides
+        b = b + 1j * rng.standard_normal(size)
+    for trans, matrix in ((0, dense), (1, dense.T), (2, dense.conj().T)):
+        y = np.empty(size, dense.dtype)
+        y[perm] = b
+        x = solve(y, trans=trans)[perm]
+        ref = np.linalg.solve(matrix, b)
+        assert x.dtype == dense.dtype
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), trans
 
 
 def banded_form(r, states):
@@ -478,6 +507,20 @@ def test_resolvent_norm_singular_shift_is_infinite(ref_sys):
     keep[0] = 0.0  # A with an exactly zero first column
     sys = dataclasses.replace(ref_sys, A=(ref_sys.A @ sparse.diags_array(keep)).tocsr())
     assert resolvent_norm_discrete(sys, 0.0).norm == float("inf")
+    with pytest.raises(np.linalg.LinAlgError, match="tau=0"):
+        resolvent_apply_discrete(sys, 0.0, np.ones(sys.grid.size))
+
+
+def test_zero_generator_singular_only_at_zero_shift(ref_sys):
+    # an A with no stored entries has an empty band, and i tau - A is
+    # singular exactly at tau = 0
+    sys = dataclasses.replace(ref_sys, A=sparse.csr_array((ref_sys.grid.size,) * 2))
+    assert sys._band[1:] == (0, 0)
+    rhs = np.arange(sys.grid.size, dtype=float)
+    with pytest.raises(np.linalg.LinAlgError, match="tau=0"):
+        resolvent_apply_discrete(sys, 0.0, rhs)
+    assert resolvent_norm_discrete(sys, 0.0).norm == float("inf")
+    assert np.array_equal(resolvent_apply_discrete(sys, 2.0, rhs), rhs / 2j)
 
 
 def test_indefinite_energy_is_refused(ref_sys):
