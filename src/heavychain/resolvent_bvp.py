@@ -19,6 +19,13 @@ is evaluated in closed form from the two numbers of its AffineTension,
 P(0) and P': with u = 2 tau sqrt(P) / |P'| the oscillator
 is solved by sqrt(P) Z1(u), Z in {J, Y}, whose slope is sign(P') tau Z0(u)
 (the classical hanging-chain solution; sines and cosines when P' = 0).
+On a grid whose u stays at or above 25 along the whole chain, J0, J1, Y0
+and Y1 come from Hankel's large-argument expansion (DLMF 10.17), one
+sine and one cosine per node and short polynomials in u^-2 truncated at
+the first term below 2^-56 (the kernel study and the continuous sweep
+above tau = 4 on the reference model); scalars, which the boundary
+determinant and the injectivity margins evaluate, and smaller u keep
+scipy's j0, j1, y0 and y1.
 The fields are then recovered through
 
     w = (g + i tau f - y~') / tau^2,      v = f + i tau w.
@@ -35,6 +42,7 @@ as the arrays w, v on its grid x.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -142,26 +150,130 @@ class FundamentalPair:
     wronskian_drift: float
 
 
-def _pair_values(tau: float, p0: float, slope: float, x):
-    """(phi1, phi1', phi2, phi2') at x for the affine tension P = p0 + slope*x.
+# Smallest argument u of the Bessel basis from which array arguments take
+# Hankel's expansion (_hankel_basis); scalars and smaller u take scipy's
+# j0, j1, y0 and y1.
+_HANKEL_FROM = 25.0
+
+
+def _hankel_coefficient(nu: int, k: int) -> float:
+    """Hankel's a_k(nu) = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (k! 8^k),
+    correctly rounded (an exact ratio of integers)."""
+    return (math.prod(4 * nu * nu - (2 * j - 1) ** 2 for j in range(1, k + 1))
+            / (math.factorial(k) * 8 ** k))
+
+
+# a_k(0) and a_k(1), k < 32: at u = _HANKEL_FROM the terms a_k u^-k of
+# both orders fall below 2^-56 from k = 19 on
+_HANKEL_A = [[_hankel_coefficient(nu, k) for k in range(32)] for nu in (0, 1)]
+
+
+def _hankel_series(nu: int, u_min: float) -> tuple[list[float], list[float]]:
+    """Coefficients, in w = u^-2, of Hankel's P_nu(u) and of u Q_nu(u)
+    (DLMF 10.17.3): the terms (-1)^(k//2) a_k(nu) u^-k up to the first one
+    below 2^-56 at u = u_min, which DLMF 10.17(iii) makes a bound on the
+    remainder of each series for every u >= u_min."""
+    terms = []
+    for k, a in enumerate(_HANKEL_A[nu]):
+        if abs(a) * (1.0 / u_min) ** k < 2.0 ** -56:
+            return terms[0::2], terms[1::2]
+        terms.append(a if k % 4 < 2 else -a)
+    raise ValueError("Hankel's expansion needs u >= %g, got %g" % (_HANKEL_FROM, u_min))
+
+
+def _horner(coefficients: list[float], w: np.ndarray) -> np.ndarray:
+    """sum_m coefficients[m] w^m, by Horner's rule in one new array."""
+    out = np.full_like(w, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        out *= w
+        out += c
+    return out
+
+
+def _hankel_basis(tau: float, p0: float, slope: float, x: np.ndarray, series):
+    """(sqrt(P) J1(u), dtau J0(u), sqrt(P) Y1(u), dtau Y0(u)), u = 2 tau
+    sqrt(P) / |slope| and dtau = sign(slope) tau, for P = p0 + slope x at
+    x = 0 and then at each node of x, by Hankel's expansion with series =
+    (_hankel_series(0, .), _hankel_series(1, .)).  With the phase
+    chi = u - pi/4 and the amplitude sqrt(2 / (pi u)),
+
+        J0 = amp (cos chi P0 - sin chi Q0),  Y0 = amp (sin chi P0 + cos chi Q0),
+        J1 = amp (sin chi P1 + cos chi Q1),  Y1 = amp (sin chi Q1 - cos chi P1):
+
+    one sine and one cosine per node, order 1's phase chi - pi/2 taking
+    them swapped.  Works in place, ten arrays of x's length at the peak, as
+    many as the scipy route holds.
+    """
+    (p0s, q0s), (p1s, q1s) = series
+    root = np.empty(x.size + 1)
+    root[0] = p0
+    np.multiply(x, slope, out=root[1:])
+    root[1:] += p0
+    np.sqrt(root, out=root)
+    cos = np.multiply(root, 2.0 * tau / abs(slope))  # u for now
+    v = np.divide(1.0, cos)
+    w = np.multiply(v, v)
+    a, b, ap, bp = (_horner(c, w) for c in (p1s, q1s, p0s, q0s))  # P1, Q1, P0, Q0
+    b *= v
+    bp *= v
+    cos -= 0.25 * np.pi
+    sin = np.sin(cos)
+    np.cos(cos, out=cos)
+    t, t2 = np.multiply(cos, a, out=w), np.multiply(cos, b)  # cos P1, cos Q1
+    a *= sin
+    a += t2
+    b *= sin
+    b -= t
+    np.multiply(sin, ap, out=t)  # sin P0
+    np.multiply(sin, bp, out=t2)  # sin Q0
+    ap *= cos
+    ap -= t2
+    bp *= cos
+    bp += t
+    amp = np.sqrt(np.multiply(v, 2.0 / np.pi, out=v), out=v)
+    root *= amp
+    a *= root
+    b *= root
+    amp *= np.sign(slope) * tau
+    ap *= amp
+    bp *= amp
+    return a, ap, b, bp
+
+
+def _pair_values(tau: float, tension: AffineTension, length: float, x):
+    """(phi1, phi1', phi2, phi2') at x for the affine tension P = p0 + slope*x
+    of a chain of this length.
 
     The Bessel basis sqrt(P) Z1(u), u = 2 tau sqrt(P) / |slope|, is
-    recombined so that phi1 = (0, tau) and phi2 = (1, 0) at x = 0.
+    recombined so that phi1 = (0, tau) and phi2 = (1, 0) at x = 0.  An
+    array x takes Hankel's expansion when u >= _HANKEL_FROM on the whole
+    chain [0, length], with the terms that its smallest u there needs, the
+    normalisation node x = 0 riding in front of x; so the route and the
+    terms come from tau and the chain, never from x, and any split of a
+    grid gives the same floats node by node.  A scalar x, and every x at
+    smaller u, take scipy's j0, j1, y0 and y1.
     """
     x = np.asarray(x, dtype=float)
+    p0, slope = tension.value0, tension.slope
     if slope == 0.0:
         k = tau / np.sqrt(p0)
         sin, cos = np.sin(k * x), np.cos(k * x)
         return np.sqrt(p0) * sin, tau * cos, cos, -k * sin
 
-    def basis(p):
-        root = np.sqrt(p)
-        u = 2.0 * tau * root / abs(slope)
-        dtau = np.sign(slope) * tau
-        return root * j1(u), dtau * j0(u), root * y1(u), dtau * y0(u)
+    u_min = 2.0 * tau * np.sqrt(min(p0, p0 + slope * length)) / abs(slope)
+    if x.ndim and u_min >= _HANKEL_FROM:
+        series = (_hankel_series(0, u_min), _hankel_series(1, u_min))
+        basis = _hankel_basis(tau, p0, slope, x, series)
+        (a0, ap0, b0, bp0), (a, ap, b, bp) = zip(*((z[0], z[1:]) for z in basis))
+    else:
+        def basis(p):
+            root = np.sqrt(p)
+            u = 2.0 * tau * root / abs(slope)
+            dtau = np.sign(slope) * tau
+            return root * j1(u), dtau * j0(u), root * y1(u), dtau * y0(u)
 
-    a, ap, b, bp = basis(p0 + slope * x)
-    a0, ap0, b0, bp0 = basis(p0)
+        a, ap, b, bp = basis(p0 + slope * x)
+        a0, ap0, b0, bp0 = basis(p0)
     det = a0 * bp0 - ap0 * b0
     return (tau * (a0 * b - b0 * a) / det, tau * (a0 * bp - b0 * ap) / det,
             (bp0 * a - ap0 * b) / det, (bp0 * ap - ap0 * bp) / det)
@@ -209,9 +321,11 @@ def _check_drift(drift: float, tau: float, tol: float) -> None:
         )
 
 
-def _pair_on(tau: float, tension: AffineTension, x: np.ndarray, tol: float) -> FundamentalPair:
-    """The pair at tau on the grid x, refused beyond a drift of tol (see _check_drift)."""
-    phis = _pair_values(tau, tension.value0, tension.slope, x)
+def _pair_on(tau: float, tension: AffineTension, length: float, x: np.ndarray,
+             tol: float) -> FundamentalPair:
+    """The pair at tau of a chain of this length on the grid x, refused beyond
+    a drift of tol (see _check_drift)."""
+    phis = _pair_values(tau, tension, length, x)
     drift = _wronskian_drift(tau, *phis)
     _check_drift(drift, tau, tol)
     return FundamentalPair(float(tau), x, *phis, wronskian_drift=drift)
@@ -225,7 +339,8 @@ def fundamental_pair(tau: float, tension: AffineTension, length: float,
     The affine tension P(x) = value0 + slope*x must be positive on
     [0, length].  tol bounds the accepted Wronskian drift (relative to tau).
     """
-    return _pair_on(tau, tension, _pair_grid(tau, tension, length, points_per_wavelength), tol)
+    return _pair_on(tau, tension, length,
+                    _pair_grid(tau, tension, length, points_per_wavelength), tol)
 
 
 def _cumulative(y: np.ndarray, dx: float, rows: slice = slice(None),
@@ -469,7 +584,7 @@ def _pipeline(tau: float, pair: FundamentalPair, fv, gv, fpv, gpv, m: RescaledMo
 
 def _denominator(tau: float, m: RescaledModel) -> complex:
     """N(tau) from the closed-form pair at x = L, for tau > 0."""
-    end = _pair_values(tau, m.tension.value0, m.tension.slope, m.length)
+    end = _pair_values(tau, m.tension, m.length, m.length)
     return _boundary_determinant(tau, m, *end)[1]
 
 
@@ -537,7 +652,7 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
     for n, run in groupby(taus, key=lambda tau: _grid_cells(tau, m.tension, m.length, 40)):
         x = _read_only(np.linspace(0.0, m.length, n + 1))
         terms = _weighted_terms(Grid(n, m.length, x, float(x[1] - x[0])), m, _admitted(m).gamma)
-        pairs = [(tau, _pair_on(tau, m.tension, x, 1e-6)) for tau in run]
+        pairs = [(tau, _pair_on(tau, m.tension, m.length, x, 1e-6)) for tau in run]
         best = [0.0] * len(pairs)
         for sample in data:  # one datum's samples at a time, read-only
             fv, gv, fpv, gpv = (_read_only(v.view()) for v in sample(x))
@@ -558,11 +673,13 @@ class KernelDecayStudy:
     slope_i1: float
 
 
-def _block_pair(tau: float, tension: AffineTension, x: np.ndarray, helper: Executor):
+def _block_pair(tau: float, tension: AffineTension, length: float, x: np.ndarray,
+                helper: Executor):
     """_pair_values at x: the first half of x runs on the helper while the
     calling thread runs the second.  The pair is computed node by node,
-    so the joined halves are the same floats as one call on all of x."""
-    pair = partial(_pair_values, tau, tension.value0, tension.slope)
+    by a route and terms that depend on tau and the chain alone, so the
+    joined halves are the same floats as one call on all of x."""
+    pair = partial(_pair_values, tau, tension, length)
     mid = len(x) // 2
     future = helper.submit(pair, x[:mid])
     try:
@@ -594,7 +711,7 @@ def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
         e = min(s + _BLOCK, size)
         lo, hi = max(0, min(s - 2, size - 6)), min(size, max(e + 2, 6))
         rows = slice(s - lo, e - lo)
-        phis = _block_pair(tau, tension, x[lo:hi], helper)
+        phis = _block_pair(tau, tension, length, x[lo:hi], helper)
         fv = np.asarray(f(x[lo:hi]))
         i0, i1, carry = _kernel_integrals(fv, phis, tau, dx, rows, carry)
         peaks = np.maximum(peaks, (np.max(np.abs(i0)), np.max(np.abs(i1)),

@@ -15,7 +15,10 @@ with h = dt/2, each step is one solve with the once-factored banded
 I - hA (GeneratorSystem._shifted_solver) plus one vector update.  A run
 that stores every s-th state only needs R^s, and can instead form it once
 and take one dense product per stored state (the jump route): R from one
-solve with the n identity columns, R^s by np.linalg.matrix_power.  On
+solve with the n identity columns, R^s in np.linalg.matrix_power's
+order of products, with each factor's entries below sqrt(tiny) of its
+largest zeroed first, so that no product of two kept entries is
+subnormal (_power).  On
 small grids a step's time is mostly the fixed cost per solve call, not
 its flops, so the choice compares measured times (see ``_jump_pays``):
 even a run that stores every step jumps on small grids.  The identity
@@ -82,10 +85,10 @@ class Trajectory:
 
 
 # Measured costs, in ns, of a solve call, of a banded LU entry per right-hand
-# side, of an n^3 entry of a matrix_power product and of an entry of R^s z.
+# side, of an n^3 entry of a _product and of an entry of R^s z.
 _SOLVE_CALL_NS = 2000.0
 _FACTOR_ENTRY_NS = 2.0
-_POWER_ENTRY_NS = 0.12
+_POWER_ENTRY_NS = 0.03
 _DENSE_ENTRY_NS = 0.15
 
 
@@ -94,31 +97,70 @@ def _jump_pays(n: int, nnz: int, stride: int, strides: int) -> bool:
 
     Stepping pays one solve call per step: strides * stride * (call +
     nnz entry).  Jumping forms R by one solve with the n identity columns,
-    call + n nnz entry, and R^stride by matrix_power, whose products (7
-    for stride 72) cost n^3 entry each, then pays strides * n^2 dense
+    call + n nnz entry, and R^stride by _power, whose products (7 for
+    stride 72) cost n^3 entry each, then pays strides * n^2 dense
     entries.  The terms are timeit minima on the reference model at
     dt = dx / (8 c) (2 vCPU Xeon, OpenBLAS 0.3.31), with nnz the
     (2 kl + ku + 1) n = 15 n entries of the banded LU of I - dt/2 A:
 
         N                          5     50    100   200   400   800
         n                          12    102   202   402   802   1602
-        2 solve(z) - z, us         2.12  4.78  7.82  13.8  26.4  48.4
-        2 solve(I) - I, ms         .005  0.18  0.72  3.88  16.7  63.7
-        R @ R, ms                  .001  .053  1.00  17.1  74.0  254
-        R @ z, us                  0.85  2.06  6.11  68.6  173   681
+        2 solve(z) - z, us         1.97  4.64  7.61  13.2  24.6  46.9
+        2 solve(I) - I, ms         .005  0.17  0.69  3.79  15.9  63.7
+        _product(R, R), ms         .004  .054  0.23  1.38  9.05  61.3
+        R @ z, us                  0.82  2.01  5.89  19.8  81.4  346
 
     A line through the step times gives 2.0 us + 1.95 ns per band entry;
-    the identity block takes 1.2-2.2 ns per entry and column, R @ R 0.12
-    ns per n^3 entry at n = 202 (where R's entries reach 1e-257 and their
-    products underflow; 0.05 at n = 102), R @ z 0.15 ns per entry.  So 200
+    the identity block takes 1.1-1.7 ns per entry and column, a product
+    0.028 ns per n^3 entry at n = 202 (0.05 at n = 102, 0.015 at n =
+    1602; 0.12 at n = 202 while R's entries, down to 1e-257, still
+    underflowed in the products), R @ z 0.12-0.19 ns per entry.  So 200
     steps stored one by one jump at N = 50 and are stepped from N = 100.
     """
     def solve(columns):
         return _SOLVE_CALL_NS + columns * nnz * _FACTOR_ENTRY_NS
-    bits = bin(stride)[2:]  # matrix_power squares once per bit, multiplies per set bit
+    bits = bin(stride)[2:]  # _power squares once per bit, multiplies per set bit
     products = len(bits) + bits.count("1") - 2
     return (solve(n) + products * n**3 * _POWER_ENTRY_NS + strides * n * n * _DENSE_ENTRY_NS
             < strides * stride * solve(1))
+
+
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # _cut's threshold, relative to the largest entry
+
+
+def _cut(m: np.ndarray) -> None:
+    """Zero, in place, the entries of m below sqrt(tiny) times its largest.
+    Its own function, so the magnitudes are freed before _product allocates
+    its result: held across the product, they doubled its time at n = 202."""
+    magnitude = np.abs(m)
+    m[magnitude < _SQRT_TINY * magnitude.max()] = 0.0
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y after _cut of each factor: no product of two kept entries is
+    then subnormal, the arithmetic that made R^72 twelve times slower to
+    form at N = 200 (R's entries fall to 1e-257 at N = 100)."""
+    for m in (x,) if x is y else (x, y):
+        _cut(m)
+    return x @ y
+
+
+def _power(r: np.ndarray, s: int) -> np.ndarray:
+    """R^s (r overwritten) in np.linalg.matrix_power's order of products,
+    its short cuts for s <= 3 and then squaring from the lowest bit up,
+    each product through _product; s = 1 takes no product and no cut."""
+    if s == 1:
+        return r
+    if s <= 3:  # matrix_power's short cuts: R R and (R R) R
+        square = _product(r, r)
+        return square if s == 2 else _product(square, r)
+    z = result = None
+    while s:
+        z = r if z is None else _product(z, z)
+        s, bit = divmod(s, 2)
+        if bit:
+            result = z if result is None else _product(result, z)
+    return result
 
 
 def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
@@ -158,7 +200,7 @@ def simulate(z0: np.ndarray, sys: GeneratorSystem, t_final: float,
     row = first = 1
     if _jump_pays(n, sys._band[0].size, store_every, strides):
         eye = np.eye(n, dtype=dtype)
-        jump = np.linalg.matrix_power(2.0 * solve(eye) - eye, store_every)[np.ix_(perm, perm)]
+        jump = _power(2.0 * solve(eye) - eye, store_every)[np.ix_(perm, perm)]
         for row in range(1, strides + 1):
             np.dot(jump, states[row - 1], out=states[row])
         row, first = strides + 1, strides * store_every + 1

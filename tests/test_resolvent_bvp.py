@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
+from scipy.special import j0, j1, y0, y1
 
 from heavychain import resolvent_bvp
 from heavychain.discretization import assemble_generator
@@ -28,6 +29,8 @@ from heavychain.resolvent_bvp import (
     TAU_CAP,
     _fd4,
     _fd4_weights,
+    _hankel_basis,
+    _hankel_series,
     _kernel_sups,
     _pair_grid,
     _pair_values,
@@ -118,6 +121,110 @@ def test_fundamental_pair_matches_ode_integration(ref_model, tau):
 def test_fundamental_pair_rejects_unsupported_tension(tension, reason):
     with pytest.raises(ValueError, match=reason):
         fundamental_pair(5.0, tension, 1.0)
+
+
+def test_hankel_series_is_truncated_at_its_first_term_below_2_to_the_minus_56():
+    # the coefficients (-1)^(k//2) a_k(nu) of the terms u^-k, the even k in
+    # P and the odd in u Q, up to the first term below 2^-56 at u
+    assert _hankel_series(0, 1e4) == ([1.0, -9.0 / 128.0], [-1.0 / 8.0, 75.0 / 1024.0])
+    assert _hankel_series(1, 1e4) == ([1.0, 15.0 / 128.0, -4725.0 / 32768.0],
+                                      [3.0 / 8.0, -105.0 / 1024.0])
+    for nu in (0, 1):
+        for u in (25.0, 62.6, 1e3):
+            p, q = _hankel_series(nu, u)
+            kept = [(p, q)[k % 2][k // 2] for k in range(len(p) + len(q))]
+            a = [resolvent_bvp._hankel_coefficient(nu, k) for k in range(len(kept) + 1)]
+            assert kept == [a[k] if k % 4 < 2 else -a[k] for k in range(len(kept))]
+            assert min(abs(c) / u ** k for k, c in enumerate(kept)) >= 2.0 ** -56
+            assert abs(a[-1]) / u ** len(kept) < 2.0 ** -56
+    assert [len(s) for s in _hankel_series(1, 25.0)] == [10, 9]
+    with pytest.raises(ValueError, match="Hankel"):
+        _hankel_series(0, 5.0)
+
+
+def test_hankel_basis_matches_scipy_bessel_functions():
+    # P = 625 + x, so u = sqrt(P) at tau = 1/2 and slope 1, on u in
+    # [25, 1e4]: J0 and Y0 within 1e-15 of the amplitude sqrt(2 / (pi u))
+    # (6.4e-16 measured), J1 and Y1 within 2e-15 plus two ulp of u (Cephes
+    # rounds u - 3 pi/4 on its own, one ulp of u in phase: 7.4e-13 at
+    # u = 8 405 measured)
+    x = np.geomspace(25.0, 1e4, 20001) ** 2 - 625.0
+    series = (_hankel_series(0, 25.0), _hankel_series(1, 25.0))
+    a, ap, b, bp = (z[1:] for z in _hankel_basis(0.5, 625.0, 1.0, x, series))
+    u = np.sqrt(625.0 + x)  # the series' u and sqrt(P)
+    amp = np.sqrt(2.0 / (np.pi * u))
+    order0 = np.maximum(np.abs(2.0 * ap - j0(u)), np.abs(2.0 * bp - y0(u))) / amp
+    order1 = np.maximum(np.abs(a / u - j1(u)), np.abs(b / u - y1(u))) / amp
+    assert np.max(order0) <= 1e-15
+    assert np.all(order1 <= 2e-15 + 2.0 * np.spacing(u))
+    assert np.max(order1[u <= 40.0]) <= 2.5e-15
+
+
+@pytest.mark.parametrize("tau, bound", [(10.0, 1e-14), (100.0, 1e-13), (1000.0, 1e-12)])
+def test_hankel_pair_matches_the_scipy_pair(ref_model, monkeypatch, tau, bound):
+    # the pair on its grid (u >= 62 at tau = 10) against the same pair from
+    # scipy's j0, j1, y0, y1, relative to each component's largest value
+    # (8.8e-15, 5.2e-14 and 8.8e-13 measured); the Wronskian drifts no
+    # more (1.14e-12 at tau = 1000 on both routes)
+    pair = fundamental_pair(tau, ref_model.tension, ref_model.length)
+    monkeypatch.setattr(resolvent_bvp, "_HANKEL_FROM", np.inf)
+    ref = fundamental_pair(tau, ref_model.tension, ref_model.length)
+    for name in ("phi1", "phi1p", "phi2", "phi2p"):
+        got, want = getattr(pair, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+    assert pair.wronskian_drift <= ref.wronskian_drift
+
+
+def test_pair_route_comes_from_the_chain_not_the_slice(ref_model, monkeypatch):
+    # at tau = 5 the chain has u >= 31.3: every slice of the grid takes the
+    # series, with the 16 terms per order of the smallest u on [0, L], and
+    # gives the whole grid's floats; a slice near x = 0 alone (u >= 44.3)
+    # would need 13
+    tension, length = ref_model.tension, ref_model.length
+    x = _pair_grid(5.0, tension, length, 400)
+    whole = _pair_values(5.0, tension, length, x)
+    calls = []
+    series = resolvent_bvp._hankel_series
+    monkeypatch.setattr(resolvent_bvp, "_hankel_series",
+                        lambda nu, u: calls.append(u) or series(nu, u))
+    for part in (slice(0, 7), slice(100, 1000), slice(len(x) - 3, None)):
+        for got, want in zip(_pair_values(5.0, tension, length, x[part]), whole):
+            assert np.array_equal(got, want[part])
+    assert set(calls) == {10.0 * np.sqrt(ref_model.tensionL)}
+
+
+def test_scalars_keep_scipy_and_their_bits(ref_model, monkeypatch):
+    # the injectivity margins and the boundary determinant evaluate the
+    # pair at a scalar x, which keeps scipy's j0, j1, y0, y1 whatever the
+    # array route; the floats are those of the scipy-only pair
+    taus = [0.5, 5.0, 50.0, 500.0]
+    denominators = [4.97018503257455, 55.09675581581569, 366.83304803337506,
+                    5790.971381143622]
+    margins = [0.25332237678769365, 28.081934666572725, 1869.6893375809125,
+               295156.54338142823]
+    for start in (resolvent_bvp._HANKEL_FROM, 0.0):
+        monkeypatch.setattr(resolvent_bvp, "_HANKEL_FROM", start)
+        assert denominator_values(ref_model, taus).tolist() == denominators
+        assert [injectivity_check(tau, ref_model) for tau in taus] == margins
+
+
+def test_hankel_route_holds_no_more_arrays_than_scipy(ref_model, monkeypatch):
+    # the series works in place: at the peak it holds as many arrays of x's
+    # length as the scipy route (ten, four of them the pair)
+    x = np.linspace(0.0, ref_model.length, 8194)
+
+    def peak():
+        _pair_values(100.0, ref_model.tension, ref_model.length, x)
+        tracemalloc.start()
+        try:
+            _pair_values(100.0, ref_model.tension, ref_model.length, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    series = peak()
+    monkeypatch.setattr(resolvent_bvp, "_HANKEL_FROM", np.inf)
+    assert series <= peak() + 0.1 * x.nbytes
 
 
 def test_greens_apply_closed_form():

@@ -16,7 +16,9 @@ from heavychain.discretization import (
 from heavychain.model import ControllerGains, derive_physical_thetas, rescale
 from heavychain.simulation import (
     C_LYAPUNOV,
+    _cut,
     _jump_pays,
+    _power,
     decay_fit,
     energies,
     simulate,
@@ -342,9 +344,9 @@ def test_simulate_matches_dense_cn_reference(ref_model, kind, n, every, marks, j
 def test_jump_route_states_equal_explicit_products(ref_model, kind, every, steps):
     # the jump route writes each stride's product into its row of one
     # array; the states must be the floats of z = J @ z taken stride by
-    # stride, J = R^every formed as simulate forms it (matrix_power of R
-    # from one banded solve with the identity, in node-interleaved order),
-    # and of the stepped partial stride that follows
+    # stride, J = R^every formed as simulate forms it (_power of R from
+    # one banded solve with the identity, in node-interleaved order), and
+    # of the stepped partial stride that follows
     sys = assemble_generator(ref_model, 50)
     dt = sys.grid.dx / (8.0 * np.sqrt(ref_model.tension0))
     assert _jump_pays(sys.grid.size, factor_nnz(sys), every, steps // every)
@@ -357,7 +359,7 @@ def test_jump_route_states_equal_explicit_products(ref_model, kind, every, steps
     solve = sys._shifted_solver(z0.dtype.type(1.0), -0.5 * dt)
     perm = _interleaved(np.arange(n), n // 2)
     eye = np.eye(n, dtype=z0.dtype)
-    jump = np.linalg.matrix_power(2.0 * solve(eye) - eye, every)[np.ix_(perm, perm)]
+    jump = _power(2.0 * solve(eye) - eye, every)[np.ix_(perm, perm)]
     z, ref = z0, [z0]
     for _ in range(steps // every):
         z = jump @ z
@@ -371,6 +373,55 @@ def test_jump_route_states_equal_explicit_products(ref_model, kind, every, steps
     assert tr.states.dtype == z0.dtype and tr.states.shape == (len(ref), sys.grid.size)
     assert np.array_equal(tr.states, np.array(ref))
     assert np.array_equal(tr.times, np.append(np.arange(0, steps + 1, every), steps)[:len(ref)] * dt)
+
+
+def _propagator(ref_model, n, dtype=float):
+    """R = 2 (I - dt/2 A)^{-1} - I at dt = dx / (8 c), in node-interleaved
+    order, as simulate forms it."""
+    sys = assemble_generator(ref_model, n)
+    dt = sys.grid.dx / (8.0 * np.sqrt(ref_model.tension0))
+    eye = np.eye(sys.grid.size, dtype=dtype)
+    return sys, dt, 2.0 * sys._shifted_solver(dtype(1.0), -0.5 * dt)(eye) - eye
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_jump_route_at_n50_is_the_matrix_power_route(ref_model, kind):
+    # at N = 50 no entry of any factor falls below sqrt(tiny) of its
+    # largest: R^72 and a run stored every 72 steps are the floats of
+    # np.linalg.matrix_power, as are R^s for its short cuts s = 2, 3
+    dtype = complex if kind == "complex" else float
+    sys, dt, r = _propagator(ref_model, 50, dtype)
+    for s in (2, 3, 72):
+        assert np.array_equal(_power(r.copy(), s), np.linalg.matrix_power(r, s))
+    steps = 72 * 20 + 5
+    assert _jump_pays(sys.grid.size, factor_nnz(sys), 72, steps // 72)
+    z0 = np.real(sample_states(sys, 2, seed=31)[-1]).astype(dtype)
+    tr = simulate(z0, sys, steps * dt, dt=dt, store_every=72)
+    perm = _interleaved(np.arange(sys.grid.size), sys.grid.size // 2)
+    jump = np.linalg.matrix_power(r, 72)[np.ix_(perm, perm)]
+    z = z0
+    for row in tr.states[1:-1]:
+        z = jump @ z
+        assert np.array_equal(row, z)
+
+
+def test_power_cuts_below_sqrt_tiny_before_each_product(ref_model):
+    # at N = 100 R holds entries down to 1e-257: each factor is cut at
+    # sqrt(tiny) of its largest entry before a product, so no product of
+    # two kept entries is subnormal, and R^72 moves by at most 1e-150 of
+    # its largest entry (7.3e-153 measured); s = 1 takes no product and
+    # keeps R whole
+    tiny = np.finfo(float).tiny
+    _, _, r = _propagator(ref_model, 100)
+    assert np.min(np.abs(r[r != 0.0])) < 1e-250
+    assert np.array_equal(_power(r.copy(), 1), r)
+    ref = np.linalg.matrix_power(r, 72)
+    assert np.max(np.abs(_power(r.copy(), 72) - ref)) <= 1e-150 * np.max(np.abs(ref))
+    cut = r.copy()
+    _cut(cut)
+    kept = np.abs(r) >= np.sqrt(tiny) * np.max(np.abs(r))
+    assert np.array_equal(cut, np.where(kept, r, 0.0))
+    assert np.min(np.abs(cut[kept])) ** 2 >= tiny * np.max(np.abs(r)) ** 2
 
 
 def test_jump_route_rule(ref_model):
