@@ -1,9 +1,12 @@
 """Continuous-frequency resolvent solves and uniform kernel estimates.
 
 Everything here works at the ODE level, independently of the matrix
-discretization, so the two can audit each other.  The resolvent equation
-(A - i tau)(w, v) = (f, g) with trace-consistent boundary data reduces to
-a second-order boundary value problem for y~ = P w':
+discretization, so the two can audit each other, except below SMALL_TAU:
+there a solve is resolvent_apply_discrete on the generator of
+COLLOCATION_CELLS = 2000 cells, the matrix route on a finer grid.  The
+resolvent equation (A - i tau)(w, v) = (f, g) with trace-consistent
+boundary data reduces to a second-order boundary value problem for
+y~ = P w':
 
     y~'' + (tau^2 / P) y~ = g' + i tau f',
     y~(L) + P(L) y~'(L) = 0,
@@ -43,9 +46,8 @@ as the arrays w, v on its grid x.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from itertools import groupby
 
 import numpy as np
@@ -426,6 +428,8 @@ def injectivity_check(tau: float, m: RescaledModel) -> float:
     """
     _admitted(m, "injectivity margin needs an admissible coefficient set "
                  "(otherwise the forced slope can be real)")
+    if not math.isfinite(tau):
+        raise ValueError("tau=%g: the margin needs a finite frequency" % tau)
     tau = abs(float(tau))
     if tau == 0.0:
         # at zero frequency invertibility is the closed-form inverse's
@@ -589,8 +593,14 @@ def _denominator(tau: float, m: RescaledModel) -> complex:
 
 
 def denominator_values(m: RescaledModel, taus) -> np.ndarray:
-    """|N(tau)| along a frequency grid; grows at least linearly in tau."""
-    return np.array([abs(_denominator(tau, m)) for tau in map(float, taus)], float)
+    """|N(tau)| along a frequency grid; grows at least linearly in tau.
+    Refuses a tau that is not finite and positive."""
+    taus = list(map(float, taus))
+    for tau in taus:
+        if not 0.0 < tau < math.inf:
+            raise ValueError("tau=%g: tau must be finite and positive "
+                             "(negative frequencies by conjugation)" % tau)
+    return np.array([abs(_denominator(tau, m)) for tau in taus], float)
 
 
 def random_smooth_data(rng, length: float):
@@ -673,31 +683,15 @@ class KernelDecayStudy:
     slope_i1: float
 
 
-def _block_pair(tau: float, tension: AffineTension, length: float, x: np.ndarray,
-                helper: Executor):
-    """_pair_values at x: the first half of x runs on the helper while the
-    calling thread runs the second.  The pair is computed node by node,
-    by a route and terms that depend on tau and the chain alone, so the
-    joined halves are the same floats as one call on all of x."""
-    pair = partial(_pair_values, tau, tension, length)
-    mid = len(x) // 2
-    future = helper.submit(pair, x[:mid])
-    try:
-        second = pair(x[mid:])
-    finally:
-        first = future.result()
-    return tuple(map(np.concatenate, zip(first, second)))
-
-
 def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
-                 points_per_wavelength: int, helper: Executor) -> tuple[float, float]:
+                 points_per_wavelength: int) -> tuple[float, float]:
     """sup |I0| and sup |I1| of greens_apply of f on fundamental_pair's
     grid at tau, in one walk over blocks of _BLOCK nodes.
 
-    A block evaluates the pair (_block_pair) and f on itself plus the
-    stencil reach of _fd4 (two nodes each side, the six end nodes at the
-    ends of the grid); the running quadratures carry their sums and y'(0)
-    from block to block, so a block's I0 and I1 are the whole grid's
+    A block evaluates the pair (one _pair_values call) and f on itself
+    plus the stencil reach of _fd4 (two nodes each side, the six end nodes
+    at the ends of the grid); the running quadratures carry their sums and
+    y'(0) from block to block, so a block's I0 and I1 are the whole grid's
     floats, and beside the grid the walk keeps only running maxima.
     Refuses as fundamental_pair does (the drift is the largest over all
     blocks), and f that vanishes on the whole grid.
@@ -711,7 +705,7 @@ def _kernel_sups(tau: float, f, tension: AffineTension, length: float,
         e = min(s + _BLOCK, size)
         lo, hi = max(0, min(s - 2, size - 6)), min(size, max(e + 2, 6))
         rows = slice(s - lo, e - lo)
-        phis = _block_pair(tau, tension, length, x[lo:hi], helper)
+        phis = _pair_values(tau, tension, length, x[lo:hi])
         fv = np.asarray(f(x[lo:hi]))
         i0, i1, carry = _kernel_integrals(fv, phis, tau, dx, rows, carry)
         peaks = np.maximum(peaks, (np.max(np.abs(i0)), np.max(np.abs(i1)),
@@ -735,22 +729,23 @@ def kernel_decay_study(tau_grid, f, tension: AffineTension,
     blocks of a fixed number of nodes (see _kernel_sups), so beside the
     grid itself the study's memory is O(block), not O(grid): about 17
     arrays of a block's length at the peak (17.1 measured on the
-    13-frequency default).  Each block's closed-form Bessel pair runs in
-    two halves on two threads, the caller's and one helper thread that
-    lives as long as the call; the sups are the same floats as on the
-    whole grid on one thread.  On a process pinned to one CPU the helper
-    costs a little: the default study measured 110 ms there against 105 ms
-    on one thread, and the CLI's default run +1.9% (within its noise).
+    13-frequency default).  Everything runs on the calling thread, one
+    _pair_values call per block, and the sups are the same floats as
+    fundamental_pair and greens_apply give on the whole grid.  Refuses,
+    before any pair is built, a tau_grid that is not one-dimensional with
+    at least two points, or that is not finite or does not span two
+    decades of [10, TAU_CAP].
     """
     taus = np.asarray(tau_grid, dtype=float)
+    if taus.ndim != 1 or taus.size < 2:
+        raise ValueError("tau_grid of shape %s: the study needs a one-dimensional grid of "
+                         "at least two frequencies" % (taus.shape,))
     if not (np.isfinite(taus).all() and 10.0 <= taus.min() <= taus.max() / 99.0
             and taus.max() <= TAU_CAP):
         raise ValueError("taus from %g to %g: the grid must span two decades of [10, TAU_CAP]"
                          "=[10, %g]" % (taus.min(), taus.max(), TAU_CAP))
-    with ThreadPoolExecutor(1) as helper:
-        sup0, sup1 = np.array([
-            _kernel_sups(tau, f, tension, length, int(max(160, 1.2 * tau)), helper)
-            for tau in taus]).T.copy()
+    sup0, sup1 = np.array([_kernel_sups(tau, f, tension, length, int(max(160, 1.2 * tau)))
+                           for tau in taus]).T.copy()
     log_t = np.log(taus)
     slope0 = float(np.polyfit(log_t, np.log(sup0), 1)[0])
     slope1 = float(np.polyfit(log_t, np.log(sup1), 1)[0])

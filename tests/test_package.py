@@ -71,7 +71,7 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 
 def test_cli_import_starts_no_thread():
-    # the kernel study's helper thread lives only inside a study call
+    # importing the CLI leaves the process on its main thread alone
     code = "import threading, heavychain.cli; print(threading.active_count())"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

@@ -1,8 +1,8 @@
 """Continuous resolvent pipeline: kernels, margins, solves, decay."""
 
+import contextlib
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from types import SimpleNamespace
 
@@ -291,6 +291,20 @@ def test_injectivity_margin_matches_shooting(ref_model, tau):
     u_end = sol.y[1, -1] + 1j * sol.y[3, -1]
     shot = abs(u_end / m.tensionL - tau * tau * w_end)
     assert injectivity_check(tau, m) == pytest.approx(shot, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+def test_denominator_values_refuses_tau_that_is_not_finite_and_positive(ref_model, tau):
+    with pytest.raises(ValueError, match=r"tau=%g: .*negative frequencies by conjugation" % tau):
+        denominator_values(ref_model, [1.0, tau])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_injectivity_margin_refuses_a_tau_that_is_not_finite(ref_model, tau):
+    with pytest.raises(ValueError, match="tau=%g: .*finite" % tau):
+        injectivity_check(tau, ref_model)
 
 
 def test_injectivity_rejects_non_admissible(ref_params):
@@ -631,13 +645,20 @@ def test_kernel_decay_study_rejects_degenerate_input(ref_model):
         )
 
 
-@pytest.mark.parametrize("taus", [np.geomspace(10.0, 2000.0, 13), [10.0, np.nan, 1000.0],
-                                  [10.0, 100.0, np.inf]], ids=["beyond-cap", "nan", "inf"])
-def test_kernel_decay_study_refuses_out_of_range_taus_up_front(ref_model, taus, monkeypatch):
-    # one ValueError naming the range, before any pair is evaluated
+RANGE = r"two decades of \[10, TAU_CAP\]=\[10, 1000\]"
+SHAPE = "one-dimensional grid of at least two frequencies"
+
+
+@pytest.mark.parametrize("taus, match", [
+    (np.geomspace(10.0, 2000.0, 13), RANGE), ([10.0, np.nan, 1000.0], RANGE),
+    ([10.0, 100.0, np.inf], RANGE), ([], SHAPE), ([1000.0], SHAPE), ([[10.0, 1000.0]], SHAPE)],
+    ids=["beyond-cap", "nan", "inf", "empty", "one-point", "two-dimensional"])
+def test_kernel_decay_study_refuses_out_of_range_taus_up_front(ref_model, taus, match,
+                                                               monkeypatch):
+    # one ValueError naming the range or the shape, before any pair is evaluated
     pairs = []
     monkeypatch.setattr(resolvent_bvp, "_pair_values", lambda *args: pairs.append(args))
-    with pytest.raises(ValueError, match=r"two decades of \[10, TAU_CAP\]=\[10, 1000\]"):
+    with pytest.raises(ValueError, match=match):
         kernel_decay_study(taus, unit_fun, ref_model.tension, ref_model.length)
     assert pairs == []
 
@@ -667,19 +688,13 @@ def _whole_grid_sups(tau, f, chain, ppw=160):
             [int(np.argmax(np.abs(i))) for i in integrals], len(pair.x))
 
 
-@pytest.fixture
-def helper():
-    with ThreadPoolExecutor(1) as pool:
-        yield pool
-
-
 def _kernel_data(ref_model):
     return lambda x: np.cos(np.pi * x / ref_model.length) + 0.5
 
 
 @pytest.mark.parametrize("residue", [1, 2, 3])
 def test_blockwise_kernel_integrals_match_whole_grid_across_seams(ref_model, monkeypatch,
-                                                                  helper, residue):
+                                                                  residue):
     # 64-node blocks whose last window holds 1, 2 or 3 rows, where the seam
     # halo and the one-sided end rows of _fd4 both act, and a datum whose
     # whole-grid |I0| and |I1| both peak in that window: the sups are those
@@ -692,10 +707,10 @@ def test_blockwise_kernel_integrals_match_whole_grid_across_seams(ref_model, mon
         for sups, rows, size in [_whole_grid_sups(tau, f, ref_model)]
         if min(rows) >= size - residue)
     np.testing.assert_array_equal(
-        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper), sups)
+        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160), sups)
 
 
-def test_blockwise_kernel_sups_with_the_peak_on_a_seam(ref_model, monkeypatch, helper):
+def test_blockwise_kernel_sups_with_the_peak_on_a_seam(ref_model, monkeypatch):
     # the study's datum at tau = 30, where |I0| and |I1| peak inside the
     # grid: blocks of row nodes put the peak's row first after a seam,
     # where the running sums restart from the carry and the end correction
@@ -708,22 +723,10 @@ def test_blockwise_kernel_sups_with_the_peak_on_a_seam(ref_model, monkeypatch, h
         for block in (row, row + 1):
             monkeypatch.setattr(resolvent_bvp, "_BLOCK", block)
             np.testing.assert_array_equal(
-                _kernel_sups(30.0, f, ref_model.tension, ref_model.length, 160, helper), sups)
+                _kernel_sups(30.0, f, ref_model.tension, ref_model.length, 160), sups)
 
 
-def test_kernel_decay_study_matches_whole_grid_reference(ref_model, monkeypatch):
-    # an odd block puts the seams anywhere, up to TAU_CAP's 598 187 nodes
-    monkeypatch.setattr(resolvent_bvp, "_BLOCK", 4099)
-    f = _kernel_data(ref_model)
-    taus = np.geomspace(10.0, 1000.0, 3)
-    study = kernel_decay_study(taus, f, ref_model.tension, ref_model.length)
-    ref = np.array([[np.max(np.abs(i)) for i in
-                     _whole_grid(tau, f, ref_model, ppw=int(max(160, 1.2 * tau)))[1:]]
-                    for tau in taus])
-    np.testing.assert_array_equal(np.column_stack([study.sup_i0, study.sup_i1]), ref)
-
-
-def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatch, helper):
+def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatch):
     # the refusal reads the largest drift over all blocks, as
     # fundamental_pair reads it over the whole grid
     monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
@@ -732,27 +735,27 @@ def test_blockwise_wronskian_drift_is_the_whole_grid_drift(ref_model, monkeypatc
     drift = _whole_grid(tau, f, ref_model)[0].wronskian_drift / tau
     monkeypatch.setattr(resolvent_bvp, "DRIFT_TOL", 0.999 * drift)
     with pytest.raises(RuntimeError, match="Wronskian drift"):
-        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper)
+        _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160)
     monkeypatch.setattr(resolvent_bvp, "DRIFT_TOL", 1.001 * drift)
-    _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160, helper)
+    _kernel_sups(tau, f, ref_model.tension, ref_model.length, 160)
 
 
-def test_blockwise_degenerate_data_is_judged_on_the_whole_grid(ref_model, monkeypatch, helper):
+def test_blockwise_degenerate_data_is_judged_on_the_whole_grid(ref_model, monkeypatch):
     monkeypatch.setattr(resolvent_bvp, "_BLOCK", 64)
     length = ref_model.length
     # zero on every block but a few in the middle, so neither the first
     # nor the last block alone decides
     bump = lambda x: np.where(np.abs(np.asarray(x) - 0.5 * length) < 0.05 * length, 1.0, 0.0)
-    assert min(_kernel_sups(30.0, bump, ref_model.tension, length, 160, helper)) > 0.0
+    assert min(_kernel_sups(30.0, bump, ref_model.tension, length, 160)) > 0.0
     with pytest.raises(ValueError, match="degenerate"):
-        _kernel_sups(30.0, zero_fun, ref_model.tension, length, 160, helper)
+        _kernel_sups(30.0, zero_fun, ref_model.tension, length, 160)
 
 
 def test_kernel_decay_study_memory_is_o_block(ref_model):
     # beside the one grid at TAU_CAP (598 187 floats), a block step holds
-    # about seventeen float arrays of a window's length (17.1 measured,
-    # with the helper thread's halves; the block and its 2 + 2
-    # halo nodes): the pair with its Bessel basis and temporaries, f, the
+    # about seventeen float arrays of a window's length (17.1 measured;
+    # the block and its 2 + 2 halo nodes): the pair with its Bessel
+    # basis and temporaries, f, the
     # two integrands with their stencils and running sums, I0 and I1, and
     # the previous block's results.  The bound allows 32.  The
     # whole-grid study holds about fifteen grid-length arrays (66 MB).
@@ -770,60 +773,44 @@ def test_kernel_decay_study_memory_is_o_block(ref_model):
     assert peak < grid_bytes + 32 * window_bytes
 
 
-def _record_pair(monkeypatch, threads, drift_on_helper=False):
-    # note the threads that evaluate the pair; optionally make the pair
-    # drift only where the helper thread evaluates it
-    def values(*args):
-        threads.add(threading.get_ident())
-        phis = _pair_values(*args)
-        if not drift_on_helper or threading.current_thread() is threading.main_thread():
-            return phis
-        return (phis[0], phis[1] + 1.0, *phis[2:])
-
-    monkeypatch.setattr(resolvent_bvp, "_pair_values", values)
-
-
-@pytest.mark.parametrize("block", [None, 64])
-def test_kernel_helper_changes_no_float(ref_model, monkeypatch, helper, block):
-    # the helper thread evaluates half of each block's pair; the sups are
-    # the same floats as fundamental_pair and greens_apply give on the
-    # whole grid (64-node blocks, whose last windows split 3 + 3:
-    # test_blockwise_kernel_integrals_match_whole_grid_across_seams)
-    f = _kernel_data(ref_model)
+@pytest.mark.parametrize("block, stiff", [(None, False), (64, True), (4099, False)],
+                         ids=["default-block", "block-64-stiff-chain", "block-4099"])
+def test_kernel_decay_study_matches_whole_grid_reference(ref_model, monkeypatch, block, stiff):
+    # the sups are the floats that fundamental_pair and greens_apply give
+    # on the whole grid: with the study's own block; with 64-node blocks,
+    # on a stiff tension that keeps the walk short; and with an odd block
+    # that puts the seams anywhere, up to TAU_CAP's 598 187 nodes
     if block is not None:
         monkeypatch.setattr(resolvent_bvp, "_BLOCK", block)
-    # the study's own grids and helper; a stiff tension keeps the 64-node
-    # walk short
-    chain = (ref_model if block is None
-             else SimpleNamespace(tension=AffineTension(400.0, -1.0), length=1.0))
+    chain = SimpleNamespace(tension=AffineTension(400.0, -1.0), length=1.0) if stiff else ref_model
+    f = _kernel_data(ref_model)
     taus = np.geomspace(10.0, 1000.0, 3)
-    threads = set()
-    _record_pair(monkeypatch, threads)
     study = kernel_decay_study(taus, f, chain.tension, chain.length)
-    assert len(threads) == 2
     ref = [[np.max(np.abs(i)) for i in
             _whole_grid(tau, f, chain, ppw=int(max(160, 1.2 * tau)))[1:]] for tau in taus]
     np.testing.assert_array_equal(np.column_stack([study.sup_i0, study.sup_i1]), ref)
 
 
 @pytest.mark.parametrize("refusal", [None, "drift", "degenerate"])
-def test_no_helper_thread_outlives_a_kernel_study(ref_model, monkeypatch, refusal):
-    threads = set()
-    _record_pair(monkeypatch, threads, drift_on_helper=refusal == "drift")
-    f, match = _kernel_data(ref_model), {"drift": "Wronskian drift",
-                                         "degenerate": "degenerate"}.get(refusal)
-    if refusal == "degenerate":
-        f = zero_fun
-    before = threading.enumerate()
-    study = lambda: kernel_decay_study(np.geomspace(10.0, 1000.0, 3), f,  # noqa: E731
-                                       ref_model.tension, ref_model.length)
-    if match is None:
-        study()
-    else:
-        with pytest.raises((RuntimeError, ValueError), match=match):
-            study()
-    assert len(threads) == 2
-    assert threading.enumerate() == before
+def test_kernel_decay_study_evaluates_every_pair_on_the_calling_thread(ref_model, monkeypatch,
+                                                                       refusal):
+    # whether the study returns or refuses (a drifting pair, data that
+    # vanish), no other thread evaluates a pair
+    threads = []
+
+    def values(*args):
+        threads.append(threading.get_ident())
+        phis = _pair_values(*args)
+        return (phis[0], phis[1] + 1.0, *phis[2:]) if refusal == "drift" else phis
+
+    monkeypatch.setattr(resolvent_bvp, "_pair_values", values)
+    f = zero_fun if refusal == "degenerate" else _kernel_data(ref_model)
+    match = {"drift": "Wronskian drift", "degenerate": "degenerate"}.get(refusal)
+    with (pytest.raises((RuntimeError, ValueError), match=match) if refusal
+          else contextlib.nullcontext()):
+        kernel_decay_study(np.geomspace(10.0, 1000.0, 3), f, ref_model.tension,
+                           ref_model.length)
+    assert threads and set(threads) == {threading.get_ident()}
 
 
 def test_fd4_central_weights_and_quartic_exactness():
