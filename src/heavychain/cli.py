@@ -35,6 +35,7 @@ from heavychain.resolvent_bvp import (
     SMALL_TAU,
     TAU_CAP,
     continuous_resolvent_sweep,
+    denominator_values,
     kernel_decay_study,
     random_smooth_data,
     solve_resolvent_bvp,
@@ -455,9 +456,12 @@ def _run_kernel(cfg: Config, report: dict, out_dir: Path, fmt: str):
     length = m.length
     f = lambda x: np.cos(np.pi * np.asarray(x, dtype=float) / length) + 0.5
     study = kernel_decay_study(taus, f, m.tension, length)
+    dens = denominator_values(m, study.taus)  # |N(tau)|, at least linear in tau
+    growth = dens / study.taus
     report["kernel"] = {
         "slope_sup_kernel": study.slope_i0,
         "slope_sup_kernel_derivative": study.slope_i1,
+        "denominator_over_tau": [growth.min(), growth.max()],
         "tau_min": float(taus[0]),
         "tau_max": float(taus[-1]),
         "points": int(len(taus)),
@@ -466,11 +470,13 @@ def _run_kernel(cfg: Config, report: dict, out_dir: Path, fmt: str):
     report["verdicts"].append(_verdict(
         "kernel-decay-slopes", "pass" if in_band else "fail",
         "heavychain.resolvent_bvp.kernel_decay_study"))
-    rows = np.column_stack([study.taus, study.sup_i0, study.sup_i1])
+    rows = np.column_stack([study.taus, study.sup_i0, study.sup_i1, dens])
     report["artifacts"] += [
-        _write_table(out_dir, "kernel", ["tau", "sup_i0", "sup_i1"], rows, fmt),
+        _write_table(out_dir, "kernel", ["tau", "sup_i0", "sup_i1", "denominator_abs"],
+                     rows, fmt),
         _write_plot(out_dir, "kernel_i0", study.taus, study.sup_i0),
-        _write_plot(out_dir, "kernel_i1", study.taus, study.sup_i1)]
+        _write_plot(out_dir, "kernel_i1", study.taus, study.sup_i1),
+        _write_plot(out_dir, "denominator", study.taus, dens)]
 
 
 # "check" has no runner: the admissibility section and verdict of every

@@ -286,16 +286,14 @@ def _grid_cells(tau: float, tension: AffineTension, length: float,
     """Cells of the pair's grid at tau: MIN_GRID, or more to put
     points_per_wavelength nodes on the shortest wavelength.
 
-    Refuses tau <= 0, tau > TAU_CAP and a tension that is not positive on
-    [0, length].
+    Refuses a tau outside (0, TAU_CAP], NaN included, and a tension that
+    is not positive on [0, length].
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive (negative frequencies by conjugation)")
-    if tau > TAU_CAP:
+    if not 0.0 < tau <= TAU_CAP:
         raise ValueError(
-            "tau=%g beyond the resolution cap TAU_CAP=%g: cost grows linearly "
-            "in tau with no new information" % (tau, TAU_CAP)
-        )
+            "tau=%g outside (0, TAU_CAP]=(0, %g]: negative frequencies by conjugation, "
+            "and beyond the cap cost grows linearly in tau with no new information"
+            % (tau, TAU_CAP))
     p0, slope = tension.value0, tension.slope
     pmin = min(p0, p0 + slope * length)
     if pmin <= 0.0:
@@ -437,7 +435,7 @@ def injectivity_check(tau: float, m: RescaledModel) -> float:
         return abs(m.theta3)
     # w'(L) - tau^2 w(L) = (u + P u')(L) / P(L) with w' = u / P and
     # tau^2 w = -u', and (u + P u')(L) = -tau N(tau)
-    return tau / float(m.tensionL) * float(denominator_values(m, [tau])[0])
+    return tau / float(m.tensionL) * float(abs(_denominator(tau, m)))
 
 
 @dataclass
@@ -593,8 +591,9 @@ def _denominator(tau: float, m: RescaledModel) -> complex:
 
 
 def denominator_values(m: RescaledModel, taus) -> np.ndarray:
-    """|N(tau)| along a frequency grid; grows at least linearly in tau.
-    Refuses a tau that is not finite and positive."""
+    """|N(tau)| along a frequency grid; grows at least linearly in tau, which
+    the CLI's kernel run reports (kernel.csv's denominator_abs, denominator.dat
+    and the range of |N(tau)|/tau).  Refuses a tau that is not finite and positive."""
     taus = list(map(float, taus))
     for tau in taus:
         if not 0.0 < tau < math.inf:
@@ -649,15 +648,16 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
     without its audit, on coarser pair grids (40 points per wavelength,
     drift 1e-6).  Every tau below the one that outgrows MIN_GRID has the
     smallest; successive taus on a grid share it, its energy terms and one
-    call of each sampler there.  Refuses, before any work, tau < SMALL_TAU,
-    where the pipeline's tau^{-2} division is ill-conditioned, and
-    tau > TAU_CAP.
+    call of each sampler there.  Refuses, before any work, a tau outside
+    [SMALL_TAU, TAU_CAP], NaN included: below SMALL_TAU the pipeline's
+    tau^{-2} division is ill-conditioned.
     """
     taus = list(map(float, taus))  # the floats a sample stores
-    if taus and not SMALL_TAU <= min(taus) <= max(taus) <= TAU_CAP:
-        raise ValueError("taus from %g to %g leave [SMALL_TAU, TAU_CAP]=[%g, %g]: the "
-                         "pipeline divides by tau^2, and its cost grows with tau"
-                         % (min(taus), max(taus), SMALL_TAU, TAU_CAP))
+    for tau in taus:
+        if not SMALL_TAU <= tau <= TAU_CAP:
+            raise ValueError("tau=%g leaves [SMALL_TAU, TAU_CAP]=[%g, %g]: the pipeline "
+                             "divides by tau^2, and its cost grows with tau"
+                             % (tau, SMALL_TAU, TAU_CAP))
     samples = []
     for n, run in groupby(taus, key=lambda tau: _grid_cells(tau, m.tension, m.length, 40)):
         x = _read_only(np.linspace(0.0, m.length, n + 1))

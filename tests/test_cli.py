@@ -11,6 +11,7 @@ import pytest
 from heavychain import cli
 from heavychain.cli import ConfigError, load_config, parse_config, run
 from heavychain.model import check_admissibility, derive_physical_thetas
+from heavychain.resolvent_bvp import denominator_values
 
 LIGHT = {
     "physical": {"rho": 1.0, "L": 1.0, "m_p": 1.0, "m_c": 1.0, "g": 9.81},
@@ -296,6 +297,17 @@ def test_kernel_slopes_in_band(tmp_path):
     assert abs(rep["kernel"]["slope_sup_kernel_derivative"] + 1.0) < 0.2
     assert (out / "kernel_i0.dat").exists()
     assert (out / "kernel_i1.dat").exists()
+    # |N(tau)| at the study's frequencies: a table column, a plot file and
+    # the range of |N(tau)|/tau, the growth that keeps c1 and c2 bounded
+    header, *lines = (out / "kernel.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "tau,sup_i0,sup_i1,denominator_abs"
+    taus, dens = np.array([[float(v) for v in line.split(",")] for line in lines])[:, [0, 3]].T
+    assert dens.tolist() == denominator_values(load_config(cfg).model(), taus).tolist()
+    plot = [line.split() for line in
+            (out / "denominator.dat").read_text(encoding="utf-8").splitlines()]
+    assert [[float(a), float(b)] for a, b in plot] == np.column_stack([taus, dens]).tolist()
+    low, high = rep["kernel"]["denominator_over_tau"]
+    assert [low, high] == [min(dens / taus), max(dens / taus)] and low > 0.0
 
 
 def test_kernel_rejects_short_range(tmp_path, capsys):

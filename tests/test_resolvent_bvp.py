@@ -91,11 +91,17 @@ def test_wronskian_drift_reported_and_small():
     assert 0.0 <= pair.wronskian_drift < 1e-8 * max(1.0, 20.0)
 
 
-def test_fundamental_pair_rejects_bad_frequencies():
+def test_fundamental_pair_rejects_bad_frequencies(ref_model):
     with pytest.raises(ValueError):
         fundamental_pair(0.0, UNIT_TENSION, 1.0)
     with pytest.raises(ValueError):
         fundamental_pair(2.0 * TAU_CAP, UNIT_TENSION, 1.0)
+    # NaN fails both comparisons with the range, and is refused by name
+    with pytest.raises(ValueError, match=r"tau=nan outside \(0, TAU_CAP\]"):
+        fundamental_pair(np.nan, UNIT_TENSION, 1.0)
+    with pytest.raises(ValueError, match=r"tau=nan outside \(0, TAU_CAP\]"):
+        solve_resolvent_bvp(unit_fun, zero_fun, np.nan, ref_model, f_prime=zero_fun,
+                            g_prime=zero_fun)
 
 
 @pytest.mark.parametrize("tau", [1.0, 100.0])
@@ -482,6 +488,9 @@ def test_sweep_samples_each_datum_once_per_grid(ref_model):
         continuous_resolvent_sweep(ref_model, [0.5, 0.05], [counted])
     with pytest.raises(ValueError, match="TAU_CAP"):
         continuous_resolvent_sweep(ref_model, [0.5, 2.0 * TAU_CAP], [counted])
+    for taus in ([1.0, np.nan], [np.nan, 1.0]):  # min([1.0, nan]) is 1.0
+        with pytest.raises(ValueError, match=r"tau=nan leaves \[SMALL_TAU, TAU_CAP\]"):
+            continuous_resolvent_sweep(ref_model, taus, [counted])
     assert calls == []
 
 
