@@ -48,6 +48,7 @@ from heavychain.simulation import (
 )
 from heavychain.spectral import (
     huang_verdict,
+    resolvent_apply_discrete,
     resolvent_norm_discrete,
     spectrum,
 )
@@ -414,6 +415,13 @@ def _run_bvp(cfg: Config, report: dict, out_dir: Path, fmt: str):
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     sol = solve_resolvent_bvp(f, zero, cfg.bvp_tau, m,
                               f_prime=fp, g_prime=zero)
+    # the same datum by the matrix route at grid.N, which solves
+    # (i tau - A) z = F where the continuous one solves (A - i tau) z = F
+    sys_h = assemble_generator(m, cfg.grid_n)
+    x = sys_h.grid.x
+    zd = resolvent_apply_discrete(sys_h, cfg.bvp_tau, np.concatenate([f(x), zero(x)]))
+    zc = -np.concatenate([np.interp(x, sol.x, u.real) + 1j * np.interp(x, sol.x, u.imag)
+                          for u in (sol.w, sol.v)])
     report["bvp"] = {
         "tau": sol.tau,
         "method": sol.method,
@@ -424,6 +432,7 @@ def _run_bvp(cfg: Config, report: dict, out_dir: Path, fmt: str):
         "solution_norms": {"w_h2": sol.norms[0], "v_h1": sol.norms[1]},
         "data_norms": {"f_h2": sol.data_norms[0], "g_h1": sol.data_norms[1]},
         "datum": "f = sin(pi x / length), g = 0",
+        "discrete_gap": float(sys_h.weighted_norm(zc - zd) / sys_h.weighted_norm(zd)),
     }
     ok = sol.residual <= (1e-6 if sol.method == "pipeline" else 5e-6)
     report["verdicts"].append(_verdict(

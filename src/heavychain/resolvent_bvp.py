@@ -641,7 +641,7 @@ def random_smooth_data(rng, length: float):
 def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSample]:
     """Data-induced resolvent gain sweep at the continuous level.
 
-    data is a sequence of samplers x -> (f, g, f', g') (see
+    data is an iterable of samplers x -> (f, g, f', g') (see
     random_smooth_data); the reported norm at each tau is the largest gain
     over the family, a lower envelope of the true operator norm that
     shares its shape: the gains of solve_resolvent_bvp, to the bit,
@@ -649,8 +649,8 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
     drift 1e-6).  Every tau below the one that outgrows MIN_GRID has the
     smallest; successive taus on a grid share it, its energy terms and one
     call of each sampler there.  Refuses, before any work, a tau outside
-    [SMALL_TAU, TAU_CAP], NaN included: below SMALL_TAU the pipeline's
-    tau^{-2} division is ill-conditioned.
+    [SMALL_TAU, TAU_CAP], NaN included (below SMALL_TAU the pipeline's
+    tau^{-2} division is ill-conditioned), and an empty data family.
     """
     taus = list(map(float, taus))  # the floats a sample stores
     for tau in taus:
@@ -658,6 +658,10 @@ def continuous_resolvent_sweep(m: RescaledModel, taus, data) -> list[ResolventSa
             raise ValueError("tau=%g leaves [SMALL_TAU, TAU_CAP]=[%g, %g]: the pipeline "
                              "divides by tau^2, and its cost grows with tau"
                              % (tau, SMALL_TAU, TAU_CAP))
+    data = list(data)  # read on every pair grid, so a generator must not run dry
+    if not data:
+        raise ValueError("data must hold at least one sampler: an empty family "
+                         "has no maximum")
     samples = []
     for n, run in groupby(taus, key=lambda tau: _grid_cells(tau, m.tension, m.length, 40)):
         x = _read_only(np.linspace(0.0, m.length, n + 1))

@@ -224,8 +224,10 @@ def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample
     its Ritz value falls to 1e-12 of it, an error below the energy factor's
     own rounding, after about 6 applications (6.1 on 60 shifts from 0.1 to
     1000 at N = 100).  A zero pivot in the LU (an exactly singular shift)
-    gives inf.
+    gives inf; a tau that is not finite is refused with a ValueError.
     """
+    if not np.isfinite(tau):  # no frequency, not a singular shift
+        raise ValueError("tau=%g: the resolvent needs a finite frequency" % tau)
     r, n = sys.chol_H.astype(complex, order="F"), sys.grid.size
     kb = len(r) - 1
     solve = sys._shifted_solver(1j * tau, -1.0)
@@ -244,7 +246,10 @@ def resolvent_norm_discrete(sys: GeneratorSystem, tau: float) -> ResolventSample
 def resolvent_apply_discrete(sys: GeneratorSystem, tau: float,
                              rhs: np.ndarray) -> np.ndarray:
     """Solve (i*tau*I - A_h) z = rhs by the banded LU of the shift; the discrete
-    side of cross checks.  Raises LinAlgError, naming tau, if it is singular."""
+    side of cross checks.  Raises LinAlgError, naming tau, if it is singular,
+    and ValueError if tau is not finite."""
+    if not np.isfinite(tau):  # no frequency, not a singular shift
+        raise ValueError("tau=%g: the resolvent needs a finite frequency" % tau)
     solve, n = sys._shifted_solver(1j * tau, -1.0), sys.grid.size
     if solve is None:
         raise np.linalg.LinAlgError("i*tau - A is exactly singular at tau=%g" % tau)

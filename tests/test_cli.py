@@ -10,8 +10,10 @@ import pytest
 
 from heavychain import cli
 from heavychain.cli import ConfigError, load_config, parse_config, run
+from heavychain.discretization import assemble_generator
 from heavychain.model import check_admissibility, derive_physical_thetas
-from heavychain.resolvent_bvp import denominator_values
+from heavychain.resolvent_bvp import denominator_values, solve_resolvent_bvp
+from heavychain.spectral import resolvent_apply_discrete
 
 LIGHT = {
     "physical": {"rho": 1.0, "L": 1.0, "m_p": 1.0, "m_c": 1.0, "g": 9.81},
@@ -258,6 +260,24 @@ def test_tau_max_beyond_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert not (out / "report.json").exists()
 
 
+def bvp_discrete_gap(cfg_path):
+    """|z_c - z_d|_H / |z_d|_H for bvp's datum at grid.N: the continuous
+    solution, interpolated onto the grid, against the matrix route's."""
+    cfg = load_config(cfg_path)
+    m = cfg.model()
+    f = lambda x: np.sin(np.pi * x / m.length)
+    fp = lambda x: np.pi / m.length * np.cos(np.pi * x / m.length)
+    zero = lambda x: np.zeros_like(x)
+    sol = solve_resolvent_bvp(f, zero, cfg.bvp_tau, m, f_prime=fp, g_prime=zero)
+    sys_h = assemble_generator(m, cfg.grid_n)
+    x = sys_h.grid.x
+    zd = resolvent_apply_discrete(sys_h, cfg.bvp_tau, np.concatenate([f(x), zero(x)]))
+    # (A - i tau) z = F against (i tau - A) z = F: opposite signs
+    zc = -np.concatenate([np.interp(x, sol.x, u.real) + 1j * np.interp(x, sol.x, u.imag)
+                          for u in (sol.w, sol.v)])
+    return sys_h.weighted_norm(zc - zd) / sys_h.weighted_norm(zd)
+
+
 def test_bvp_summary_and_solution(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -271,6 +291,16 @@ def test_bvp_summary_and_solution(tmp_path):
     sol_header = (out / "bvp_solution.csv").read_text(
         encoding="utf-8").splitlines()[0]
     assert sol_header == "x,w_re,w_im,v_re,v_im"
+    # the continuous solve against the matrix route at grid.N; the gap is
+    # the grid's error, so it falls at second order
+    gaps = []
+    for n in (100, 200):
+        cfg = write_config(tmp_path, f"cfg{n}.json", grid={"N": n})
+        assert run("bvp", cfg, tmp_path / f"out{n}") == 0
+        rep = json.loads((tmp_path / f"out{n}" / "report.json").read_text(encoding="utf-8"))
+        assert rep["bvp"]["discrete_gap"] == pytest.approx(bvp_discrete_gap(cfg), rel=1e-12)
+        gaps.append(rep["bvp"]["discrete_gap"])
+    assert 3.8 <= gaps[0] / gaps[1] <= 4.2
 
 
 def test_bvp_collocation_reports_the_boundary_determinant(tmp_path):
@@ -285,6 +315,9 @@ def test_bvp_collocation_reports_the_boundary_determinant(tmp_path):
     assert rep["bvp"]["denominator_abs"] == pytest.approx(1.7346, abs=1e-4)
     lines = (out / "bvp_summary.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1].split(",")[3:] == ["nan"] * 6
+    # the gap is still reported; its reference is then the 2 000-cell
+    # matrix route
+    assert rep["bvp"]["discrete_gap"] == pytest.approx(bvp_discrete_gap(cfg), rel=1e-12)
 
 
 def test_kernel_slopes_in_band(tmp_path):

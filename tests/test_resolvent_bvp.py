@@ -481,6 +481,9 @@ def test_sweep_samples_each_datum_once_per_grid(ref_model):
     grids = [len(_pair_grid(tau, ref_model.tension, ref_model.length, 40)) for tau in taus]
     assert grids[:4] == [MIN_GRID + 1] * 4 and len(set(grids)) == 4
     assert calls == sorted(set(grids))
+    # a generator of samplers reads as the list does on every grid, not
+    # only on the first
+    assert continuous_resolvent_sweep(ref_model, taus[:5], iter([first, second])) == samples[:5]
     # below SMALL_TAU and above TAU_CAP the sweep refuses, before it
     # samples anything
     calls.clear()
@@ -491,6 +494,9 @@ def test_sweep_samples_each_datum_once_per_grid(ref_model):
     for taus in ([1.0, np.nan], [np.nan, 1.0]):  # min([1.0, nan]) is 1.0
         with pytest.raises(ValueError, match=r"tau=nan leaves \[SMALL_TAU, TAU_CAP\]"):
             continuous_resolvent_sweep(ref_model, taus, [counted])
+    for data in ([], iter([])):  # an empty family read as norm 0.0
+        with pytest.raises(ValueError, match="empty family has no maximum"):
+            continuous_resolvent_sweep(ref_model, [1.0, 300.0], data)
     assert calls == []
 
 

@@ -9,7 +9,6 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 CASES = {
     "gain_study.py": ["--n", "20", "--points", "5", "--out", "{tmp}/gain.csv"],
-    "ref_report.py": ["--n", "20"],
 }
 
 

@@ -525,6 +525,16 @@ def test_resolvent_norm_singular_shift_is_infinite(ref_sys):
         resolvent_apply_discrete(sys, 0.0, np.ones(sys.grid.size))
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_shift_is_refused_not_singular(ref_sys, tau):
+    # LinAlgError is a ValueError, so the message tells the refusal from
+    # the singular-shift report
+    with pytest.raises(ValueError, match="needs a finite frequency"):
+        resolvent_norm_discrete(ref_sys, tau)
+    with pytest.raises(ValueError, match="needs a finite frequency"):
+        resolvent_apply_discrete(ref_sys, tau, np.ones(ref_sys.grid.size))
+
+
 def test_zero_generator_singular_only_at_zero_shift(ref_sys):
     # an A with no stored entries has an empty band, and i tau - A is
     # singular exactly at tau = 0
