@@ -6,33 +6,6 @@ semi-discrete spectra and simulation, and frequency-domain resolvent
 machinery built on a variation-of-constants kernel.
 """
 
-from heavychain.model import (
-    AdmissibilityReport,
-    ControllerGains,
-    PhysicalFeedback,
-    PhysicalParams,
-    RescaledModel,
-    check_admissibility,
-    chi3_threshold,
-    derive_physical_thetas,
-    inner_product_weights,
-    rescale,
-    select_gamma,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "ControllerGains",
-    "PhysicalFeedback",
-    "PhysicalParams",
-    "RescaledModel",
-    "check_admissibility",
-    "chi3_threshold",
-    "derive_physical_thetas",
-    "inner_product_weights",
-    "rescale",
-    "select_gamma",
-    "__version__",
-]
+__all__ = ["__version__"]

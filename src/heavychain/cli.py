@@ -8,7 +8,8 @@ configs produce byte-identical outputs.
 
 Exit codes: 0 on success, 2 when the configured coefficients fail the
 admissibility test, 1 for malformed configs (the message names the
-offending key) or internal errors.
+offending key), an output directory that cannot be written, or internal
+errors.
 """
 
 from __future__ import annotations
@@ -519,8 +520,6 @@ def run(subcommand: str, config_path, out_dir, fmt: str = "csv") -> int:
         return 1
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     m = cfg.model()
     adm = check_admissibility(m)
     report = {
@@ -534,23 +533,24 @@ def run(subcommand: str, config_path, out_dir, fmt: str = "csv") -> int:
                               "heavychain.model.check_admissibility")],
         "artifacts": [],
     }
-    if not adm.admissible:
-        write_report(report, out)
-        for v in adm.violations:
-            print(f"not admissible: {v}", file=sys.stderr)
-        return 2
-
     try:
-        if subcommand in _RUNNERS:
+        out.mkdir(parents=True, exist_ok=True)
+        if adm.admissible and subcommand in _RUNNERS:
             _RUNNERS[subcommand](cfg, report, out, fmt)
+        write_report(report, out)
     except ConfigError as exc:
         print(f"config error: {exc.key}: {exc.reason}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out}: {exc.strerror}",
+              file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the tool
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_report(report, out)
-    return 0
+    for v in adm.violations:
+        print(f"not admissible: {v}", file=sys.stderr)
+    return 0 if adm.admissible else 2
 
 
 def main(argv=None) -> int:

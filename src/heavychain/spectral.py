@@ -290,10 +290,11 @@ def huang_verdict(samples: list[ResolventSample], report: SpectrumReport) -> Hua
     if report.abscissa >= 0.0:
         reasons.append("abscissa is not negative")
     k = int(np.argmax(norms))
-    if k in (0, len(norms) - 1):
+    # by frequency, not list position: samples that share a tau sort in no order
+    if taus[k] in (taus[0], taus[-1]):
         reasons.append("sampled maximum sits on the sweep boundary")
     tail = taus >= taus[-1] / 10.0
-    if np.count_nonzero(tail) >= 2 and np.all(norms[tail] > 0):
+    if np.unique(taus[tail]).size >= 2 and np.all(norms[tail] > 0):
         slope = np.polyfit(np.log(taus[tail]), np.log(norms[tail]), 1)[0]
     else:
         slope = float("nan")

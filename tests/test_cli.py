@@ -11,7 +11,12 @@ import pytest
 from heavychain import cli
 from heavychain.cli import ConfigError, load_config, parse_config, run
 from heavychain.discretization import assemble_generator
-from heavychain.model import check_admissibility, derive_physical_thetas
+from heavychain.model import (
+    PhysicalParams,
+    check_admissibility,
+    chi3_threshold,
+    derive_physical_thetas,
+)
 from heavychain.resolvent_bvp import denominator_values, solve_resolvent_bvp
 from heavychain.spectral import resolvent_apply_discrete
 
@@ -46,6 +51,8 @@ def test_check_reference_is_admissible(tmp_path):
     adm = rep["admissibility"]
     assert adm["admissible"] is True
     assert adm["chi3_threshold"] == pytest.approx(1.9780, rel=1e-3)
+    assert adm["chi3_threshold"] == chi3_threshold(PhysicalParams(**LIGHT["physical"]))
+    assert adm["parabola_margin"] > 0.0
     assert adm["gamma"] is not None
     assert rep["config"] == json.loads(cfg.read_text(encoding="utf-8"))
     assert rep["verdicts"][0]["check"] == "admissibility"
@@ -58,6 +65,9 @@ def test_check_below_threshold_exits_two(tmp_path, capsys):
     assert run("check", cfg, out) == 2
     rep = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert rep["admissibility"]["admissible"] is False
+    assert rep["admissibility"]["parabola_margin"] < 0.0
+    assert rep["admissibility"]["chi3_threshold"] == chi3_threshold(
+        PhysicalParams(**LIGHT["physical"]))
     joined = " ".join(rep["admissibility"]["violations"])
     assert "parabola" in joined
     assert "parabola" in capsys.readouterr().err
@@ -101,6 +111,16 @@ def test_invalid_json_exits_one(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert run("check", path, tmp_path / "out") == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocker", ["file", "file-parent"])
+def test_unwritable_out_exits_one(tmp_path, capsys, blocker):
+    # an --out that names a file, or a path under one, is a usage error
+    cfg = write_config(tmp_path)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    out = tmp_path / "taken" if blocker == "file" else tmp_path / "taken" / "out"
+    assert run("check", cfg, out) == 1
+    assert f"error: cannot write {out}" in capsys.readouterr().err
 
 
 def test_config_accepts_direct_thetas(tmp_path):

@@ -19,8 +19,8 @@ MODULES = ["heavychain"] + sorted(
     f"heavychain.{info.name}" for info in pkgutil.iter_modules(heavychain.__path__)
 )
 ROOT = Path(__file__).resolve().parents[1]
-# The library, the scripts and the benchmark harness; tests are not callers.
-CALLER_FILES = sorted(p for d in ("src/heavychain", "scripts", "perfbench")
+# The library and the benchmark harness; tests are not callers.
+CALLER_FILES = sorted(p for d in ("src/heavychain", "perfbench")
                       for p in (ROOT / d).glob("*.py"))
 # ROADMAP item 1 (the SBP energy's exact dissipativity certificate) gives
 # this one its caller.

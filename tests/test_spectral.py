@@ -599,6 +599,29 @@ def test_verdict_growing_tail_inconclusive(ref_spectrum):
     assert any("last decade" in r for r in verdict.reasons)
 
 
+# the CLI pools a discrete and a continuous sample at the ends of its range
+_FALLING = [ResolventSample(tau=t, norm=1.0 / (1.0 + t), source="discrete")
+            for t in np.geomspace(0.1, 1000.0, 9)]
+_LOW_AT_TAU_MIN = ResolventSample(tau=0.1, norm=0.5, source="continuous")
+_ONE_TAU_TAIL = [ResolventSample(tau=t, norm=n, source="discrete")
+                 for t, n in ((0.1, 1.0), (1.0, 3.0), (10.0, 2.0), (1000.0, 0.5))]
+_ONE_TAU_TAIL.append(ResolventSample(tau=1000.0, norm=0.4, source="continuous"))
+
+
+@pytest.mark.parametrize("samples, reason", [
+    ([_LOW_AT_TAU_MIN, *_FALLING], "sampled maximum sits on the sweep boundary"),
+    ([*_FALLING, _LOW_AT_TAU_MIN], "sampled maximum sits on the sweep boundary"),
+    (_ONE_TAU_TAIL, "tail decade has too few usable samples"),
+], ids=["shared-tau-continuous-first", "shared-tau-continuous-last", "one-tau-tail"])
+def test_verdict_counts_frequencies_not_samples(ref_spectrum, samples, reason):
+    # samples that share a tau neither move the boundary by their list
+    # order nor give the tail fit a second abscissa
+    verdict = huang_verdict(samples, ref_spectrum)
+    assert verdict.verdict == VERDICT_INCONCLUSIVE
+    assert verdict.reasons == (reason,)
+    assert np.isnan(verdict.tail_slope) == ("tail" in reason)
+
+
 def test_verdict_rejects_empty_sweep(ref_spectrum):
     with pytest.raises(ValueError, match="empty"):
         huang_verdict([], ref_spectrum)
