@@ -162,9 +162,9 @@ def generator_matrix(m: RescaledModel, grid: Grid) -> sparse.csr_array:
 # identity), and s weighs each row of T.  The coupling 1/2 |j . z|^2 of
 # psi = v_0 with the boundary functional of w is the one whole-state term
 # of the energy form.  Every routine below takes a term list and nothing
-# else: forms are evaluated matrix-free (see _form), and _energy_factor
-# factors either energy by a banded QR of its rows, so no Gram matrix is
-# assembled from them.
+# else, and _stencils alone applies it: forms are evaluated matrix-free
+# (see _form), and _energy_factor factors either energy by a banded QR of
+# its rows, so no Gram matrix is assembled from them.
 
 def _sobolev_terms(grid: Grid) -> list:
     """|w|^2_{H^2} + |v|^2_{H^1}, trapezoid rule over the stencils."""
@@ -220,7 +220,7 @@ def _stencils(terms: list, z: np.ndarray):
     Applies the factors one by one: on long grids an assembled product
     such as D1 (P D1) loses digits like eps / dx^2, the factors do not.
     """
-    npts = len(z) // 2
+    npts = z.shape[0] // 2  # z may be sparse, which has no len()
     for block, s, factors in terms:
         tz = z if block is None else z[block * npts:(block + 1) * npts]
         for f in reversed(factors):
@@ -270,23 +270,18 @@ def _energy_rows(terms: list, npts: int) -> sparse.csr_array:
     """G with G^T G = M, M the form of the terms: the rows sqrt(s) T of
     every term, columns in node-interleaved order (w_0, v_0, w_1, v_1,
     ...), rows sorted by their first column and zero rows dropped.  A
-    negative weight raises LinAlgError, as a Cholesky factor of M would."""
-    rows, cols, vals = [], [], []
-    count = 0
-    for block, s, factors in terms:
+    negative weight raises LinAlgError, as a Cholesky factor of M would.
+    The stencils act on the permutation taking state index k to its
+    interleaved position, so each row lands in that order."""
+    n = 2 * npts
+    perm = sparse.csr_array((np.ones(n), _interleaved(np.arange(n), npts), np.arange(n + 1)),
+                            shape=(n, n))
+    rows = []
+    for s, t in _stencils(terms, perm):
         if np.any(s < 0.0):
             raise np.linalg.LinAlgError("energy form is not positive definite")
-        width, offset = (2 * npts, 0) if block is None else (npts, block * npts)
-        t = sparse.eye_array(width, format="csr")
-        for f in reversed(factors):
-            t = f @ t
-        t = sparse.coo_array(sparse.diags_array(np.sqrt(s)) @ t)
-        rows.append(count + t.row)
-        cols.append(_interleaved(offset + t.col, npts))
-        vals.append(t.data)
-        count += t.shape[0]
-    g = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(count, 2 * npts))
+        rows.append(sparse.diags_array(np.sqrt(s)) @ t)
+    g = sparse.vstack(rows, format="csr")
     g.eliminate_zeros()
     g = g[np.diff(g.indptr) > 0]
     g.sort_indices()
@@ -511,18 +506,11 @@ def sample_states(sys: GeneratorSystem, count: int, seed: int = 0) -> np.ndarray
 
 @dataclass(frozen=True)
 class DissipativityReport:
+    """A sampled check: satisfied when max_residual <= bound = KAPPA_DISSIPATIVITY * dx."""
+
     max_residual: float
     bound: float
-    kappa: float
-    dx: float
-    n_samples: int
-    seed: int
-    admissible: bool
     satisfied: bool
-
-    @property
-    def certified(self) -> bool:
-        return self.admissible and self.satisfied
 
 
 def _check_samples(samples: int) -> None:
@@ -546,18 +534,8 @@ def dissipativity_check(sys: GeneratorSystem, samples: int = 1000,
     numerator, denominator = _forms(sys.energy, (sys.A @ states.T).T, states)
     resid = numerator / denominator
     max_r = float(resid.max())
-    admissible = sys.model.admissibility.admissible
     bound = KAPPA_DISSIPATIVITY * sys.grid.dx
-    return DissipativityReport(
-        max_residual=max_r,
-        bound=bound,
-        kappa=KAPPA_DISSIPATIVITY,
-        dx=sys.grid.dx,
-        n_samples=samples,
-        seed=seed,
-        admissible=admissible,
-        satisfied=max_r <= bound,
-    )
+    return DissipativityReport(max_residual=max_r, bound=bound, satisfied=max_r <= bound)
 
 
 def norm_ratio_interval(sys: GeneratorSystem, samples: int = 1000, seed: int = 0):

@@ -286,14 +286,17 @@ def _grid_cells(tau: float, tension: AffineTension, length: float,
     """Cells of the pair's grid at tau: MIN_GRID, or more to put
     points_per_wavelength nodes on the shortest wavelength.
 
-    Refuses a tau outside (0, TAU_CAP], NaN included, and a tension that
-    is not positive on [0, length].
+    Refuses a tau outside (0, TAU_CAP], NaN included, a length that is
+    not finite and positive, and a tension that is not positive on
+    [0, length].
     """
     if not 0.0 < tau <= TAU_CAP:
         raise ValueError(
             "tau=%g outside (0, TAU_CAP]=(0, %g]: negative frequencies by conjugation, "
             "and beyond the cap cost grows linearly in tau with no new information"
             % (tau, TAU_CAP))
+    if not (np.isfinite(length) and length > 0.0):
+        raise ValueError(f"length must be finite and positive, got {length!r}")
     p0, slope = tension.value0, tension.slope
     pmin = min(p0, p0 + slope * length)
     if pmin <= 0.0:

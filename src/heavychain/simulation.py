@@ -15,16 +15,15 @@ with h = dt/2, each step is one solve with the once-factored banded
 I - hA (GeneratorSystem._shifted_solver) plus one vector update.  A run
 that stores every s-th state only needs R^s, and can instead form it once
 and take one dense product per stored state (the jump route): R from one
-solve with the n identity columns, R^s in np.linalg.matrix_power's
-order of products, with each factor's entries below sqrt(tiny) of its
-largest zeroed first, so that no product of two kept entries is
-subnormal (_power).  On
-small grids a step's time is mostly the fixed cost per solve call, not
-its flops, so the choice compares measured times (see ``_jump_pays``):
-even a run that stores every step jumps on small grids.  The identity
-check compares one-step differences of V against midpoint averages of
-the right-hand side, which keeps both sides second-order consistent at
-t_{n+1/2}.
+solve with the n identity columns, R^s by square-and-multiply from the
+lowest bit, with each factor's entries below sqrt(tiny) of its largest
+zeroed first, so that no product of two kept entries is subnormal
+(_power).  On small grids a step's time is mostly the fixed cost per
+solve call, not its flops, so the choice compares measured times (see
+``_jump_pays``): even a run that stores every step jumps on small grids.
+The identity check compares one-step differences of V against midpoint
+averages of the right-hand side, which keeps both sides second-order
+consistent at t_{n+1/2}.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from heavychain.discretization import GeneratorSystem, _interleaved, _read_only
-from heavychain.model import ControllerGains, PhysicalParams
+from heavychain.model import ControllerGains, PhysicalParams, derive_physical_thetas, rescale
 
 __all__ = [
     "C_LYAPUNOV",
@@ -146,14 +145,8 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _power(r: np.ndarray, s: int) -> np.ndarray:
-    """R^s (r overwritten) in np.linalg.matrix_power's order of products,
-    its short cuts for s <= 3 and then squaring from the lowest bit up,
-    each product through _product; s = 1 takes no product and no cut."""
-    if s == 1:
-        return r
-    if s <= 3:  # matrix_power's short cuts: R R and (R R) R
-        square = _product(r, r)
-        return square if s == 2 else _product(square, r)
+    """R^s (r overwritten) by square-and-multiply from the lowest bit, each
+    product through _product; s = 1 takes no product and no cut."""
     z = result = None
     while s:
         z = r if z is None else _product(z, z)
@@ -243,12 +236,18 @@ def energies(tr: Trajectory, p: PhysicalParams, gains: ControllerGains) -> Energ
 
     Reads the grid's D1 and trapezoid weights and evaluates no energy form.
     dV/dt is a second-order difference in time, so the run must store at
-    least three states.
+    least three states.  p and gains must be those of the run's model:
+    other ones would make a ledger of another system.
     """
     if len(tr.times) < 3:
         raise ValueError("energies needs at least three stored states for dV/dt, "
                          f"got {len(tr.times)}")
     m = tr.system.model
+    if p != m.params:
+        raise ValueError("p is not the physical parameters of the trajectory's model")
+    thetas = rescale(p, derive_physical_thetas(p, gains)).thetas
+    if any(abs(a - b) > 1e-12 * abs(b) for a, b in zip(thetas, m.thetas)):
+        raise ValueError("gains do not give the thetas of the trajectory's model")
     grid = tr.system.grid
     npts = grid.n + 1
     w_vals = np.real(tr.states[:, :npts])
@@ -334,6 +333,8 @@ def decay_fit(tr: Trajectory) -> DecayFit:
     Requires an overall drop of at least 10x so the fit window sits in the
     asymptotic regime; degenerate or non-decaying input is rejected.
     """
+    if len(tr.times) < 3:
+        raise ValueError(f"decay_fit needs at least three stored states, got {len(tr.times)}")
     norms = tr.norm_history()
     if norms[0] <= 0.0:
         raise ValueError("zero initial state: nothing to fit")

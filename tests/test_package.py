@@ -1,6 +1,6 @@
 """Package surface: every name a module exports is defined in it, every
-exported function has a caller outside the tests, and importing the CLI
-stays light."""
+exported function and every public member of an exported class has a
+caller outside the tests, and importing the CLI stays light."""
 
 import ast
 import importlib
@@ -9,7 +9,9 @@ import os
 import pkgutil
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -48,15 +50,29 @@ def _referenced_names(path: Path) -> set:
     return names
 
 
+def _public_members(cls) -> set:
+    """Class.name of each method (class and static ones too), property and
+    cached property the class itself defines, except names starting with _."""
+    kinds = (FunctionType, property, cached_property, classmethod, staticmethod)
+    return {f"{cls.__name__}.{attr}" for attr, value in vars(cls).items()
+            if not attr.startswith("_") and isinstance(value, kinds)}
+
+
 def test_every_public_function_has_a_caller():
-    # API surface that nothing uses is deleted, not kept for tests alone
+    # API surface that nothing uses is deleted, not kept for tests alone:
+    # each exported function, and each public member of an exported class
     referenced = set().union(*map(_referenced_names, CALLER_FILES))
     public = set()
     for name in MODULES:
         mod = importlib.import_module(name)
-        public |= {attr for attr in getattr(mod, "__all__", ())
-                   if inspect.isfunction(getattr(mod, attr))}
-    assert sorted(public - referenced) == sorted(AWAITING_CALLERS)
+        for attr in getattr(mod, "__all__", ()):
+            value = getattr(mod, attr)
+            if inspect.isfunction(value):
+                public.add(attr)
+            elif inspect.isclass(value):
+                public |= _public_members(value)
+    unused = {name for name in public if name.rpartition(".")[2] not in referenced}
+    assert sorted(unused) == sorted(AWAITING_CALLERS)
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

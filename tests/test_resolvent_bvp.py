@@ -121,12 +121,13 @@ def test_fundamental_pair_matches_ode_integration(ref_model, tau):
     assert np.max(np.abs(closed - sol.y)) < 1e-8 * tau
 
 
-@pytest.mark.parametrize("tension, reason", [
-    (AffineTension(1.0, -2.0), "positive"),
-], ids=["non-positive"])
-def test_fundamental_pair_rejects_unsupported_tension(tension, reason):
+@pytest.mark.parametrize("tension, length, reason", [
+    (AffineTension(1.0, -2.0), 1.0, "positive"),
+    *((AffineTension(1.0, 0.0), length, "length") for length in (-1.0, 0.0, np.nan, np.inf)),
+], ids=["non-positive", "negative-length", "zero-length", "nan-length", "inf-length"])
+def test_fundamental_pair_rejects_unsupported_tension(tension, length, reason):
     with pytest.raises(ValueError, match=reason):
-        fundamental_pair(5.0, tension, 1.0)
+        fundamental_pair(5.0, tension, length)
 
 
 def test_hankel_series_is_truncated_at_its_first_term_below_2_to_the_minus_56():
@@ -685,6 +686,9 @@ def test_kernel_decay_study_refuses_what_the_pair_refuses(ref_model):
     with pytest.raises(ValueError, match="positive"):
         kernel_decay_study(np.geomspace(10.0, 1000.0, 3), unit_fun,
                            AffineTension(1.0, -2.0), 1.0)
+    with pytest.raises(ValueError, match="length"):
+        kernel_decay_study(np.geomspace(10.0, 1000.0, 3), unit_fun,
+                           AffineTension(19.62, -1.0), -9.81)
 
 
 def _whole_grid(tau, f, chain, ppw=160, tol=1e-8):
